@@ -18,7 +18,7 @@ from .code import SubsystemCode, gauge_fix, parameters, validated
 from .codefile import CodeFileError, parse_code_file, serialize_code
 from .decoder import Outcome, build_table, recover_and_classify, syndrome
 from .distance import BudgetExceededError, DEFAULT_BUDGET, distance, is_correctable_set
-from .montecarlo import NoiseModel, run
+from .montecarlo import SEED_BOUND, NoiseModel, run
 from .oracle import (
     MAX_QUBITS,
     code_projector,
@@ -39,6 +39,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 with usage, not argparse's 2
         self.print_usage(sys.stderr)
         raise _CliError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < SEED_BOUND:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^128), got {value}")
+    return value
 
 
 def _load_code(ref: str) -> SubsystemCode:
@@ -116,7 +130,7 @@ def _cmd_params(args) -> int:
 def _cmd_distance(args) -> int:
     code = _load_code(args.code)
     try:
-        d = distance(code, args.method, args.budget or DEFAULT_BUDGET)
+        d = distance(code, args.method, args.budget)
     except BudgetExceededError as exc:
         raise _CliError(str(exc), exit_code=2) from None
     _emit([("d", d)], args.json)
@@ -283,7 +297,8 @@ def _build_parser() -> _Parser:
     p = add("distance", _cmd_distance, help="code distance")
     p.add_argument("--code", required=True)
     p.add_argument("--method", choices=("exhaustive", "coset"), default="coset")
-    p.add_argument("--budget", type=int, default=None, help="enumeration cap")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="enumeration cap")
 
     p = add("decode", _cmd_decode, help="decode an error (or dump the table)")
     p.add_argument("--code", required=True)
@@ -293,8 +308,8 @@ def _build_parser() -> _Parser:
     p = add("find-gauge", _cmd_find_gauge, help="search for gauge symmetries")
     p.add_argument("--code", required=True)
     p.add_argument("--distance-min", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true", help="progress to stderr")
 
     p = add("sweep", _cmd_sweep, help="enumerate all codes at a parameter point")
@@ -302,8 +317,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--distance-min", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--symmetry-pruning", action="store_true")
     p.add_argument("--verbose", action="store_true")
 
@@ -311,9 +326,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--code", required=True)
     p.add_argument("--p", type=float, required=True, help="depolarizing probability")
     p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
         "--fallback-identity", action="store_true",
         help="recover unknown syndromes with identity instead of counting unrecoverable",

@@ -207,7 +207,8 @@ def _validated(code: SubsystemCode, derive_gauge: int) -> SubsystemCode:
     report = validate(code, derive_gauge)
     if not report.ok:
         raise ValueError("invalid code: " + "; ".join(report.violations))
-    assert report.completed is not None
+    if report.completed is None:
+        raise RuntimeError("validation passed without completing the code")
     return report.completed
 
 

@@ -94,7 +94,8 @@ def parse_code_file(text: str) -> SubsystemCode:
     report = validate(code)
     if not report.ok:
         raise CodeFileError("; ".join(report.violations), 1)
-    assert report.completed is not None
+    if report.completed is None:
+        raise RuntimeError("validation passed without completing the code")
     return report.completed
 
 

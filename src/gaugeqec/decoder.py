@@ -126,7 +126,8 @@ def recover_and_classify(
     residual = multiply(rep, e)
     cls = tables.classify_vec(residual.vec)
     # equal syndromes force the residual back into the normalizer
-    assert cls.kind is not Kind.OUTSIDE_N
+    if cls.kind is Kind.OUTSIDE_N:
+        raise RuntimeError(f"residual {residual} of a table entry has a nonzero syndrome")
     if cls.kind is Kind.GAUGE:
         return Recovery(Outcome.GAUGE_SUCCESS, residual=residual)
     return Recovery(Outcome.LOGICAL_FAILURE, logical_class=cls, residual=residual)

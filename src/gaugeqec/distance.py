@@ -87,7 +87,8 @@ class _Tables:
         if self.gauge_elim.contains(vec):
             return OperatorClass(Kind.GAUGE)
         comb = gf2.solve_membership(self.normalizer_matrix, vec)
-        assert comb is not None, "commuting operator must lie in the normalizer span"
+        if comb is None:
+            raise RuntimeError("commuting operator must lie in the normalizer span")
         label = tuple(
             (comb >> (self.logical_offset + i)) & 1 for i in range(2 * self.code.k)
         )

@@ -19,6 +19,7 @@ from .distance import Kind, _tables
 from .pauli import PauliOp, hermitian
 
 _CHUNK_SHOTS = 1 << 15
+SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ def _blocks_per_shot(n: int) -> int:
 
 def shot_stream(seed: int, shot: int, n: int) -> np.random.Generator:
     """Generator positioned at the first draw of the given shot's slot."""
-    bg = np.random.Philox(key=seed & ((1 << 128) - 1))
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+    bg = np.random.Philox(key=seed)
     bg.advance(shot * _blocks_per_shot(n))
     return np.random.Generator(bg)
 

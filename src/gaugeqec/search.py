@@ -213,7 +213,8 @@ def _gauge_worker_init(ctx: _GaugeContext) -> None:
 def _gauge_filter_chunk(pivots: tuple[int, ...]):
     """Filter every subspace with the given pivot profile; return survivors."""
     ctx = _GAUGE_CTX
-    assert ctx is not None
+    if ctx is None:
+        raise RuntimeError("gauge filter chunk run before its worker initializer")
     frees = _free_cols(pivots, ctx.s)
     examined = 0
     survivors = []
@@ -438,7 +439,8 @@ class _SweepContext:
         wcoords = []
         for w in witnesses:
             comb = gf2.solve_membership(coord_matrix, w)
-            assert comb is not None
+            if comb is None:
+                raise RuntimeError("witness outside the centralizer of the subspace")
             wcoords.append(comb & ((1 << q) - 1))
         examined = 0
         sectors = []
@@ -479,7 +481,8 @@ def _hyperbolic_pairs(basis: list[int], n: int) -> list[tuple[int, int]]:
             if (a & swap_halves(b, n)).bit_count() & 1:
                 partner = b
                 break
-        assert partner is not None, "nondegenerate space must pair up"
+        if partner is None:
+            raise RuntimeError("nondegenerate space must pair up")
         pairs.append((a, partner))
         a_sw = swap_halves(a, n)
         p_sw = swap_halves(partner, n)
@@ -535,7 +538,8 @@ def _sweep_chunk(args):
     visited.
     """
     ctx = _SWEEP_CTX
-    assert ctx is not None
+    if ctx is None:
+        raise RuntimeError("sweep chunk run before its worker initializer")
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
     ncols = 2 * n

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from gaugeqec.catalog import catalog
 from gaugeqec.cli import main
 from gaugeqec.codefile import parse_code_file
@@ -196,3 +198,48 @@ def test_verify_five_qubit():
     assert "projector: pass" in out
     assert "structure: pass" in out
     assert "agreement: pass" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_budget_is_rejected(value):
+    for argv in (
+        ("distance", "--code", "shor9"),
+        ("find-gauge", "--code", "steane7", "--distance-min", "3"),
+        ("sweep", "--n", "4", "--k", "1", "--r", "1", "--distance-min", "2"),
+    ):
+        code, out, err = run_cli(*argv, "--budget", value)
+        assert code == 1, argv
+        assert out == ""
+        assert "--budget" in err and "positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_worker_count_below_one_is_rejected(value):
+    for argv in (
+        ("find-gauge", "--code", "five-qubit", "--distance-min", "3"),
+        ("sweep", "--n", "4", "--k", "1", "--r", "1", "--distance-min", "2"),
+        ("simulate", "--code", "shor9", "--p", "0.01", "--shots", "10", "--seed", "1"),
+    ):
+        code, out, err = run_cli(*argv, "--workers", value)
+        assert code == 1, argv
+        assert out == ""
+        assert "--workers" in err and "positive" in err
+
+
+@pytest.mark.parametrize("seed", [str(-1), str(1 << 128)])
+def test_seed_outside_the_key_range_is_rejected(seed):
+    code, out, err = run_cli(
+        "simulate", "--code", "shor9", "--p", "0.01", "--shots", "10", "--seed", seed
+    )
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err and "2^128" in err
+
+
+def test_largest_seed_is_accepted():
+    code, out, _ = run_cli(
+        "simulate", "--code", "shor9", "--p", "0.01", "--shots", "10",
+        "--seed", str((1 << 128) - 1),
+    )
+    assert code == 0
+    assert f"seed: {(1 << 128) - 1}\n" in out

@@ -5,6 +5,7 @@ import pytest
 from gaugeqec.catalog import catalog
 from gaugeqec.decoder import Outcome, build_table, recover_and_classify
 from gaugeqec.montecarlo import (
+    SEED_BOUND,
     NoiseModel,
     SimReport,
     run,
@@ -135,3 +136,14 @@ def test_identity_fallback_reclassifies_unrecoverable_shots():
     assert relaxed.unrecoverable == 0
     assert dict(relaxed.logical_failures)["uncorrected"] == strict.unrecoverable
     assert relaxed.gauge_success == strict.gauge_success
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_BOUND, SEED_BOUND + 5])
+def test_seeds_outside_the_philox_key_range_are_refused(seed):
+    with pytest.raises(ValueError, match="seed"):
+        shot_stream(seed, 0, 9)
+
+
+def test_largest_seed_is_its_own_key():
+    top = shot_stream(SEED_BOUND - 1, 0, 9).random(9)
+    assert not (top == shot_stream(0, 0, 9).random(9)).all()

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from gaugeqec.catalog import catalog
-from gaugeqec.code import SubsystemCode, validate
+from gaugeqec.catalog import CATALOG_NAMES, catalog
+from gaugeqec.code import SubsystemCode, validate, validated
 from gaugeqec.distance import Kind, classify, is_correctable_set
 from gaugeqec.oracle import (
+    _apply,
     acts_as_gauge,
     code_projector,
     dense,
@@ -141,3 +142,66 @@ def test_commutant_cross_validation_sample():
             assert acts_as_gauge(code, p) == (kind is Kind.GAUGE)
             if kind is Kind.OUTSIDE_N:
                 assert vanishes_on_code_space(code, p)
+
+
+def _random_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def test_signed_permutation_equals_kronecker_for_every_small_pauli():
+    rng = np.random.default_rng(109)
+    for n in range(4):
+        m = _random_matrix(rng, 1 << n, 3)
+        for phase in range(4):
+            for x in range(1 << n):
+                for z in range(1 << n):
+                    p = PauliOp(n, phase, x, z)
+                    assert np.array_equal(_apply(p, m), dense(p) @ m), p
+
+
+def test_signed_permutation_equals_kronecker_for_random_paulis():
+    rng = random.Random(113)
+    nrng = np.random.default_rng(113)
+    for _ in range(60):
+        n = rng.randrange(4, 7)
+        p = random_pauli(rng, n)
+        m = _random_matrix(nrng, 1 << n, rng.randrange(1, 5))
+        assert np.array_equal(_apply(p, m), dense(p) @ m), p
+
+
+def test_signed_permutation_refuses_mismatched_sizes():
+    with pytest.raises(ValueError):
+        _apply(single(3, 0, "X"), np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_projector_is_bit_identical_to_the_kronecker_product(name):
+    c = validated(catalog(name))
+    dim = 1 << c.n
+    expected = np.eye(dim, dtype=complex)
+    for g in c.stabilizer:
+        expected = expected @ (np.eye(dim, dtype=complex) + dense(g)) / 2
+    assert np.array_equal(code_projector(c).matrix, expected)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_code_space_basis_is_orthonormal_and_spans_the_projector(name):
+    c = validated(catalog(name))
+    proj = code_projector(c)
+    v = proj.basis
+    assert v.shape == (1 << c.n, 1 << (c.n - c.s))
+    assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-10
+    assert np.linalg.norm(v @ v.conj().T - proj.matrix) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["five-qubit", "steane7"])
+def test_every_hermitian_pauli_agrees_with_classify(name):
+    code = catalog(name)
+    n = code.n
+    for x in range(1 << n):
+        for z in range(1 << n):
+            p = hermitian(n, x, z)
+            kind = classify(code, p).kind
+            assert acts_as_gauge(code, p) == (kind is Kind.GAUGE), p
+            if kind is Kind.OUTSIDE_N:
+                assert vanishes_on_code_space(code, p), p

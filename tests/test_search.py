@@ -3,6 +3,7 @@ import pytest
 from gaugeqec.catalog import catalog
 from gaugeqec.code import parameters, validate
 from gaugeqec.distance import Kind, classify, distance
+from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
 from gaugeqec.search import (
     SweepSpec,
@@ -135,3 +136,12 @@ def test_perfect_code_point_is_populated(sweep_5103):
     p = parameters(first)
     assert (p.n, p.k, p.r) == (5, 1, 0)
     assert distance(first) == 3
+
+
+def test_chunks_refuse_to_run_without_their_worker_context(monkeypatch):
+    monkeypatch.setattr(search, "_GAUGE_CTX", None)
+    monkeypatch.setattr(search, "_SWEEP_CTX", None)
+    with pytest.raises(RuntimeError, match="worker initializer"):
+        search._gauge_filter_chunk((0,))
+    with pytest.raises(RuntimeError, match="worker initializer"):
+        search._sweep_chunk(((0,), 0))
