@@ -173,8 +173,10 @@ def run(
         raise ValueError("decoding table was built for a different code")
     if shots < 0:
         raise ValueError("negative shot count")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
-    if workers <= 1 or shots == 0:
+    if workers == 1 or shots == 0:
         parts = [_run_range(c, table, model, seed, 0, shots, fallback_identity)]
     else:
         bounds = [shots * i // workers for i in range(workers + 1)]

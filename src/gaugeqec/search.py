@@ -15,6 +15,18 @@ cannot exceed the gauge dimension.  Subspaces failing that rank bound cannot
 yield a valid candidate and are rejected before any partner solving; the
 bound is necessary, so no candidate is ever lost.
 
+The sweep applies the bound to every leaf of its depth-first enumeration,
+so the work its siblings share is done once, in their parent.  Which
+low-weight Paulis commute with a subspace is a bitmask over those Paulis:
+the mask anticommuting with a row is linear in the row, so each level ANDs
+in one row's complement, and the last row's Gray-code walk updates it with
+one XOR per step.  With S = S′ + ⟨u⟩, the parent keeps an elimination of its
+rows S′ and the low-weight vectors reduced modulo S′, filled on first use;
+a leaf is rejected once rank({u} ∪ L) − 1 passes 2r, where L is the
+commuting set reduced modulo S′, using a basis that stops at 2r + 2 rows.
+Gauge sectors of the surviving leaves are read off a table of coordinate
+bases with their span masks, built once per shape.
+
 Work is split across workers by enumeration prefix; results are merged in
 canonical enumeration order, so verdicts and outputs are identical for any
 worker count.
@@ -24,13 +36,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
-from .distance import distance
+from .distance import _gray_walk, distance
 from .pauli import swap_halves, vec_hermitian
 
 ProgressFn = Callable[["SearchStats"], None]
@@ -93,15 +106,6 @@ class SweepResult:
 
 # --------------------------------------------------------------------------
 # shared low-level helpers (plain ints; these run in worker processes)
-
-
-def _gray_vectors(rows: Sequence[int]) -> Iterator[int]:
-    """All XOR combinations of rows, starting from 0, one flip per step."""
-    v = 0
-    yield v
-    for i in range(1, 1 << len(rows)):
-        v ^= rows[(i & -i).bit_length() - 1]
-        yield v
 
 
 def _low_weight_vecs(n: int, wmax: int) -> list[int]:
@@ -193,7 +197,7 @@ class _GaugeContext:
         elim = gf2.Eliminator()
         reps: list[int] = []
         buckets = self.buckets
-        for sig in _gray_vectors(orth):
+        for sig in _gray_walk(0, orth):
             for reduced in buckets.get(sig, ()):
                 if elim.add(reduced):
                     reps.append(reduced)
@@ -353,6 +357,8 @@ def find_gauge_symmetries(
         raise ValueError("input code has no logical qubits")
     if d_min < 1:
         raise ValueError("d_min must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ctx = _GaugeContext(c, d_min)
     stats = SearchStats()
     start = time.monotonic()
@@ -397,6 +403,21 @@ def find_gauge_symmetries(
 # parameter sweeps
 
 
+class _ParentRows:
+    """The first s − 1 rows of a subspace, shared by the leaves extending them.
+
+    ``reduced`` maps a low-weight vector's bit in the commuting masks to the
+    vector reduced modulo these rows; siblings fill it on first use.
+    """
+
+    __slots__ = ("rows", "elim", "reduced")
+
+    def __init__(self, rows: Sequence[int]):
+        self.rows = tuple(rows)
+        self.elim = gf2.Eliminator(rows)
+        self.reduced: dict[int, int] = {}
+
+
 class _SweepContext:
     def __init__(self, spec: SweepSpec):
         self.spec = spec
@@ -404,30 +425,88 @@ class _SweepContext:
         self.s = spec.s
         self.r = spec.r
         self.low = tuple(_low_weight_vecs(spec.n, spec.d_min - 1))
+        # Bit i of a mask stands for self.low[i].  The mask anticommuting
+        # with u is linear in u: the XOR, over the bits c of u, of the
+        # vectors with bit (c + n) mod 2n set.  Tabulated a byte of u at a time.
+        n = spec.n
+        self.all_low = (1 << len(self.low)) - 1
+        col_masks = [
+            sum(1 << i for i, v in enumerate(self.low) if (v >> ((c + n) % (2 * n))) & 1)
+            for c in range(2 * n)
+        ]
+        self.anti_tables = []
+        for first in range(0, 2 * n, 8):
+            cols = col_masks[first:first + 8]
+            table = [0] * (1 << len(cols))
+            for byte in range(1, len(table)):
+                low = byte & -byte
+                table[byte] = table[byte ^ low] ^ cols[low.bit_length() - 1]
+            self.anti_tables.append(table)
 
-    def check_subspace(self, rows: Sequence[int]) -> list[int] | None:
-        """Independent low-weight centralizer classes, or None past the bound."""
-        n = self.n
-        cap = 2 * self.r
-        swapped = [swap_halves(v, n) for v in rows]
-        elim = gf2.Eliminator(rows)
+    def anticommuting(self, u: int) -> int:
+        """Mask of the low-weight vectors that anticommute with u."""
+        mask = 0
+        for table in self.anti_tables:
+            mask ^= table[u & 0xFF]
+            u >>= 8
+        return mask
+
+    def check_subspace(
+        self, parent: _ParentRows, u: int, commuting: int
+    ) -> list[int] | None:
+        """Independent low-weight centralizer classes, or None past the bound.
+
+        The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and
+        ``commuting`` masks the low-weight vectors commuting with all of S.
+        Their classes mod S span rank({u} ∪ L) − 1 dimensions, where L holds
+        them reduced mod S′; more than 2r of them reject S.  The rank is
+        taken with a small basis that stops as soon as it passes 2r + 1.
+        Only a passing S builds its witnesses: the greedy basis of those
+        classes in canonical order, whose length is that rank.
+        """
+        cap = 2 * self.r + 1
+        reduce = parent.elim.reduce
+        reduced = parent.reduced
+        low = self.low
+        basis = [reduce(u)]  # nonzero: u is independent of S′
+        m = commuting
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = reduced.get(bit)
+            if v is None:
+                v = reduced[bit] = reduce(low[bit.bit_length() - 1])
+            # insertion-order reduction on each row's top bit
+            for b in basis:
+                if v ^ b < v:
+                    v ^= b
+            if v:
+                basis.append(v)
+                if len(basis) > cap:
+                    return None
+        elim = parent.elim.copy()
+        elim.add(u)
         witnesses: list[int] = []
-        for v in self.low:
-            for sw in swapped:
-                if (v & sw).bit_count() & 1:
-                    break
-            else:
-                if elim.add(v):
-                    witnesses.append(v)
-                    if len(witnesses) > cap:
-                        return None
+        m = commuting
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = low[bit.bit_length() - 1]
+            if elim.add(v):
+                witnesses.append(v)
         return witnesses
 
     def sectors(
         self, rows: Sequence[int], witnesses: list[int]
     ) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-        """All hyperbolic gauge sectors covering the witnesses; (examined, pairs)."""
-        n, s, r = self.n, self.s, self.r
+        """All hyperbolic gauge sectors covering the witnesses; (examined, pairs).
+
+        Sectors are 2r-dimensional subspaces of the q-dimensional quotient
+        C(S)/S, in the coordinates of ``qbasis``.  Their RREF bases and span
+        masks come from ``_sector_table``, so coverage is one mask test;
+        nondegeneracy uses the Gram matrix of ``qbasis``.
+        """
+        n, r = self.n, self.r
         if r == 0:
             return (1, [()]) if not witnesses else (1, [])
         swapped = [swap_halves(v, n) for v in rows]
@@ -436,38 +515,54 @@ class _SweepContext:
         qbasis = [v for v in ns_basis if elim.add(v)]
         q = len(qbasis)
         coord_matrix = gf2.BinMatrix(2 * n, tuple(qbasis) + tuple(rows))
-        wcoords = []
+        needed = 0
         for w in witnesses:
             comb = gf2.solve_membership(coord_matrix, w)
             if comb is None:
                 raise RuntimeError("witness outside the centralizer of the subspace")
-            wcoords.append(comb & ((1 << q) - 1))
-        examined = 0
+            needed |= 1 << (comb & ((1 << q) - 1))
+        qbasis_sw = [swap_halves(v, n) for v in qbasis]
+        gram = [
+            sum(((v & sw).bit_count() & 1) << j for j, sw in enumerate(qbasis_sw))
+            for v in qbasis
+        ]
+        table = _sector_table(q, 2 * r)
         sectors = []
-        for coord_rows in _rref_bases(q, 2 * r):
-            examined += 1
-            elim_c = gf2.Eliminator(coord_rows)
-            if not all(elim_c.contains(wc) for wc in wcoords):
+        for coord_rows, span in table:
+            if span & needed != needed:
                 continue
-            lifted = []
-            for cr in coord_rows:
-                v = 0
-                for i in range(q):
-                    if (cr >> i) & 1:
-                        v ^= qbasis[i]
-                lifted.append(v)
-            lifted_sw = [swap_halves(v, n) for v in lifted]
-            gram = []
-            for v in lifted:
-                bits = 0
-                for jj, sw in enumerate(lifted_sw):
-                    if (v & sw).bit_count() & 1:
-                        bits |= 1 << jj
-                gram.append(bits)
-            if gf2.Eliminator(gram).rank != 2 * r:
+            images = [_combine(cr, gram) for cr in coord_rows]
+            restricted = [
+                sum(((img & cr).bit_count() & 1) << j for j, cr in enumerate(coord_rows))
+                for img in images
+            ]
+            if gf2.Eliminator(restricted).rank != 2 * r:
                 continue  # degenerate restriction: not a gauge sector
+            lifted = [_combine(cr, qbasis) for cr in coord_rows]
             sectors.append(tuple(_hyperbolic_pairs(lifted, n)))
-        return examined, sectors
+        return len(table), sectors
+
+
+def _combine(bits: int, rows: Sequence[int]) -> int:
+    """XOR of the rows selected by the set bits."""
+    v = 0
+    while bits:
+        low = bits & -bits
+        v ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return v
+
+
+@lru_cache(maxsize=None)
+def _sector_table(q: int, dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every rank-``dim`` RREF basis over q columns with the mask of its span."""
+    table = []
+    for rows in _rref_bases(q, dim):
+        span = 0
+        for v in _gray_walk(0, rows):
+            span |= 1 << v
+        table.append((rows, span))
+    return tuple(table)
 
 
 def _hyperbolic_pairs(basis: list[int], n: int) -> list[tuple[int, int]]:
@@ -535,7 +630,9 @@ def _sweep_chunk(args):
 
     Later rows are built from the affine solutions of their commutation
     constraints against the earlier rows, so only isotropic bases are
-    visited.
+    visited.  Each level walks its rows in Gray order together with their
+    anticommuting masks, and the mask of low-weight vectors commuting with
+    every row so far is carried down, one AND per level.
     """
     ctx = _SWEEP_CTX
     if ctx is None:
@@ -551,21 +648,8 @@ def _sweep_chunk(args):
     sectors_examined = 0
     found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
 
-    def rec(level: int, rows: list[int]) -> None:
-        nonlocal subspaces, sectors_examined
-        if level == s:
-            full_rows = tuple(rows)
-            subspaces += 1
-            if prune and not _perm_minimal(full_rows, n):
-                return
-            witnesses = ctx.check_subspace(full_rows)
-            if witnesses is None:
-                return
-            examined, sector_list = ctx.sectors(full_rows, witnesses)
-            sectors_examined += examined
-            for pairs in sector_list:
-                found.append((full_rows, pairs))
-            return
+    def walk(level: int, rows: list[int]):
+        """(row, anticommuting mask) for each row extending ``rows`` isotropically."""
         free = frees[level]
         base = 1 << pivots[level]
         constraints = []
@@ -578,15 +662,44 @@ def _sweep_chunk(args):
             constraints.append((mask, (base & sw).bit_count() & 1))
         sol = gf2.solve_affine(constraints, len(free))
         if sol is None:
-            return
+            return ()
         particular, kernel = sol
-        for bits in _gray_vectors(kernel):
-            value = particular ^ bits
-            rows.append(base | _scatter(value, free))
-            rec(level + 1, rows)
+        start = base | _scatter(particular, free)
+        steps = [_scatter(kv, free) for kv in kernel]
+        return zip(
+            _gray_walk(start, steps),
+            _gray_walk(ctx.anticommuting(start), [ctx.anticommuting(v) for v in steps]),
+        )
+
+    def leaves(parent: _ParentRows, candidates, commuting: int) -> None:
+        nonlocal subspaces, sectors_examined
+        for u, anti in candidates:
+            subspaces += 1
+            if prune and not _perm_minimal(parent.rows + (u,), n):
+                continue
+            witnesses = ctx.check_subspace(parent, u, commuting & ~anti)
+            if witnesses is None:
+                continue
+            full_rows = parent.rows + (u,)
+            examined, sector_list = ctx.sectors(full_rows, witnesses)
+            sectors_examined += examined
+            for pairs in sector_list:
+                found.append((full_rows, pairs))
+
+    def rec(level: int, rows: list[int], commuting: int) -> None:
+        if level == s - 1:
+            leaves(_ParentRows(rows), walk(level, rows), commuting)
+            return
+        for u, anti in walk(level, rows):
+            rows.append(u)
+            rec(level + 1, rows, commuting & ~anti)
             rows.pop()
 
-    rec(1, [row0])
+    anti0 = ctx.anticommuting(row0)
+    if s == 1:
+        leaves(_ParentRows(()), [(row0, anti0)], ctx.all_low)
+    else:
+        rec(1, [row0], ctx.all_low & ~anti0)
     return subspaces, sectors_examined, found
 
 
@@ -611,6 +724,8 @@ def sweep_nonexistence(
     stopped the enumeration early, in which case an empty result is
     inconclusive.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     stats = SearchStats()
     start = time.monotonic()
     if not singleton_check(spec.n, spec.k, spec.d_min):

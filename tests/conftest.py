@@ -1,7 +1,14 @@
-import pytest
+import os
 
-from gaugeqec.catalog import catalog
-from gaugeqec.search import SweepSpec, find_gauge_symmetries, sweep_nonexistence
+# one OpenBLAS thread, set before anything imports numpy: the oracle's small
+# products and eigh slow down by orders of magnitude when its threads contend
+# with other processes for the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from gaugeqec.catalog import catalog  # noqa: E402
+from gaugeqec.search import SweepSpec, find_gauge_symmetries, sweep_nonexistence  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -63,6 +63,13 @@ def test_empty_run():
     assert report.shots == 0 and report.failures == 0
 
 
+def test_run_refuses_fewer_than_one_worker():
+    code = catalog("shor9")
+    table = build_table(code, 1)
+    with pytest.raises(ValueError, match="workers"):
+        run(code, table, NoiseModel(0.1), 10, seed=1, workers=0)
+
+
 def test_runs_reproduce_and_ignore_worker_count():
     code = catalog("bacon-shor-9")
     table = build_table(code, 1)

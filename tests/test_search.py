@@ -1,5 +1,7 @@
 import pytest
 
+import naive_ops
+from gaugeqec import gf2
 from gaugeqec.catalog import catalog
 from gaugeqec.code import parameters, validate
 from gaugeqec.distance import Kind, classify, distance
@@ -111,6 +113,123 @@ def test_sweep_worker_count_does_not_change_the_result():
     parallel = sweep_nonexistence(SweepSpec(4, 1, 1, 2), workers=2)
     assert serial.codes == parallel.codes
     assert serial.exhausted == parallel.exhausted
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [
+        (SweepSpec(3, 1, 1, 2), (63, 945, 0, 0)),  # s = 1: every leaf is a first row
+        (SweepSpec(4, 1, 0, 2), (11475, 2268, 2268, 2268)),
+        (SweepSpec(4, 2, 0, 2), (5355, 216, 216, 216)),
+        (SweepSpec(4, 1, 1, 2, symmetry_pruning=True), (5355, 9870, 480, 480)),
+    ],
+)
+def test_sweep_work_counts_are_pinned(spec, counts):
+    res = sweep_nonexistence(spec)
+    assert res.exhausted
+    stats = res.stats
+    assert (stats.subspaces, stats.sectors, stats.candidates, len(res.codes)) == counts
+
+
+def test_library_entry_points_refuse_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers"):
+        find_gauge_symmetries(catalog("five-qubit"), 3, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        sweep_nonexistence(SweepSpec(3, 1, 1, 2), workers=-1)
+
+
+def _letters(v: int, n: int) -> str:
+    out = []
+    for q in range(n):
+        x, z = (v >> q) & 1, (v >> (n + q)) & 1
+        out.append("IXZY"[x + 2 * z])
+    return "".join(out)
+
+
+def _recorded_leaves(monkeypatch, spec):
+    """(rows, check_subspace result) for every leaf the sweep visits."""
+    seen = []
+    original = search._SweepContext.check_subspace
+
+    def record(self, parent, u, commuting):
+        result = original(self, parent, u, commuting)
+        seen.append((parent.rows + (u,), result))
+        return result
+
+    monkeypatch.setattr(search._SweepContext, "check_subspace", record)
+    res = sweep_nonexistence(spec)
+    monkeypatch.undo()
+    return res, seen
+
+
+@pytest.mark.parametrize(
+    "spec", [SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(3, 1, 1, 2)]
+)
+def test_rank_bound_matches_a_from_scratch_count(monkeypatch, spec):
+    res, seen = _recorded_leaves(monkeypatch, spec)
+    assert len(seen) == res.stats.subspaces
+    assert len({rows for rows, _ in seen}) == len(seen)
+    n = spec.n
+    low = list(naive_ops.all_paulis_up_to_weight(n, spec.d_min - 1, include_identity=False))
+    for rows, witnesses in seen:
+        strings = [_letters(v, n) for v in rows]
+        assert not any(naive_ops.anticommute(a, b) for a in strings for b in strings)
+        row_bits = [naive_ops.to_bits(g) for g in strings]
+        commuting = [p for p in low if not any(naive_ops.anticommute(p, g) for g in strings)]
+        base = naive_ops.rank(row_bits)
+        assert base == spec.s
+        count = naive_ops.rank(row_bits + [naive_ops.to_bits(p) for p in commuting]) - base
+        assert (witnesses is not None) == (count <= 2 * spec.r), rows
+        if witnesses is not None:
+            assert len(witnesses) == count
+            assert {_letters(w, n) for w in witnesses} <= set(commuting)
+
+
+def _plain_sectors(ctx, rows, witnesses):
+    """Sector enumeration re-derived one RREF basis at a time."""
+    n, r = ctx.n, ctx.r
+    swapped = [search.swap_halves(v, n) for v in rows]
+    elim = gf2.Eliminator(rows)
+    qbasis = [v for v in search._kernel_ints(swapped, 2 * n) if elim.add(v)]
+    q = len(qbasis)
+    coords = gf2.BinMatrix(2 * n, tuple(qbasis) + tuple(rows))
+    wcoords = [gf2.solve_membership(coords, w) & ((1 << q) - 1) for w in witnesses]
+    examined, sectors = 0, []
+    for coord_rows in search._rref_bases(q, 2 * r):
+        examined += 1
+        span = gf2.Eliminator(coord_rows)
+        if not all(span.contains(wc) for wc in wcoords):
+            continue
+        lifted = []
+        for cr in coord_rows:
+            v = 0
+            for i in range(q):
+                if (cr >> i) & 1:
+                    v ^= qbasis[i]
+            lifted.append(v)
+        gram = [
+            sum(
+                ((a & search.swap_halves(b, n)).bit_count() & 1) << j
+                for j, b in enumerate(lifted)
+            )
+            for a in lifted
+        ]
+        if gf2.Eliminator(gram).rank == 2 * r:
+            sectors.append(tuple(search._hyperbolic_pairs(lifted, n)))
+    return examined, sectors
+
+
+@pytest.mark.parametrize(
+    "spec, every",
+    [(SweepSpec(4, 1, 1, 2), 53), (SweepSpec(3, 1, 1, 2), 1), (SweepSpec(4, 1, 2, 2), 5)],
+)
+def test_tabulated_sectors_match_a_plain_rederivation(monkeypatch, spec, every):
+    _, seen = _recorded_leaves(monkeypatch, spec)
+    survivors = [(rows, w) for rows, w in seen if w is not None][::every]
+    assert survivors
+    ctx = search._SweepContext(spec)
+    for rows, witnesses in survivors:
+        assert ctx.sectors(rows, witnesses) == _plain_sectors(ctx, rows, witnesses)
 
 
 def test_sweep_budget_is_inconclusive():
