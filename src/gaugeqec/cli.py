@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog
@@ -25,7 +26,7 @@ from .oracle import (
     verify_correctability,
     verify_subsystem_structure,
 )
-from .pauli import PauliFormatError, PauliOp, identity, pauli_from_string, single
+from .pauli import PauliFormatError, PauliOp, low_weight_vecs, pauli_from_string, vec_hermitian
 from .search import SweepSpec, find_gauge_symmetries, sweep_nonexistence
 
 
@@ -98,14 +99,6 @@ def _progress_printer(label: str):
         )
 
     return cb
-
-
-def _weight_le_one(n: int) -> list[PauliOp]:
-    ops = [identity(n)]
-    for q in range(n):
-        for letter in "XYZ":
-            ops.append(single(n, q, letter))
-    return ops
 
 
 def _cmd_catalog(args) -> int:
@@ -241,7 +234,7 @@ def _cmd_verify(args) -> int:
         and abs(proj.trace().real - 2 ** (c.n - c.s)) < 1e-10
     )
     structure = verify_subsystem_structure(c)
-    errors = _weight_le_one(c.n)
+    errors = [vec_hermitian(c.n, v) for v in chain((0,), low_weight_vecs(c.n, 1))]
     dense_report = verify_correctability(c, errors)
     group_verdict = is_correctable_set(c, errors)
     agree = dense_report.ok == group_verdict.correctable

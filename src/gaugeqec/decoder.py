@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain
 
 from .code import SubsystemCode, validated
 from .distance import Kind, OperatorClass, _tables
-from .pauli import PauliOp, identity, multiply, pauli_to_string, single
+from .pauli import PauliOp, low_weight_vecs, multiply, pauli_to_string, vec_hermitian
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,12 @@ def syndrome(code: SubsystemCode, e: PauliOp) -> Syndrome:
     return Syndrome(c.s, _tables(c).syndrome_bits(e.vec))
 
 
-def _errors_by_weight(n: int, t: int):
-    """All phase-free Paulis of weight 0..t, lowest weight first.
-
-    Within one weight the order is lexicographic in (qubit indices, letters
-    with X < Y < Z), which fixes the representative chosen for each syndrome.
-    """
-    yield identity(n)
-    for w in range(1, t + 1):
-        for qubits in combinations(range(n), w):
-            for letters in product("XYZ", repeat=w):
-                e = identity(n)
-                for q, letter in zip(qubits, letters):
-                    e = multiply(e, single(n, q, letter))
-                yield e
-
-
 def build_table(code: SubsystemCode, t: int) -> DecodingTable:
-    """Tabulate the first (minimum-weight) error seen for every syndrome."""
+    """Tabulate the first (minimum-weight) error seen for every syndrome.
+
+    Errors are visited in the canonical order of ``low_weight_vecs``, which
+    fixes the representative chosen for each syndrome.
+    """
     c = validated(code)
     if t < 0:
         raise ValueError("max corrected weight must be >= 0")
@@ -105,8 +93,8 @@ def build_table(code: SubsystemCode, t: int) -> DecodingTable:
         raise ValueError(f"max corrected weight {t} exceeds {c.n} qubits")
     tables = _tables(c)
     entries: dict[int, PauliOp] = {}
-    for e in _errors_by_weight(c.n, t):
-        entries.setdefault(tables.syndrome_bits(e.vec), e)
+    for vec in chain((0,), low_weight_vecs(c.n, t)):
+        entries.setdefault(tables.syndrome_bits(vec), vec_hermitian(c.n, vec))
     return DecodingTable(c, t, entries)
 
 

@@ -58,41 +58,38 @@ class CorrectabilityResult:
 
 
 class _Tables:
-    """Per-code precomputation shared by the classify/decode hot paths."""
+    """Per-code precomputation shared by the classify/decode hot paths.
 
-    __slots__ = (
-        "code", "n", "swapped_stab", "gauge_elim", "normalizer_matrix",
-        "logical_offset",
-    )
+    A validated code is a complete symplectic frame, so a commuting operator's
+    coefficient on X̄_j is <v, Z̄_j> (label bit 2j) and on Z̄_j is <v, X̄_j>
+    (bit 2j+1); it is in the gauge group exactly when all label bits vanish.
+    """
+
+    __slots__ = ("swapped_stab", "swapped_logical")
 
     def __init__(self, code: SubsystemCode):
-        self.code = code
-        self.n = code.n
         self.swapped_stab = tuple(swap_halves(g.vec, code.n) for g in code.stabilizer)
-        self.gauge_elim = gf2.Eliminator(g.vec for g in code.group_generators())
-        rows = tuple(op.vec for op in code.normalizer_generators())
-        self.normalizer_matrix = gf2.BinMatrix(2 * code.n, rows)
-        self.logical_offset = code.s + 2 * code.r
+        self.swapped_logical = tuple(
+            swap_halves(op.vec, code.n) for lx, lz in code.logical_pairs for op in (lz, lx)
+        )
 
     def syndrome_bits(self, vec: int) -> int:
-        bits = 0
-        for i, sw in enumerate(self.swapped_stab):
-            if (vec & sw).bit_count() & 1:
-                bits |= 1 << i
-        return bits
+        return gf2.parities(vec, self.swapped_stab)
+
+    def label_bits(self, vec: int) -> int:
+        return gf2.parities(vec, self.swapped_logical)
+
+    def class_of(self, syndrome: int, label: int) -> OperatorClass:
+        """The class of an operator with these syndrome and label bits."""
+        if syndrome:
+            return OperatorClass(Kind.OUTSIDE_N)
+        if not label:
+            return OperatorClass(Kind.GAUGE)
+        width = len(self.swapped_logical)
+        return OperatorClass(Kind.LOGICAL, tuple((label >> i) & 1 for i in range(width)))
 
     def classify_vec(self, vec: int) -> OperatorClass:
-        if self.syndrome_bits(vec):
-            return OperatorClass(Kind.OUTSIDE_N)
-        if self.gauge_elim.contains(vec):
-            return OperatorClass(Kind.GAUGE)
-        comb = gf2.solve_membership(self.normalizer_matrix, vec)
-        if comb is None:
-            raise RuntimeError("commuting operator must lie in the normalizer span")
-        label = tuple(
-            (comb >> (self.logical_offset + i)) & 1 for i in range(2 * self.code.k)
-        )
-        return OperatorClass(Kind.LOGICAL, label)
+        return self.class_of(self.syndrome_bits(vec), self.label_bits(vec))
 
 
 @lru_cache(maxsize=256)
@@ -144,7 +141,8 @@ def distance(
             if v == 0:
                 continue
             w = vec_weight(v, n)
-            if w < best and not tables.gauge_elim.contains(v):
+            # centralizer elements commute with the stabilizer: gauge iff no label bit
+            if w < best and tables.label_bits(v):
                 best = w
                 if best == 1:
                     break

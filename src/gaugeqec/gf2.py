@@ -16,6 +16,11 @@ def parity(v: int) -> int:
     return v.bit_count() & 1
 
 
+def parities(v: int, rows: Iterable[int]) -> int:
+    """Bit i is the parity of v AND rows[i]."""
+    return sum(((v & row).bit_count() & 1) << i for i, row in enumerate(rows))
+
+
 @dataclass(frozen=True)
 class BinMatrix:
     """GF(2) matrix; ``rows[i]`` packs row i with bit j = column j."""

@@ -4,10 +4,16 @@ Randomness comes from a counter-based generator keyed by the seed: shot i
 owns the block of n uniform draws starting at counter i*n.  Workers position
 their generator at the first shot of their range, so any partition of the
 shots reproduces the single-worker result bit for bit.
+
+``run`` decodes chunks of shots as arrays: one GF(2) product against the
+swapped stabilizer and logical rows gives every shot's syndrome and label
+bits, and each distinct pair is decoded once.  ``sample_error`` and
+``decoder.recover_and_classify`` are the per-shot reference path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -16,7 +22,7 @@ import numpy as np
 from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
-from .pauli import PauliOp, hermitian
+from .pauli import PauliOp, hermitian, identity
 
 _CHUNK_SHOTS = 1 << 15
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
@@ -47,22 +53,16 @@ def shot_stream(seed: int, shot: int, n: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _letters_from_uniforms(u: np.ndarray, p: float) -> tuple[int, int]:
-    """Pack one shot's uniforms into (x, z) bit masks."""
+def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliOp:
+    """Draw one error, consuming exactly n uniforms from the stream."""
     x = z = 0
-    for j, uj in enumerate(u):
-        if uj < p:
-            which = min(int(3.0 * uj / p), 2)
+    for j, uj in enumerate(rng.random(n)):
+        if uj < model.p:
+            which = min(int(3.0 * uj / model.p), 2)
             if which != 2:  # X or Y
                 x |= 1 << j
             if which != 0:  # Y or Z
                 z |= 1 << j
-    return x, z
-
-
-def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliOp:
-    """Draw one error, consuming exactly n uniforms from the stream."""
-    x, z = _letters_from_uniforms(rng.random(n), model.p)
     return hermitian(n, x, z)
 
 
@@ -101,56 +101,57 @@ class SimReport:
         return "\n".join(f"{k}: {v}" for k, v in self.as_items()) + "\n"
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each 0/1 row as little-endian uint64 words, bit i holding column i."""
+    m, width = bits.shape
+    packed = np.zeros((m, 8 * (width // 64 + 1)), dtype=np.uint8)
+    packed[:, : (width + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``words``, each with the sum of its ``counts``."""
+    order = np.lexsort(words.T)
+    words, counts = words[order], counts[order]
+    first = np.ones(len(words), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return words[starts], np.add.reduceat(counts, starts)
+
+
 def _run_range(
-    code: SubsystemCode,
-    table: DecodingTable,
-    model: NoiseModel,
-    seed: int,
-    lo: int,
-    hi: int,
-    fallback_identity: bool,
-) -> tuple[int, int, dict[tuple[int, ...], int]]:
+    code: SubsystemCode, table: DecodingTable, model: NoiseModel, seed: int, lo: int, hi: int
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """Shots lo..hi-1: (error-free shots not decoded, per chunk its distinct keys and counts).
+
+    A shot's key packs its syndrome bits, then its label bits above bit s.
+    """
     tables = _tables(code)
-    entries = {bits: rep.vec for bits, rep in table.entries.items()}
-    n = code.n
-    p = model.p
-    gauge = unrec = 0
-    failures: dict[str, int] = {}
+    n, p = code.n, model.p
+    rows = tables.swapped_stab + tables.swapped_logical
+    parity = np.array([[(row >> j) & 1 for row in rows] for j in range(2 * n)], dtype=np.uint8)
+    keys = []
+    clean = 0
     gen = shot_stream(seed, lo, n)
     width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
-    identity_ok = entries.get(0) == 0  # trivial syndrome maps to identity
+    identity_ok = table.entries.get(0) == identity(n)  # trivial syndrome maps to identity
     for start in range(lo, hi, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, hi - start)
         u = gen.random((count, width))[:, :n]
-        hit = u < p
-        noisy = np.flatnonzero(hit.any(axis=1))
         if identity_ok:
-            gauge += count - len(noisy)
-        else:  # clean shots still go through the decoder
-            noisy = np.arange(count)
-        for idx in noisy:
-            x, z = _letters_from_uniforms(u[idx], p)
-            vec = x | (z << n)
-            rep = entries.get(tables.syndrome_bits(vec))
-            if rep is None:
-                if fallback_identity:
-                    # identity recovery leaves the nonzero syndrome in place,
-                    # so the shot ends with an uncorrected detectable error
-                    failures["uncorrected"] = failures.get("uncorrected", 0) + 1
-                else:
-                    unrec += 1
-                continue
-            cls = tables.classify_vec(rep ^ vec)
-            if cls.kind is Kind.GAUGE:
-                gauge += 1
-            else:
-                label = cls.label_str()
-                failures[label] = failures.get(label, 0) + 1
-    return gauge, unrec, failures
-
-
-def _worker(args) -> tuple[int, int, dict[str, int]]:
-    return _run_range(*args)
+            noisy = (u < p).any(axis=1)
+            clean += count - int(np.count_nonzero(noisy))
+            u = u[noisy]
+        # else clean shots still go through the decoder
+        hit = u < p
+        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 hits nothing
+            scaled = 3.0 * u / p
+        # letter min(int(3u/p), 2) is X, Y or Z: x below 2, z from 1 on
+        bits = np.concatenate((hit & (scaled < 2.0), hit & (scaled >= 1.0)), axis=1)
+        # uint8 sums wrap mod 256, which keeps their parity
+        words = _pack_words((bits.view(np.uint8) @ parity) & 1)
+        keys.append(_merge(words, np.ones(len(words), dtype=np.int64)))
+    return clean, keys
 
 
 def run(
@@ -176,22 +177,38 @@ def run(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    if workers == 1 or shots == 0:
-        parts = [_run_range(c, table, model, seed, 0, shots, fallback_identity)]
+    if shots == 0:
+        return SimReport(0, model.p, seed, 0, 0, ())
+    if workers == 1:
+        parts = [_run_range(c, table, model, seed, 0, shots)]
     else:
         bounds = [shots * i // workers for i in range(workers + 1)]
-        jobs = [
-            (c, table, model, seed, bounds[i], bounds[i + 1], fallback_identity)
-            for i in range(workers)
-        ]
+        jobs = [(c, table, model, seed, bounds[i], bounds[i + 1]) for i in range(workers)]
         with Pool(workers) as pool:
-            parts = pool.map(_worker, jobs)
+            parts = pool.starmap(_run_range, jobs)
+    chunks = [chunk for _, part in parts for chunk in part]
+    words, counts = _merge(*(np.concatenate(column) for column in zip(*chunks)))
 
-    gauge = sum(part[0] for part in parts)
-    unrec = sum(part[1] for part in parts)
-    failures: dict[str, int] = {}
-    for _, _, fdict in parts:
-        for label, count in fdict.items():
-            failures[label] = failures.get(label, 0) + count
-
+    tables = _tables(c)
+    smask = (1 << c.s) - 1
+    gauge, unrec = sum(part[0] for part in parts), 0
+    failures: Counter[str] = Counter()
+    for row, count in zip(words, counts.tolist()):
+        key = int.from_bytes(row.tobytes(), "little")
+        rep = table.entries.get(key & smask)
+        if rep is None:
+            if fallback_identity:
+                # identity recovery leaves the nonzero syndrome in place,
+                # so the shot ends with an uncorrected detectable error
+                failures["uncorrected"] += count
+            else:
+                unrec += count
+            continue
+        # the residual rep * e carries the XOR of both parity patterns
+        syndrome = (key & smask) ^ tables.syndrome_bits(rep.vec)
+        cls = tables.class_of(syndrome, (key >> c.s) ^ tables.label_bits(rep.vec))
+        if cls.kind is Kind.GAUGE:
+            gauge += count
+        else:
+            failures[cls.label_str()] += count
     return SimReport(shots, model.p, seed, gauge, unrec, tuple(sorted(failures.items())))

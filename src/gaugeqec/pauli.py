@@ -13,6 +13,7 @@ exponent only matters for exact products and for stabilizer sign checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -156,6 +157,19 @@ def swap_halves(vec: int, n: int) -> int:
 def vec_weight(vec: int, n: int) -> int:
     mask = (1 << n) - 1
     return ((vec | (vec >> n)) & mask).bit_count()
+
+
+def low_weight_vecs(n: int, wmax: int):
+    """(x|z) vectors of every Pauli with weight 1..wmax, lowest weight first.
+
+    Within one weight the order is lexicographic in (qubit indices, letters
+    with X < Y < Z); the decoding table's representatives depend on it.
+    """
+    letters = (1, 1 | 1 << n, 1 << n)  # X, Y, Z on qubit 0
+    for w in range(1, wmax + 1):
+        for qubits in combinations(range(n), w):
+            for word in product(letters, repeat=w):
+                yield sum(bits << q for q, bits in zip(qubits, word))
 
 
 def vec_hermitian(n: int, vec: int) -> PauliOp:

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
 from .distance import _gray_walk, distance
-from .pauli import swap_halves, vec_hermitian
+from .pauli import low_weight_vecs, swap_halves, vec_hermitian
 
 ProgressFn = Callable[["SearchStats"], None]
 
@@ -108,22 +108,6 @@ class SweepResult:
 # shared low-level helpers (plain ints; these run in worker processes)
 
 
-def _low_weight_vecs(n: int, wmax: int) -> list[int]:
-    """(x|z) vectors of every Pauli with weight 1..wmax, canonical order."""
-    bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-    out = []
-    for w in range(1, wmax + 1):
-        for qubits in combinations(range(n), w):
-            for letters in product("XYZ", repeat=w):
-                x = z = 0
-                for q, letter in zip(qubits, letters):
-                    xb, zb = bits[letter]
-                    x |= xb << q
-                    z |= zb << q
-                out.append(x | (z << n))
-    return out
-
-
 def _kernel_ints(rows: Sequence[int], ncols: int) -> list[int]:
     return gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(rows)))
 
@@ -171,15 +155,11 @@ class _GaugeContext:
         stab_elim = gf2.Eliminator(self.svecs)
         swapped = [swap_halves(v, n) for v in self.svecs]
         buckets: dict[int, list[int]] = {}
-        for v in _low_weight_vecs(n, d_min - 1):
+        for v in low_weight_vecs(n, d_min - 1):
             reduced = stab_elim.reduce(v)
             if reduced == 0:
                 continue  # already a stabilizer element
-            sig = 0
-            for i, sw in enumerate(swapped):
-                if (v & sw).bit_count() & 1:
-                    sig |= 1 << i
-            buckets.setdefault(sig, []).append(reduced)
+            buckets.setdefault(gf2.parities(v, swapped), []).append(reduced)
         self.buckets = buckets
 
     def filter_subspace(self, coeff_rows: tuple[int, ...]) -> list[int] | None:
@@ -424,7 +404,7 @@ class _SweepContext:
         self.n = spec.n
         self.s = spec.s
         self.r = spec.r
-        self.low = tuple(_low_weight_vecs(spec.n, spec.d_min - 1))
+        self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
         # Bit i of a mask stands for self.low[i].  The mask anticommuting
         # with u is linear in u: the XOR, over the bits c of u, of the
         # vectors with bit (c + n) mod 2n set.  Tabulated a byte of u at a time.

@@ -243,3 +243,46 @@ def test_largest_seed_is_accepted():
     )
     assert code == 0
     assert f"seed: {(1 << 128) - 1}\n" in out
+
+
+# stdout captured before the batch decoder replaced the per-shot loop in run()
+SIMULATE_GOLDEN = [
+    (
+        ("--code", "shor9", "--p", "0.05", "--shots", "20000", "--seed", "7"),
+        "t: 1\nshots: 20000\np: 0.05\nseed: 7\ngauge_success: 18769\n"
+        "logical_failure.X: 133\nlogical_failure.Z: 111\nunrecoverable: 987\n",
+    ),
+    (
+        ("--code", "bacon-shor-9", "--p", "0.05", "--shots", "20000", "--seed", "7", "--json"),
+        '{"t": 1, "shots": 20000, "p": 0.05, "seed": 7, "gauge_success": 19102, '
+        '"logical_failure.X": 408, "logical_failure.Y": 78, "logical_failure.Z": 412, '
+        '"unrecoverable": 0}\n',
+    ),
+    (
+        ("--code", "shor9", "--p", "0.1", "--shots", "30000", "--seed", "123", "--workers", "2"),
+        "t: 1\nshots: 30000\np: 0.1\nseed: 123\ngauge_success: 24055\n"
+        "logical_failure.X: 656\nlogical_failure.Y: 21\nlogical_failure.Z: 564\n"
+        "unrecoverable: 4704\n",
+    ),
+    (
+        ("--code", "shor9", "--p", "0.1", "--shots", "30000", "--seed", "123",
+         "--fallback-identity"),
+        "t: 1\nshots: 30000\np: 0.1\nseed: 123\ngauge_success: 24055\n"
+        "logical_failure.X: 656\nlogical_failure.Y: 21\nlogical_failure.Z: 564\n"
+        "logical_failure.uncorrected: 4704\nunrecoverable: 0\n",
+    ),
+    (
+        ("--code", "bacon-shor-9", "--p", "0.2", "--shots", "10000", "--seed", "5", "--t", "0",
+         "--fallback-identity", "--json"),
+        '{"t": 0, "shots": 10000, "p": 0.2, "seed": 5, "gauge_success": 1522, '
+        '"logical_failure.X": 56, "logical_failure.Y": 16, "logical_failure.Z": 55, '
+        '"logical_failure.uncorrected": 8351, "unrecoverable": 0}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", SIMULATE_GOLDEN)
+def test_simulate_stdout_golden(args, expected):
+    code, out, _ = run_cli("simulate", *args)
+    assert code == 0
+    assert out == expected

@@ -1,11 +1,13 @@
 import random
+from itertools import product
 
 import pytest
 
+import naive_ops
 from naive_ops import brute_distance
 
 from gaugeqec.catalog import CATALOG_NAMES, catalog
-from gaugeqec.code import SubsystemCode, gauge_fix, singleton_check
+from gaugeqec.code import SubsystemCode, gauge_fix, singleton_check, validated
 from gaugeqec.decoder import syndrome
 from gaugeqec.distance import (
     BudgetExceededError,
@@ -14,7 +16,14 @@ from gaugeqec.distance import (
     distance,
     is_correctable_set,
 )
-from gaugeqec.pauli import identity, multiply, pauli_from_string, pauli_to_string, single
+from gaugeqec.pauli import (
+    identity,
+    multiply,
+    pauli_from_string,
+    pauli_to_string,
+    single,
+    vec_hermitian,
+)
 
 # distances recomputed by the string-based brute-force oracle in naive_ops
 EXPECTED_DISTANCE = {
@@ -148,3 +157,59 @@ def test_classify_random_consistency_with_syndrome():
         cls = classify(code, p)
         trivial = syndrome(code, p).trivial
         assert (cls.kind is Kind.OUTSIDE_N) == (not trivial)
+
+
+_NAIVE_KIND = {"outside": Kind.OUTSIDE_N, "gauge": Kind.GAUGE, "logical": Kind.LOGICAL}
+
+
+def _letters(op):
+    return pauli_to_string(vec_hermitian(op.n, op.vec))
+
+
+def _assert_classify_matches_naive(code, paulis):
+    """classify's kind agrees with naive_ops; a logical label names the coset."""
+    c = validated(code)
+    stab = [_letters(g) for g in c.stabilizer]
+    group = [_letters(g) for g in c.group_generators()]
+    rows = [naive_ops.to_bits(g) for g in group]
+    logicals = [(_letters(lx), _letters(lz)) for lx, lz in c.logical_pairs]
+    for text in paulis:
+        cls = classify(c, pauli_from_string(text))
+        assert cls.kind is _NAIVE_KIND[naive_ops.classify_string(stab, group, text)], text
+        if cls.kind is not Kind.LOGICAL:
+            continue
+        # times the logical operators its label names, it must land in the group
+        rest = text
+        for j, (lx, lz) in enumerate(logicals):
+            if cls.label[2 * j]:
+                rest = naive_ops.mul(rest, lx)[1]
+            if cls.label[2 * j + 1]:
+                rest = naive_ops.mul(rest, lz)[1]
+        assert naive_ops.in_span(rows, naive_ops.to_bits(rest)), text
+
+
+# k >= 2, so multi-qubit labels such as X1Z2 occur
+_K3_WITH_GAUGE = SubsystemCode.from_strings(
+    stabilizer=["XXXXXX", "ZZZZZZ"], gauge_x=["XXIIII"], gauge_z=["IZZIII"]
+)
+_K2 = SubsystemCode.from_strings(stabilizer=["XXXX", "ZZZZ"])
+
+
+@pytest.mark.parametrize(
+    "code", [catalog("five-qubit"), catalog("steane7"), _K2, _K3_WITH_GAUGE],
+    ids=["five-qubit", "steane7", "k2", "k3-gauge"],
+)
+def test_frame_classify_matches_naive_on_every_pauli(code):
+    c = validated(code)
+    paulis = ["".join(letters) for letters in product("IXYZ", repeat=c.n)]
+    _assert_classify_matches_naive(c, paulis)
+    if c.k >= 2:
+        labels = {classify(c, pauli_from_string(t)).label_str() for t in paulis}
+        assert {"X1Z2", "Y1Y2"} <= labels
+
+
+@pytest.mark.parametrize("name", ["shor9", "bacon-shor-9"])
+def test_frame_classify_matches_naive_on_sampled_paulis(name):
+    rng = random.Random(20_000)
+    paulis = ["".join(rng.choice("IXYZ") for _ in range(9)) for _ in range(20_000)]
+    _assert_classify_matches_naive(catalog(name), paulis)

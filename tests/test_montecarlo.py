@@ -1,9 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 
+from gaugeqec import montecarlo
 from gaugeqec.catalog import catalog
-from gaugeqec.decoder import Outcome, build_table, recover_and_classify
+from gaugeqec.code import validated
+from gaugeqec.codefile import parse_code_file
+from gaugeqec.decoder import DecodingTable, Outcome, build_table, recover_and_classify, syndrome
 from gaugeqec.montecarlo import (
     SEED_BOUND,
     NoiseModel,
@@ -154,3 +158,139 @@ def test_seeds_outside_the_philox_key_range_are_refused(seed):
 def test_largest_seed_is_its_own_key():
     top = shot_stream(SEED_BOUND - 1, 0, 9).random(9)
     assert not (top == shot_stream(0, 0, 9).random(9)).all()
+
+
+# SimReport counts at seed 20260811, 10^5 shots, t = 1, captured before the
+# batch decoder replaced the per-shot loop in run():
+# (gauge_success, unrecoverable, logical_failures)
+GOLDEN_100K = {
+    ("shor9", 0.005): (99923, 62, (("X", 4), ("Z", 11))),
+    ("shor9", 0.01): (99707, 222, (("X", 33), ("Z", 38))),
+    ("shor9", 0.02): (98823, 932, (("X", 143), ("Z", 102))),
+    ("bacon-shor-9", 0.005): (99952, 0, (("X", 18), ("Y", 4), ("Z", 26))),
+    ("bacon-shor-9", 0.01): (99781, 0, (("X", 94), ("Y", 20), ("Z", 105))),
+    ("bacon-shor-9", 0.02): (99152, 0, (("X", 368), ("Y", 96), ("Z", 384))),
+}
+
+
+@pytest.mark.parametrize("name, p", sorted(GOLDEN_100K))
+def test_seeded_counts_are_pinned(name, p):
+    code = catalog(name)
+    report = run(code, build_table(code, 1), NoiseModel(p), 100_000, seed=20260811)
+    got = (report.gauge_success, report.unrecoverable, report.logical_failures)
+    assert got == GOLDEN_100K[name, p]
+
+
+def per_shot_report(code, table, model, shots, seed, fallback_identity=False):
+    """Tally shots one at a time through the public per-shot functions."""
+    gauge = unrec = 0
+    failures = Counter()
+    for shot in range(shots):
+        error = sample_error(model, code.n, shot_stream(seed, shot, code.n))
+        rec = recover_and_classify(code, table, error)
+        if rec.outcome is Outcome.GAUGE_SUCCESS:
+            gauge += 1
+        elif rec.outcome is Outcome.UNRECOVERABLE:
+            if fallback_identity:
+                failures["uncorrected"] += 1
+            else:
+                unrec += 1
+        else:
+            failures[rec.logical_class.label_str()] += 1
+    return SimReport(shots, model.p, seed, gauge, unrec, tuple(sorted(failures.items())))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # many chunks per run, so merging shot keys across chunks is exercised
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 256)
+
+
+@pytest.mark.parametrize("name", ["shor9", "bacon-shor-9"])
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+def test_run_equals_per_shot_path(name, p, small_chunks):
+    code = catalog(name)
+    table = build_table(code, 1)
+    model = NoiseModel(p)
+    expected = per_shot_report(code, table, model, 1_500, seed=41)
+    assert run(code, table, model, 1_500, seed=41) == expected
+    assert run(code, table, model, 1_500, seed=41, workers=2) == expected
+
+
+def test_identity_fallback_equals_per_shot_path_with_weight_zero_table(small_chunks):
+    code = catalog("bacon-shor-9")
+    table = build_table(code, 0)
+    model = NoiseModel(0.1)
+    expected = per_shot_report(code, table, model, 2_000, seed=12, fallback_identity=True)
+    assert expected.unrecoverable == 0 and dict(expected.logical_failures)["uncorrected"] > 0
+    assert run(code, table, model, 2_000, seed=12, fallback_identity=True) == expected
+    assert run(code, table, model, 2_000, seed=12, workers=2, fallback_identity=True) == expected
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+def test_nonidentity_trivial_syndrome_entry_decodes_clean_shots(p, small_chunks):
+    # recovering syndrome 0 with a logical X sends every clean shot to X
+    code = validated(catalog("shor9"))
+    entries = dict(build_table(code, 1).entries)
+    entries[0] = code.logical_pairs[0][0]
+    table = DecodingTable(code, 1, entries)
+    model = NoiseModel(p)
+    expected = per_shot_report(code, table, model, 2_000, seed=77)
+    assert dict(expected.logical_failures)["X"] > 0
+    assert run(code, table, model, 2_000, seed=77) == expected
+    assert run(code, table, model, 2_000, seed=77, workers=2) == expected
+
+
+def test_entry_with_the_wrong_syndrome_leaves_the_normalizer(small_chunks):
+    # a hand-built entry whose syndrome differs from its key leaves a residual
+    # outside the normalizer, counted under its own failure class
+    code = catalog("shor9")
+    key = syndrome(code, single(9, 0, "X")).bits
+    entries = dict(build_table(code, 1).entries)
+    entries[key] = identity(9)
+    table = DecodingTable(code, 1, entries)
+    model = NoiseModel(0.05)
+    hits = sum(
+        syndrome(code, sample_error(model, 9, shot_stream(3, shot, 9))).bits == key
+        for shot in range(2_000)
+    )
+    report = run(code, table, model, 2_000, seed=3)
+    assert hits > 0
+    assert dict(report.logical_failures)["outside_normalizer"] == hits
+
+
+def _shor_like_file(blocks: int, size: int, drop: tuple[int, ...]) -> str:
+    """Code file of a blocks x size Shor-type code minus the listed stabilizers."""
+    n = blocks * size
+    rows = []
+    for b in range(blocks):
+        for i in range(size - 1):
+            row = ["I"] * n
+            row[b * size + i] = row[b * size + i + 1] = "Z"
+            rows.append("".join(row))
+    for b in range(blocks - 1):
+        rows.append("I" * (b * size) + "X" * (2 * size) + "I" * (n - (b + 2) * size))
+    kept = [row for i, row in enumerate(rows) if i not in drop]
+    return f"n: {n}\n\n[stabilizer]\n" + "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, p",
+    [
+        # 35 qubits, 32 stabilizers, 3 logical qubits: labels such as X1Z2
+        (_shor_like_file(5, 7, drop=(0, 33)), 0.02),
+        # 36 qubits, 2 stabilizers, 34 logical qubits: 70-bit shot keys
+        ("n: 36\n\n[stabilizer]\n" + "X" * 36 + "\n" + "Z" * 36 + "\n", 0.01),
+    ],
+    ids=["shor-like-35", "two-stabilizer-36"],
+)
+def test_run_equals_per_shot_path_beyond_64_bits(text, p, small_chunks):
+    code = parse_code_file(text)
+    assert code.n >= 33
+    table = build_table(code, 1)
+    model = NoiseModel(p)
+    expected = per_shot_report(code, table, model, 1_000, seed=2024)
+    labels = dict(expected.logical_failures)
+    assert expected.gauge_success > 0 and any(len(label) > 2 for label in labels)
+    assert run(code, table, model, 1_000, seed=2024) == expected
+    assert run(code, table, model, 1_000, seed=2024, workers=2) == expected
