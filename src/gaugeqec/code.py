@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import gf2
 from .pauli import PauliOp, hermitian, multiply, pauli_from_string, symplectic_inner
-from .tableau import SymplecticFrame, symplectic_complete
+from .tableau import SymplecticFrame, in_group_mod_phase, symplectic_complete
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -246,5 +246,4 @@ def logical_equivalent(code: SubsystemCode, p: PauliOp, q: PauliOp) -> bool:
     """Whether p and q act identically on the encoded qubits (p*q in the gauge group)."""
     c = validated(code)
     prod = multiply(p, q)
-    elim = gf2.Eliminator(g.vec for g in c.group_generators())
-    return elim.contains(prod.vec)
+    return in_group_mod_phase(c.group_generators(), prod)

@@ -3,6 +3,16 @@
 Rows are Python ints with bit j holding column j.  Everything here is a
 word-parallel XOR/AND/popcount operation, which keeps the enumeration-heavy
 callers (distance, search) fast.
+
+``Eliminator`` is the one elimination kernel.  It pivots each row on its
+lowest set bit and keeps the pivots sorted and fully reduced, so its basis
+is the reduced row-echelon form; ``rref``, ``rank`` and ``kernel_basis``
+read it off.  ``solve_affine`` and ``solve_membership`` carry what they
+solve for as tag bits at and above column ``ncols``: the right-hand side,
+or one bit per input row.  A tag bit sits above every column, so it never
+decides a reduction and turns into a pivot only when a row's columns all
+cancel: the contradiction 0 = 1 for a right-hand side, a dependent row
+(which ``solve_membership`` skips) for a row tag.
 """
 
 from __future__ import annotations
@@ -43,120 +53,61 @@ class BinMatrix:
 def rref(m: BinMatrix) -> tuple[BinMatrix, int, tuple[int, ...]]:
     """Reduced row-echelon form: (reduced, rank, pivot columns).
 
-    Columns are scanned in increasing bit order, so pivot columns are
-    strictly increasing and the result is canonical for a given row space.
-    Zero rows are dropped from the reduced matrix.
+    Pivot columns are strictly increasing and the result is canonical for a
+    given row space.  Zero rows are dropped from the reduced matrix.
     """
-    work = list(m.rows)
-    pivots: list[int] = []
-    rank_ = 0
-    for col in range(m.ncols):
-        sel = None
-        for r in range(rank_, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[rank_], work[sel] = work[sel], work[rank_]
-        for r in range(len(work)):
-            if r != rank_ and (work[r] >> col) & 1:
-                work[r] ^= work[rank_]
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == len(work):
-            break
-    return BinMatrix(m.ncols, tuple(work[:rank_])), rank_, tuple(pivots)
+    pivots = Eliminator(m.rows).pivots
+    reduced = BinMatrix(m.ncols, tuple(row for _, row in pivots))
+    return reduced, len(pivots), tuple(p for p, _ in pivots)
 
 
 def rank(m: BinMatrix) -> int:
-    return rref(m)[1]
+    return Eliminator(m.rows).rank
 
 
 def solve_membership(m: BinMatrix, v: int) -> int | None:
     """Combination c (bit i = row i of ``m``) with c . m == v, or None.
 
-    Returns 0 for v == 0 (the empty combination).
+    Only rows independent of the rows before them take part, so c is
+    unique.  Returns 0 for v == 0 (the empty combination).
     """
-    mask = (1 << m.ncols) - 1
+    ncols = m.ncols
+    mask = (1 << ncols) - 1
     if v < 0 or v & ~mask:
-        raise ValueError(f"vector has bits outside {m.ncols} columns")
-    # RREF while tracking which original rows combine into each basis row.
-    basis: list[tuple[int, int, int]] = []  # (pivot, row, combination)
+        raise ValueError(f"vector has bits outside {ncols} columns")
+    elim = Eliminator()
     for i, row in enumerate(m.rows):
-        comb = 1 << i
-        for p, brow, bcomb in basis:
-            if (row >> p) & 1:
-                row ^= brow
-                comb ^= bcomb
-        if row == 0:
-            continue
-        p = (row & -row).bit_length() - 1
-        basis = [
-            (q, brow ^ row, bcomb ^ comb) if (brow >> p) & 1 else (q, brow, bcomb)
-            for q, brow, bcomb in basis
-        ]
-        insort(basis, (p, row, comb))
-    comb = 0
-    for p, brow, bcomb in basis:
-        if (v >> p) & 1:
-            v ^= brow
-            comb ^= bcomb
-    return comb if v == 0 else None
+        tagged = elim.reduce(row | 1 << (ncols + i))
+        if tagged & mask:
+            elim.add(tagged)
+    rest = elim.reduce(v)
+    return None if rest & mask else rest >> ncols
 
 
 def kernel_basis(m: BinMatrix) -> list[int]:
     """Basis of {v : parity(row & v) == 0 for every row}, canonically ordered."""
-    reduced, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for row, p in zip(reduced.rows, pivots):
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    return Eliminator(m.rows).kernel(m.ncols)
 
 
 def solve_affine(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[int]] | None:
     """Solve the system parity(u & mask_i) == b_i for u.
 
     Returns (particular solution, kernel basis) or None when inconsistent.
+    The particular solution is 0 on every free column.
     """
-    basis: list[tuple[int, int, int]] = []  # (pivot, mask, rhs)
+    elim = Eliminator()
     for mask, b in rows:
-        for p, bm, bb in basis:
-            if (mask >> p) & 1:
-                mask ^= bm
-                b ^= bb
-        if mask == 0:
-            if b:
-                return None
-            continue
-        p = (mask & -mask).bit_length() - 1
-        basis = [
-            (q, bm ^ mask, bb ^ b) if (bm >> p) & 1 else (q, bm, bb)
-            for q, bm, bb in basis
-        ]
-        insort(basis, (p, mask, b))
+        if mask < 0 or mask >> ncols:
+            raise ValueError(f"mask has bits outside {ncols} columns")
+        if b not in (0, 1):
+            raise ValueError(f"right-hand side must be 0 or 1, got {b}")
+        if elim.add(mask | b << ncols) and elim.pivots[-1][0] == ncols:
+            return None  # the row reduced to 0 = 1
     particular = 0
-    for p, _, b in basis:
-        if b:
+    for p, row in elim.pivots:
+        if row >> ncols:
             particular |= 1 << p
-    pivot_set = {p for p, _, _ in basis}
-    kernel = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for p, bm, _ in basis:
-            if (bm >> f) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return particular, kernel
+    return particular, elim.kernel(ncols)
 
 
 class Eliminator:
@@ -189,6 +140,25 @@ class Eliminator:
         ]
         insort(self.pivots, (p, v))
         return True
+
+    def kernel(self, ncols: int) -> list[int]:
+        """Basis of the vectors below bit ncols orthogonal to every row.
+
+        One vector per free column f < ncols, in ascending f: bit f plus
+        the pivots of the rows holding bit f.  Bits at and above ncols
+        (tags) are ignored.
+        """
+        taken = {p for p, _ in self.pivots}
+        basis = []
+        for f in range(ncols):
+            if f in taken:
+                continue
+            v = 1 << f
+            for p, row in self.pivots:
+                if (row >> f) & 1:
+                    v |= 1 << p
+            basis.append(v)
+        return basis
 
     @property
     def rank(self) -> int:

@@ -108,10 +108,6 @@ class SweepResult:
 # shared low-level helpers (plain ints; these run in worker processes)
 
 
-def _kernel_ints(rows: Sequence[int], ncols: int) -> list[int]:
-    return gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(rows)))
-
-
 def _free_cols(pivots: Sequence[int], ncols: int) -> list[list[int]]:
     """Per-row free column positions of an RREF profile."""
     pivot_set = set(pivots)
@@ -152,11 +148,11 @@ class _GaugeContext:
         self.svecs = tuple(g.vec for g in code.stabilizer)
         self.logical_vecs = tuple(op.vec for op in code.logical_ops())
         n = self.n
-        stab_elim = gf2.Eliminator(self.svecs)
+        self.stab_elim = gf2.Eliminator(self.svecs)
         swapped = [swap_halves(v, n) for v in self.svecs]
         buckets: dict[int, list[int]] = {}
         for v in low_weight_vecs(n, d_min - 1):
-            reduced = stab_elim.reduce(v)
+            reduced = self.stab_elim.reduce(v)
             if reduced == 0:
                 continue  # already a stabilizer element
             buckets.setdefault(gf2.parities(v, swapped), []).append(reduced)
@@ -173,7 +169,7 @@ class _GaugeContext:
         requirement.
         """
         r = self.s - len(coeff_rows)
-        orth = _kernel_ints(coeff_rows, self.s)
+        orth = gf2.kernel_basis(gf2.BinMatrix(self.s, coeff_rows))
         elim = gf2.Eliminator()
         reps: list[int] = []
         buckets = self.buckets
@@ -250,7 +246,7 @@ def _solve_gauge_partners(
     sprime_sw = [swap_halves(v, n) for v in sprime]
     gz_sw = [swap_halves(v, n) for v in gz_vecs]
     logical_sw = [swap_halves(v, n) for v in ctx.logical_vecs]
-    stab_elim = gf2.Eliminator(svecs)
+    sprime_elim = gf2.Eliminator(sprime)
 
     chosen: list[int] = []
 
@@ -288,7 +284,7 @@ def _solve_gauge_partners(
         if sol is None:
             return None
         particular, kernel = sol
-        quotient = gf2.Eliminator(sprime)
+        quotient = sprime_elim.copy()
         quotient.add(gz_vecs[j])
         reps = [kv for kv in kernel if quotient.add(kv)]
         for bits in range(1 << len(reps)):
@@ -308,7 +304,7 @@ def _solve_gauge_partners(
                 return found
         return None
 
-    base_cover = stab_elim.copy()
+    base_cover = ctx.stab_elim.copy()
     return rec(0, base_cover, residual_rank(base_cover))
 
 
@@ -484,23 +480,30 @@ class _SweepContext:
         Sectors are 2r-dimensional subspaces of the q-dimensional quotient
         C(S)/S, in the coordinates of ``qbasis``.  Their RREF bases and span
         masks come from ``_sector_table``, so coverage is one mask test;
-        nondegeneracy uses the Gram matrix of ``qbasis``.
+        nondegeneracy uses the Gram matrix of ``qbasis``.  A witness's
+        coordinates are the tag bits left after reducing it against S and
+        ``qbasis``, where ``qbasis[i]`` carries tag bit 2n + i.
         """
         n, r = self.n, self.r
         if r == 0:
             return (1, [()]) if not witnesses else (1, [])
+        ncols = 2 * n
+        columns = (1 << ncols) - 1
         swapped = [swap_halves(v, n) for v in rows]
-        ns_basis = _kernel_ints(swapped, 2 * n)
-        elim = gf2.Eliminator(rows)
-        qbasis = [v for v in ns_basis if elim.add(v)]
+        coords = gf2.Eliminator(rows)
+        qbasis = []
+        for v in gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(swapped))):
+            tagged = coords.reduce(v | 1 << (ncols + len(qbasis)))
+            if tagged & columns:  # v is independent of S and qbasis
+                coords.add(tagged)
+                qbasis.append(v)
         q = len(qbasis)
-        coord_matrix = gf2.BinMatrix(2 * n, tuple(qbasis) + tuple(rows))
         needed = 0
         for w in witnesses:
-            comb = gf2.solve_membership(coord_matrix, w)
-            if comb is None:
+            comb = coords.reduce(w)
+            if comb & columns:
                 raise RuntimeError("witness outside the centralizer of the subspace")
-            needed |= 1 << (comb & ((1 << q) - 1))
+            needed |= 1 << (comb >> ncols)
         qbasis_sw = [swap_halves(v, n) for v in qbasis]
         gram = [
             sum(((v & sw).bit_count() & 1) << j for j, sw in enumerate(qbasis_sw))
@@ -584,15 +587,11 @@ def _permute_vec(v: int, perm: Sequence[int], n: int) -> int:
     return out
 
 
-def _canonical_rows(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
-    return gf2.rref(gf2.BinMatrix(ncols, tuple(rows)))[0].rows
-
-
 def _perm_minimal(rows: Sequence[int], n: int) -> bool:
     base = tuple(rows)
     for perm in permutations(range(n)):
         permuted = [_permute_vec(v, perm, n) for v in rows]
-        if _canonical_rows(permuted, 2 * n) < base:
+        if gf2.rref(gf2.BinMatrix(2 * n, tuple(permuted)))[0].rows < base:
             return False
     return True
 

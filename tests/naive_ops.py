@@ -123,3 +123,77 @@ def brute_distance(stab: list[str], group: list[str], n: int, wmax: int) -> int 
             if classify_string(stab, group, p) == "logical":
                 return w
     return None
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    return [(x + y) % 2 for x, y in zip(a, b)]
+
+
+def rref_lists(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan by column scan: (nonzero reduced rows, pivot columns).
+
+    Each row may carry extra entries past ``ncols``; they ride along with
+    the eliminations but never hold a pivot.
+    """
+    work = [row[:] for row in rows]
+    reduced: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        pivot = next((row for row in work if row[col]), None)
+        if pivot is None:
+            continue
+        work.remove(pivot)
+        work = [_add(row, pivot) if row[col] else row for row in work]
+        reduced = [_add(row, pivot) if row[col] else row for row in reduced]
+        reduced.append(pivot)
+        pivots.append(col)
+    return reduced, pivots
+
+
+def kernel_lists(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """One null vector per free column f, ascending: bit f, no other free bit."""
+    reduced, pivots = rref_lists(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = 1
+        basis.append(v)
+    return basis
+
+
+def affine_particular(system: list[tuple[list[int], int]], ncols: int) -> list[int] | None:
+    """The solution of mask . u = b with every free column 0, or None."""
+    reduced, pivots = rref_lists([mask + [b] for mask, b in system], ncols + 1)
+    if ncols in pivots:
+        return None  # some row reduced to 0 = 1
+    u = [0] * ncols
+    for row, p in zip(reduced, pivots):
+        u[p] = row[ncols]
+    return u
+
+
+def membership_combination(rows: list[list[int]], v: list[int]) -> list[int] | None:
+    """Coefficients of v over the greedily independent rows, or None.
+
+    A row is kept when it raises the rank of the rows kept before it; the
+    coefficients of skipped rows are 0, which makes the answer unique.
+    """
+    ncols = len(v)
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        if rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    tagged = [rows[i] + [1 if j == i else 0 for j in range(len(rows))] for i in kept]
+    reduced, pivots = rref_lists(tagged, ncols)
+    w = v + [0] * len(rows)
+    for row, p in zip(reduced, pivots):
+        if w[p]:
+            w = _add(w, row)
+    if any(w[:ncols]):
+        return None
+    return w[ncols:]

@@ -6,7 +6,7 @@ import pytest
 
 from gaugeqec.catalog import catalog
 from gaugeqec.cli import main
-from gaugeqec.codefile import parse_code_file
+from gaugeqec.codefile import parse_code_file, serialize_code
 
 
 def run_cli(*argv):
@@ -286,3 +286,135 @@ def test_simulate_stdout_golden(args, expected):
     code, out, _ = run_cli("simulate", *args)
     assert code == 0
     assert out == expected
+
+
+# stdout whose generators depend on the GF(2) elimination order, captured
+# before rref, kernels and the affine and membership solves were folded
+# into gf2.Eliminator
+ELIMINATION_GOLDEN = [
+    (
+        ("gauge-fix", "--code", "bacon-shor-9"),
+        (
+            "n: 9\n"
+            "\n"
+            "[stabilizer]\n"
+            "XXXXXXIII\n"
+            "XXXIIIXXX\n"
+            "ZZIZZIZZI\n"
+            "IZZIZZIZZ\n"
+            "IZZIIIIII\n"
+            "IIIIZZIII\n"
+            "ZZIIIIIII\n"
+            "IIIZZIIII\n"
+            "\n"
+            "[logical_x]\n"
+            "XXXXXXXXX\n"
+            "\n"
+            "[logical_z]\n"
+            "ZZZZZZZZZ\n"
+        ),
+    ),
+    (
+        ("find-gauge", "--code", "steane7", "--distance-min", "3"),
+        (
+            "r: 0\n"
+            "exhausted: true\n"
+        ),
+    ),
+    (
+        ("find-gauge", "--code", "five-qubit", "--distance-min", "3"),
+        (
+            "r: 0\n"
+            "exhausted: true\n"
+        ),
+    ),
+    (
+        ("sweep", "--n", "4", "--k", "1", "--r", "1", "--distance-min", "2"),
+        (
+            "codes_found: 4320\n"
+            "exhausted: true\n"
+            "first_code: n: 4\n"
+            "\n"
+            "[stabilizer]\n"
+            "XZXX\n"
+            "ZXZZ\n"
+            "\n"
+            "[gauge_x]\n"
+            "XIXI\n"
+            "\n"
+            "[gauge_z]\n"
+            "YXIX\n"
+            "\n"
+            "[logical_x]\n"
+            "IIXX\n"
+            "\n"
+            "[logical_z]\n"
+            "XXXZ\n"
+            "\n"
+        ),
+    ),
+    (
+        ("sweep", "--n", "4", "--k", "1", "--r", "0", "--distance-min", "2"),
+        (
+            "codes_found: 2268\n"
+            "exhausted: true\n"
+            "first_code: n: 4\n"
+            "\n"
+            "[stabilizer]\n"
+            "XIIX\n"
+            "IYZI\n"
+            "ZZYZ\n"
+            "\n"
+            "[logical_x]\n"
+            "IXXI\n"
+            "\n"
+            "[logical_z]\n"
+            "IIZX\n"
+            "\n"
+        ),
+    ),
+    (
+        ("sweep", "--n", "3", "--k", "1", "--r", "1", "--distance-min", "2"),
+        (
+            "codes_found: 0\n"
+            "exhausted: true\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", ELIMINATION_GOLDEN)
+def test_elimination_order_stdout_golden(args, expected):
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert out == expected
+
+
+def test_restructured_shor9_code_file_golden(shor9_gauge_search):
+    assert serialize_code(shor9_gauge_search.restructured) == (
+        "n: 9\n"
+        "\n"
+        "[stabilizer]\n"
+        "XXXXXXIII\n"
+        "XXXIIIXXX\n"
+        "ZZIZZIZZI\n"
+        "IZZIZZIZZ\n"
+        "\n"
+        "[gauge_x]\n"
+        "XIIXIIIII\n"
+        "XXIXXIIII\n"
+        "XIIIIIXII\n"
+        "XXIIIIXXI\n"
+        "\n"
+        "[gauge_z]\n"
+        "IIIZZIIII\n"
+        "IIIIZZIII\n"
+        "IIIIIIZZI\n"
+        "IIIIIIIZZ\n"
+        "\n"
+        "[logical_x]\n"
+        "XXXXXXXXX\n"
+        "\n"
+        "[logical_z]\n"
+        "ZZZZZZZZZ\n"
+    )

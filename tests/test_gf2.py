@@ -172,3 +172,12 @@ def test_eliminator_matches_matrix_rank_and_membership():
             v = rng.randrange(1 << ncols)
             expected = solve_membership(BinMatrix(ncols, tuple(rows)), v) is not None
             assert elim.contains(v) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [([(0b100, 1)], 2), ([(-1, 1)], 3), ([(0b01, 2)], 2)],
+)
+def test_solve_affine_rejects_masks_outside_its_columns_and_non_bit_rhs(rows, ncols):
+    with pytest.raises(ValueError):
+        solve_affine(rows, ncols)

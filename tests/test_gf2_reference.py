@@ -1,0 +1,107 @@
+"""Exact outputs of the gf2 routines against the 0/1-list reference.
+
+Every routine here has one canonical answer: the RREF, the kernel basis
+with one vector per free column, the particular solution with every free
+column 0, and the membership combination over the greedily independent
+rows.  Random systems mix zero rows, dependent rows and inconsistent
+right-hand sides.
+"""
+
+import random
+
+from gaugeqec.gf2 import BinMatrix, kernel_basis, rank, rref, solve_affine, solve_membership
+from naive_ops import affine_particular, kernel_lists, membership_combination, rref_lists
+
+SYSTEMS = 2400
+
+
+def _bits(v, ncols):
+    return [(v >> j) & 1 for j in range(ncols)]
+
+
+def _int(bits):
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def _random_rows(rng, ncols):
+    """Rows with zero rows and XORs of earlier rows mixed in."""
+    rows = []
+    for _ in range(rng.randrange(0, min(ncols, 12) + 3)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(0)
+        elif kind < 0.35 and rows:
+            rows.append(rows[rng.randrange(len(rows))] ^ rows[rng.randrange(len(rows))])
+        else:
+            rows.append(rng.randrange(1 << ncols))
+    return rows
+
+
+def _systems(seed):
+    rng = random.Random(seed)
+    for _ in range(SYSTEMS):
+        ncols = rng.randrange(1, 25)
+        yield rng, ncols, _random_rows(rng, ncols)
+
+
+def test_rref_and_rank_match_reference():
+    for _, ncols, rows in _systems(101):
+        ref_rows, ref_pivots = rref_lists([_bits(v, ncols) for v in rows], ncols)
+        reduced, r, pivots = rref(BinMatrix(ncols, tuple(rows)))
+        assert reduced.ncols == ncols
+        assert reduced.rows == tuple(_int(row) for row in ref_rows)
+        assert pivots == tuple(ref_pivots)
+        assert r == rank(BinMatrix(ncols, tuple(rows))) == len(ref_pivots)
+
+
+def test_kernel_basis_matches_reference():
+    for _, ncols, rows in _systems(102):
+        expected = [_int(v) for v in kernel_lists([_bits(v, ncols) for v in rows], ncols)]
+        assert kernel_basis(BinMatrix(ncols, tuple(rows))) == expected
+
+
+def test_solve_affine_matches_reference():
+    inconsistent = 0
+    for rng, ncols, masks in _systems(103):
+        system = [(mask, rng.randrange(2)) for mask in masks]
+        if system and rng.random() < 0.5:
+            # right-hand sides of a planted solution, sometimes with one flipped
+            u = rng.randrange(1 << ncols)
+            system = [(mask, (mask & u).bit_count() & 1) for mask, _ in system]
+            if rng.random() < 0.3:
+                i = rng.randrange(len(system))
+                system[i] = (system[i][0], system[i][1] ^ 1)
+        ref = affine_particular([(_bits(m, ncols), b) for m, b in system], ncols)
+        got = solve_affine(system, ncols)
+        if ref is None:
+            inconsistent += 1
+            assert got is None
+            continue
+        particular, kernel = got
+        assert particular == _int(ref)
+        ref_kernel = kernel_lists([_bits(m, ncols) for m, _ in system], ncols)
+        assert kernel == [_int(v) for v in ref_kernel]
+    assert inconsistent > SYSTEMS // 10
+
+
+def test_solve_membership_matches_reference():
+    absent = 0
+    for rng, ncols, rows in _systems(104):
+        kind = rng.random()
+        if kind < 0.1:
+            v = 0
+        elif kind < 0.6:
+            v = 0
+            for row in rows:
+                if rng.random() < 0.5:
+                    v ^= row
+        else:
+            v = rng.randrange(1 << ncols)
+        ref = membership_combination([_bits(row, ncols) for row in rows], _bits(v, ncols))
+        got = solve_membership(BinMatrix(ncols, tuple(rows)), v)
+        if ref is None:
+            absent += 1
+            assert got is None
+        else:
+            assert got == _int(ref)
+    assert absent > SYSTEMS // 10

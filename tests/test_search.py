@@ -190,7 +190,7 @@ def _plain_sectors(ctx, rows, witnesses):
     n, r = ctx.n, ctx.r
     swapped = [search.swap_halves(v, n) for v in rows]
     elim = gf2.Eliminator(rows)
-    qbasis = [v for v in search._kernel_ints(swapped, 2 * n) if elim.add(v)]
+    qbasis = [v for v in gf2.kernel_basis(gf2.BinMatrix(2 * n, tuple(swapped))) if elim.add(v)]
     q = len(qbasis)
     coords = gf2.BinMatrix(2 * n, tuple(qbasis) + tuple(rows))
     wcoords = [gf2.solve_membership(coords, w) & ((1 << q) - 1) for w in witnesses]
