@@ -15,6 +15,17 @@ cannot exceed the gauge dimension.  Subspaces failing that rank bound cannot
 yield a valid candidate and are rejected before any partner solving; the
 bound is necessary, so no candidate is ever lost.
 
+The gauge search applies the bound to every corank-r subgroup S′ of the
+stabilizer S, in coefficient space over S's generators: the low-weight
+Paulis commuting with S′ are those whose syndrome lies in K = S′^⊥, and
+their classes mod S must fit in r = dim K gauge slots.  K is enumerated
+depth-first, one basis vector per free column of S′, and each level adds
+only the new coset's buckets (a per-syndrome basis mod S, reduced once per
+code) to its parent's elimination; the rank only grows with K, so a node
+past r is pruned with all its leaves.  Partner solving needs no search: for
+a stabilizer code the commutation constraints fix each gauge x partner
+modulo S, and the group depends on nothing finer.
+
 The sweep applies the bound to every leaf of its depth-first enumeration,
 so the work its siblings share is done once, in their parent.  Which
 low-weight Paulis commute with a subspace is a bitmask over those Paulis:
@@ -39,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from multiprocessing import Pool
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
@@ -85,8 +96,8 @@ class SweepSpec:
         return self.n - self.k - self.r
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 0 or self.r < 0 or self.d_min < 1:
-            raise ValueError("need n >= 1, k, r >= 0 and d_min >= 1")
+        if self.n < 1 or self.k < 1 or self.r < 0 or self.d_min < 1:
+            raise ValueError("need n, k >= 1, r >= 0 and d_min >= 1")
         if self.s < 1:
             raise ValueError("at least one stabilizer generator is required")
         if 2 * self.n > 24:
@@ -139,7 +150,12 @@ def _rref_bases(ncols: int, rank: int) -> Iterator[tuple[int, ...]]:
 
 
 class _GaugeContext:
-    """Immutable picture of the input code, shareable with workers."""
+    """Immutable picture of the input code, shareable with workers.
+
+    ``bucket_bases`` maps a syndrome signature (bit i: anticommutes with
+    stabilizer generator i) to a basis, modulo the stabilizer, of the
+    low-weight vectors with that signature.
+    """
 
     def __init__(self, code: SubsystemCode, d_min: int):
         self.n = code.n
@@ -150,36 +166,28 @@ class _GaugeContext:
         n = self.n
         self.stab_elim = gf2.Eliminator(self.svecs)
         swapped = [swap_halves(v, n) for v in self.svecs]
-        buckets: dict[int, list[int]] = {}
+        buckets: dict[int, gf2.Eliminator] = {}
         for v in low_weight_vecs(n, d_min - 1):
-            reduced = self.stab_elim.reduce(v)
-            if reduced == 0:
-                continue  # already a stabilizer element
-            buckets.setdefault(gf2.parities(v, swapped), []).append(reduced)
-        self.buckets = buckets
+            sig = gf2.parities(v, swapped)
+            # stabilizer elements reduce to 0 and are not added
+            buckets.setdefault(sig, gf2.Eliminator()).add(self.stab_elim.reduce(v))
+        self.bucket_bases = {
+            sig: tuple(row for _, row in elim.pivots)
+            for sig, elim in buckets.items()
+            if elim.rank
+        }
 
-    def filter_subspace(self, coeff_rows: tuple[int, ...]) -> list[int] | None:
-        """Rank bound: low-weight centralizer classes must fit in r gauge slots.
-
-        Returns independent representatives (mod the old stabilizer) of the
-        low-weight classes the gauge span will have to absorb, or None when
-        they already outnumber the gauge slots.  Any class of weight below
-        d_min left outside the gauge group would be a short logical operator,
-        so covering these representative classes is exactly the distance
-        requirement.
-        """
-        r = self.s - len(coeff_rows)
-        orth = gf2.kernel_basis(gf2.BinMatrix(self.s, coeff_rows))
-        elim = gf2.Eliminator()
-        reps: list[int] = []
-        buckets = self.buckets
-        for sig in _gray_walk(0, orth):
-            for reduced in buckets.get(sig, ()):
-                if elim.add(reduced):
-                    reps.append(reduced)
-                    if len(reps) > r:
-                        return None
-        return reps
+    def absorb(
+        self, elim: gf2.Eliminator, sigs: Iterable[int], r: int
+    ) -> gf2.Eliminator | None:
+        """``elim`` extended by the buckets of ``sigs``; None once its rank passes r."""
+        child = elim.copy()
+        bases = self.bucket_bases
+        for sig in sigs:
+            for v in bases.get(sig, ()):
+                if child.add(v) and child.rank > r:
+                    return None
+        return child
 
 
 _GAUGE_CTX: _GaugeContext | None = None
@@ -191,21 +199,58 @@ def _gauge_worker_init(ctx: _GaugeContext) -> None:
 
 
 def _gauge_filter_chunk(pivots: tuple[int, ...]):
-    """Filter every subspace with the given pivot profile; return survivors."""
+    """Rank-bound every subgroup S′ with this pivot profile; (examined, survivors).
+
+    A low-weight vector commutes with S′ exactly when its signature lies in
+    K = S′^⊥, so its class mod S must be absorbed by the r = dim K gauge
+    slots.  K has one basis vector per free column f of S′: bit f plus the
+    pivots of the rows holding bit f, any subset of the pivots below f.
+    Choosing those vectors depth-first, free column by free column, walks
+    every S′ of the profile once; each level adds only the buckets of the
+    new coset k + K′ to its parent's elimination, and a node whose rank
+    passes r is pruned with all its leaves, since the rank only grows with
+    K.  Survivors come back as (RREF rows of S′, basis of the witness
+    classes mod S), sorted into canonical order.
+    """
     ctx = _GAUGE_CTX
     if ctx is None:
         raise RuntimeError("gauge filter chunk run before its worker initializer")
-    frees = _free_cols(pivots, ctx.s)
+    r = ctx.s - len(pivots)
+    frees = [f for f in range(ctx.s) if f not in pivots]
+    lowers = [[p for p in pivots if p < f] for f in frees]
+    leaves = [1] * (r + 1)  # leaves[level]: subspaces below a node at that depth
+    for level in range(r - 1, -1, -1):
+        leaves[level] = leaves[level + 1] << len(lowers[level])
     examined = 0
-    survivors = []
-    for values in product(*(range(1 << len(f)) for f in frees)):
-        rows = tuple(
-            (1 << p) | _scatter(v, f) for p, f, v in zip(pivots, frees, values)
-        )
-        examined += 1
-        reps = ctx.filter_subspace(rows)
-        if reps is not None:
-            survivors.append((rows, reps))
+    survivors: list[tuple[tuple[int, ...], list[int]]] = []
+    ks: list[int] = []
+
+    def rec(level: int, span: list[int], elim: gf2.Eliminator) -> None:
+        nonlocal examined
+        if level == r:
+            examined += 1
+            rows = tuple(
+                (1 << p) | sum(1 << f for f, k in zip(frees, ks) if (k >> p) & 1)
+                for p in pivots
+            )
+            survivors.append((rows, [row for _, row in elim.pivots]))
+            return
+        for bits in range(1 << len(lowers[level])):
+            k = (1 << frees[level]) | _scatter(bits, lowers[level])
+            coset = [k ^ x for x in span]
+            child = ctx.absorb(elim, coset, r)
+            if child is None:
+                examined += leaves[level + 1]
+                continue
+            ks.append(k)
+            rec(level + 1, span + coset, child)
+            ks.pop()
+
+    root = ctx.absorb(gf2.Eliminator(), (0,), r)
+    if root is None:
+        return leaves[0], []
+    rec(0, [0], root)
+    survivors.sort(key=lambda item: item[0])
     return examined, survivors
 
 
@@ -217,95 +262,64 @@ def _solve_gauge_partners(
     stats: SearchStats,
     budget: int | None,
 ) -> SubsystemCode | None:
-    """Depth-first search for commuting x partners over one stabilizer subgroup.
+    """Solve for the x partners of one stabilizer subgroup, one per gauge slot.
 
     The z generators are the original stabilizer generators outside the
-    subgroup's pivot set.  Each x partner ranges over the affine solution
-    space of its commutation constraints, taken modulo shifts that provably
-    leave the generated group unchanged (the subgroup itself and the matching
-    z generator), so no distinct candidate group is enumerated twice.
+    subgroup's pivot set.  The x partner gx_j must commute with the subgroup,
+    the logical operators and the partners before it, and anticommute with
+    gz_j alone.  Its solutions all lie in one coset of S, the whole
+    stabilizer: any two differ by an operator commuting with S and with the
+    logical operators, and in a stabilizer code only S itself does.  The
+    gauge group S + ⟨gx⟩ only depends on each gx_j modulo S, so the
+    particular solution is the one candidate per slot.
 
-    A branch survives only while the witness classes it has not yet absorbed
-    still fit into the unassigned gauge slots; a full assignment covering all
-    witnesses has distance >= d_min by construction of the witness set.
+    The walk stops as soon as the witness classes not yet absorbed outnumber
+    the unassigned gauge slots; a full assignment covering all witnesses has
+    distance >= d_min by construction of the witness set.
     """
     n, s = ctx.n, ctx.s
-    m = len(coeff_rows)
-    r = s - m
-    svecs = ctx.svecs
-    sprime = []
-    for c in coeff_rows:
-        v = 0
-        for i in range(s):
-            if (c >> i) & 1:
-                v ^= svecs[i]
-        sprime.append(v)
+    r = s - len(coeff_rows)
+    sprime = [_combine(c, ctx.svecs) for c in coeff_rows]
     pivot_set = {(c & -c).bit_length() - 1 for c in coeff_rows}
     gz_idx = [j for j in range(s) if j not in pivot_set]
-    gz_vecs = [svecs[j] for j in gz_idx]
-    sprime_sw = [swap_halves(v, n) for v in sprime]
-    gz_sw = [swap_halves(v, n) for v in gz_vecs]
-    logical_sw = [swap_halves(v, n) for v in ctx.logical_vecs]
-    sprime_elim = gf2.Eliminator(sprime)
+    # One linear system serves every slot: the constraint rows in swapped
+    # form with gz_i tagged by bit 2n + i, so slot j's right-hand side is tag
+    # bit j and its particular solution is read off the pivot rows; each
+    # chosen partner joins as one more row with right-hand side 0.
+    ncols = 2 * n
+    system = gf2.Eliminator(swap_halves(v, n) for v in sprime + list(ctx.logical_vecs))
+    for i, j in enumerate(gz_idx):
+        system.add(swap_halves(ctx.svecs[j], n) | 1 << (ncols + i))
 
     chosen: list[int] = []
-
-    def assemble() -> SubsystemCode | None:
-        stab_ops = tuple(vec_hermitian(n, v) for v in sprime)
-        gauge_pairs = tuple(
-            (vec_hermitian(n, chosen[i]), code.stabilizer[gz_idx[i]])
-            for i in range(r)
-        )
-        cand = SubsystemCode(n, stab_ops, gauge_pairs, code.logical_pairs)
-        try:
-            completed = validated(cand)
-        except ValueError:
-            return None
-        if distance(completed, "coset") < ctx.d_min:
-            return None
-        return completed
-
-    def residual_rank(cover: gf2.Eliminator) -> int:
-        probe = cover.copy()
-        return sum(1 for w in witnesses if probe.add(w))
-
-    def rec(j: int, cover: gf2.Eliminator, uncovered: int) -> SubsystemCode | None:
+    cover = ctx.stab_elim.copy()
+    for j in range(r + 1):
         if budget is not None and stats.subspaces + stats.candidates > budget:
             raise _BudgetStop
-        if uncovered > r - j:
+        probe = cover.copy()
+        if sum(1 for w in witnesses if probe.add(w)) > r - j:
             return None  # too few slots left to absorb the witness classes
         if j == r:
-            return assemble() if uncovered == 0 else None
-        rows = [(sw, 0) for sw in sprime_sw]
-        rows += [(gz_sw[i], 1 if i == j else 0) for i in range(r)]
-        rows += [(sw, 0) for sw in logical_sw]
-        rows += [(swap_halves(g, n), 0) for g in chosen]
-        sol = gf2.solve_affine(rows, 2 * n)
-        if sol is None:
-            return None
-        particular, kernel = sol
-        quotient = sprime_elim.copy()
-        quotient.add(gz_vecs[j])
-        reps = [kv for kv in kernel if quotient.add(kv)]
-        for bits in range(1 << len(reps)):
-            gx = particular
-            b = bits
-            while b:
-                low = b & -b
-                gx ^= reps[low.bit_length() - 1]
-                b ^= low
-            stats.candidates += 1
-            next_cover = cover.copy()
-            next_cover.add(gx)
-            chosen.append(gx)
-            found = rec(j + 1, next_cover, residual_rank(next_cover))
-            chosen.pop()
-            if found is not None:
-                return found
-        return None
+            break
+        if system.pivots[-1][0] >= ncols:  # some row reduced to 0 = 1
+            raise RuntimeError("independent commutation constraints must be consistent")
+        gx = sum(1 << p for p, row in system.pivots if (row >> (ncols + j)) & 1)
+        stats.candidates += 1
+        chosen.append(gx)
+        cover.add(gx)
+        system.add(swap_halves(gx, n))
 
-    base_cover = ctx.stab_elim.copy()
-    return rec(0, base_cover, residual_rank(base_cover))
+    stab_ops = tuple(vec_hermitian(n, v) for v in sprime)
+    gauge_pairs = tuple(
+        (vec_hermitian(n, gx), code.stabilizer[j]) for gx, j in zip(chosen, gz_idx)
+    )
+    cand = SubsystemCode(n, stab_ops, gauge_pairs, code.logical_pairs)
+    try:
+        if distance(cand, "coset") < ctx.d_min:
+            return None
+    except ValueError:
+        return None  # cand is not a valid subsystem code
+    return validated(cand)  # cached by distance
 
 
 class _BudgetStop(Exception):
@@ -742,10 +756,10 @@ def sweep_nonexistence(
                         for gx, gz in pairs
                     ),
                 )
-                completed = validated(cand)
-                d = distance(completed, "coset")
-                if d >= spec.d_min:
-                    codes.append(completed)
+                # distance validates cand (ValueError if invalid), so the
+                # validated call after it is a cache hit
+                if distance(cand, "coset") >= spec.d_min:
+                    codes.append(validated(cand))
             if progress and stats.subspaces % PROGRESS_EVERY < subspaces:
                 stats.elapsed = time.monotonic() - start
                 progress(stats)

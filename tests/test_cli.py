@@ -148,6 +148,22 @@ def test_worker_flag_output_identical_find_gauge():
     assert one == two
 
 
+@pytest.mark.parametrize(
+    "point",
+    [("3", "0", "1", "2"), ("5", "0", "0", "4")],  # one enumerable, one past the Singleton bound
+)
+def test_sweep_without_logical_qubits_exits_one_before_enumerating(monkeypatch, point):
+    from gaugeqec import cli
+
+    called = []
+    monkeypatch.setattr(cli, "sweep_nonexistence", lambda *a, **kw: called.append(a))
+    n, k, r, d = point
+    code, out, err = run_cli("sweep", "--n", n, "--k", k, "--r", r, "--distance-min", d)
+    assert code == 1
+    assert out == "" and not called
+    assert "k >= 1" in err
+
+
 def test_unknown_subcommand_exits_one():
     code, _, err = run_cli("frobnicate")
     assert code == 1
@@ -377,6 +393,45 @@ ELIMINATION_GOLDEN = [
         ("sweep", "--n", "3", "--k", "1", "--r", "1", "--distance-min", "2"),
         (
             "codes_found: 0\n"
+            "exhausted: true\n"
+        ),
+    ),
+    (
+        # a positive find with a code file, captured with the partner search
+        # that enumerated every slot modulo the subgroup and gz_j only
+        ("find-gauge", "--code", "steane7", "--distance-min", "2"),
+        (
+            "r: 3\n"
+            "exhausted: true\n"
+            "code_file: n: 7\n"
+            "\n"
+            "[stabilizer]\n"
+            "IZZXXYY\n"
+            "ZXYIZXY\n"
+            "XZYZYIX\n"
+            "\n"
+            "[gauge_x]\n"
+            "XYYXIII\n"
+            "ZIIYIXI\n"
+            "ZXYIIII\n"
+            "\n"
+            "[gauge_z]\n"
+            "IIIZZZZ\n"
+            "IZZIIZZ\n"
+            "ZIZIZIZ\n"
+            "\n"
+            "[logical_x]\n"
+            "XXXXXXX\n"
+            "\n"
+            "[logical_z]\n"
+            "ZZZZZZZ\n"
+            "\n"
+        ),
+    ),
+    (
+        ("find-gauge", "--code", "five-qubit", "--distance-min", "2"),
+        (
+            "r: 0\n"
             "exhausted: true\n"
         ),
     ),

@@ -1,12 +1,20 @@
+import hashlib
+import json
+import random
+from itertools import combinations, product
+from pathlib import Path
+
 import pytest
 
 import naive_ops
 from gaugeqec import gf2
 from gaugeqec.catalog import catalog
-from gaugeqec.code import parameters, validate
+from gaugeqec.code import SubsystemCode, parameters, validate, validated
+from gaugeqec.codefile import serialize_code
 from gaugeqec.distance import Kind, classify, distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
+from gaugeqec.pauli import vec_hermitian
 from gaugeqec.search import (
     SweepSpec,
     find_gauge_symmetries,
@@ -79,6 +87,9 @@ def test_sweep_spec_validation():
         SweepSpec(13, 1, 0, 3)  # beyond the 2n <= 24 cap
     with pytest.raises(ValueError):
         SweepSpec(5, 1, 1, 0)
+    for n, r, d in ((3, 1, 2), (5, 0, 4)):  # distance is undefined without logical qubits
+        with pytest.raises(ValueError, match="k >= 1"):
+            SweepSpec(n, 0, r, d)
 
 
 def test_sweep_singleton_short_circuit():
@@ -264,3 +275,152 @@ def test_chunks_refuse_to_run_without_their_worker_context(monkeypatch):
         search._gauge_filter_chunk((0,))
     with pytest.raises(RuntimeError, match="worker initializer"):
         search._sweep_chunk(((0,), 0))
+
+
+def _class_coords(code):
+    """Map a vector to 0/1 coordinates of its class mod the stabilizer."""
+    n = code.n
+    stab = [naive_ops.to_bits(_letters(g.vec, n)) for g in code.stabilizer]
+    reduced, pivots = naive_ops.rref_lists(stab, 2 * n)
+    keep = [c for c in range(2 * n) if c not in pivots]
+
+    def coords(p: str) -> list[int]:
+        v = naive_ops.to_bits(p)
+        for row, c in zip(reduced, pivots):
+            if v[c]:
+                v = [(a + b) % 2 for a, b in zip(v, row)]
+        return [v[c] for c in keep]
+
+    return coords
+
+
+def _reference_gauge_filter(code, d_min, pivots):
+    """One pivot profile of the gauge filter, each subspace from scratch.
+
+    Subspaces S′ (coefficient rows over the stabilizer generators) come in
+    canonical order, row 0's free bits outermost.  The low-weight Paulis
+    commuting with S′ are those whose syndrome lies in S′^⊥; S′ survives when
+    their classes mod S span at most r = s − |S′| dimensions.  Returns
+    (examined, [(rows, class coordinates of the commuting Paulis)]).
+    """
+    n, s = code.n, code.s
+    r = s - len(pivots)
+    stab = [_letters(g.vec, n) for g in code.stabilizer]
+    coords = _class_coords(code)
+    groups: dict[tuple[int, ...], list[list[int]]] = {}
+    for p in naive_ops.all_paulis_up_to_weight(n, d_min - 1, include_identity=False):
+        syndrome = tuple(int(naive_ops.anticommute(p, g)) for g in stab)
+        cls = coords(p)
+        group = groups.setdefault(syndrome, [])
+        if any(cls) and cls not in group:
+            group.append(cls)
+    frees = [[c for c in range(p + 1, s) if c not in pivots] for p in pivots]
+    examined, survivors = 0, []
+    for values in product(*(range(1 << len(f)) for f in frees)):
+        rows = []
+        for p, f, v in zip(pivots, frees, values):
+            row = [0] * s
+            row[p] = 1
+            for j, c in enumerate(f):
+                row[c] = (v >> j) & 1
+            rows.append(row)
+        examined += 1
+        dual = [[0] * s]
+        for k in naive_ops.kernel_lists(rows, s):
+            dual += [[(a + b) % 2 for a, b in zip(x, k)] for x in dual]
+        classes = [cls for syndrome in dual for cls in groups.get(tuple(syndrome), ())]
+        # a prefix already past r decides the rejection; the rank only grows
+        if naive_ops.rank(classes[: 4 * (r + 1)]) > r or naive_ops.rank(classes) > r:
+            continue
+        survivors.append((tuple(sum(b << c for c, b in enumerate(row)) for row in rows), classes))
+    return examined, survivors
+
+
+@pytest.mark.parametrize(
+    "name, d_min, ranks",
+    [
+        ("five-qubit", 2, (3, 2, 1)),
+        ("five-qubit", 3, (3, 2, 1)),
+        ("steane7", 2, (5, 4, 3, 2, 1)),  # survivors at every r <= 4
+        ("steane7", 3, (5, 4, 3, 2, 1)),
+        ("shor9", 2, (7,)),
+        ("shor9", 3, (7, 6)),  # every subspace pruned, most of them as subtrees
+    ],
+    ids=lambda v: str(v) if not isinstance(v, tuple) else "r" + "".join(map(str, v)),
+)
+def test_gauge_filter_matches_a_from_scratch_rank(monkeypatch, name, d_min, ranks):
+    code = catalog(name)
+    ctx = search._GaugeContext(code, d_min)
+    monkeypatch.setattr(search, "_GAUGE_CTX", ctx)
+    coords = _class_coords(code)
+    for r in ranks:
+        for pivots in combinations(range(code.s), code.s - r):
+            examined, survivors = search._gauge_filter_chunk(pivots)
+            ref_examined, ref_survivors = _reference_gauge_filter(code, d_min, pivots)
+            assert examined == ref_examined
+            assert [rows for rows, _ in survivors] == [rows for rows, _ in ref_survivors]
+            for (rows, witnesses), (_, classes) in zip(survivors, ref_survivors):
+                wcoords = [coords(_letters(w, code.n)) for w in witnesses]
+                span = naive_ops.rank(classes)
+                assert len(witnesses) == naive_ops.rank(wcoords) == span, rows
+                assert naive_ops.rank(classes + wcoords) == span, rows
+
+
+@pytest.mark.parametrize("name", ["five-qubit", "steane7"])
+def test_only_the_stabilizer_commutes_with_itself_and_the_logical_operators(name):
+    # why partner solving has one candidate per gauge slot: the constraints
+    # on an x partner fix it modulo exactly these operators
+    code = validated(catalog(name))
+    n = code.n
+    stab = [_letters(g.vec, n) for g in code.stabilizer]
+    others = stab + [_letters(op.vec, n) for op in code.logical_ops()]
+    commuting = [
+        p
+        for p in naive_ops.all_paulis_up_to_weight(n, n)
+        if not any(naive_ops.anticommute(p, q) for q in others)
+    ]
+    assert len(commuting) == 2 ** code.s
+    stab_bits = [naive_ops.to_bits(g) for g in stab]
+    assert all(naive_ops.in_span(stab_bits, naive_ops.to_bits(p)) for p in commuting)
+
+
+def _random_stabilizer_code(seed):
+    """A seeded random stabilizer code: 4 to 7 qubits, 2 to n − 1 generators."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    s = rng.randint(2, n - 1)
+    rows = []
+    while len(rows) < s:
+        v = rng.getrandbits(2 * n)
+        sw = ((v >> n) | (v << n)) & ((1 << 2 * n) - 1)
+        if any(((u & sw).bit_count() & 1) for u in rows):
+            continue
+        span = {0}
+        for u in rows:
+            span |= {x ^ u for x in span}
+        if v in span:
+            continue
+        rows.append(v)
+    return SubsystemCode(n, tuple(vec_hermitian(n, v) for v in rows))
+
+
+# [seed, d_min, r, exhausted, subspaces, sha256 prefix of the restructured
+# code file], captured with the partner search that enumerated every slot
+# modulo the subgroup and gz_j only, before it became one candidate per slot
+RANDOM_CODE_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "find_gauge_random_codes.json").read_text()
+)
+
+
+def test_gauge_search_on_random_codes_matches_goldens():
+    assert sum(1 for g in RANDOM_CODE_GOLDENS if g[2] > 0) >= 40
+    for seed, d_min, r, exhausted, subspaces, sha in RANDOM_CODE_GOLDENS:
+        res = find_gauge_symmetries(_random_stabilizer_code(seed), d_min)
+        got = (
+            hashlib.sha256(serialize_code(res.restructured).encode()).hexdigest()[:16]
+            if res.restructured is not None
+            else None
+        )
+        assert (res.r_found, res.exhausted, res.stats.subspaces, got) == (
+            r, exhausted, subspaces, sha
+        ), (seed, d_min)
