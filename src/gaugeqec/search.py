@@ -27,16 +27,23 @@ a stabilizer code the commutation constraints fix each gauge x partner
 modulo S, and the group depends on nothing finer.
 
 The sweep applies the bound to every leaf of its depth-first enumeration,
-so the work its siblings share is done once, in their parent.  Which
-low-weight Paulis commute with a subspace is a bitmask over those Paulis:
-the mask anticommuting with a row is linear in the row, so each level ANDs
-in one row's complement, and the last row's Gray-code walk updates it with
-one XOR per step.  With S = S′ + ⟨u⟩, the parent keeps an elimination of its
-rows S′ and the low-weight vectors reduced modulo S′, filled on first use;
-a leaf is rejected once rank({u} ∪ L) − 1 passes 2r, where L is the
-commuting set reduced modulo S′, using a basis that stops at 2r + 2 rows.
-Gauge sectors of the surviving leaves are read off a table of coordinate
-bases with their span masks, built once per shape.
+so the work its siblings share is done once, in their parent.  Each level
+solves its row's commutation constraints in place, in full coordinates
+restricted to its free columns.  Which low-weight Paulis commute with a
+subspace is a bitmask over those Paulis: the mask anticommuting with a row
+is linear in the row, so each level ANDs in one row's complement, and the
+last row's Gray-code walk updates it with one XOR per step.  With
+S = S′ + ⟨u⟩, a leaf is first rejected by a class count: the low-weight
+vectors of one class mod S′ commute with u together, and a passing leaf has
+at most 2^(2r+1) − 1 nonzero such classes, so one AND with a mask of class
+representatives, carried down with the span of S′, and a popcount reject
+most leaves.  The rest are rejected once rank({u} ∪ L) − 1 passes 2r,
+where L is the commuting set reduced modulo S′, using a basis that stops at
+2r + 2 rows; the parent reads its elimination of S′ off its RREF rows and
+fills the reduced low-weight vectors on first use.  A surviving leaf has no
+gauge sector when the dimension of its witness span plus that of the span's
+radical exceeds 2r; the others read their sectors off a table of
+coordinate bases with their span masks, built once per shape.
 
 Work is split across workers by enumeration prefix; results are merged in
 canonical enumeration order, so verdicts and outputs are identical for any
@@ -102,6 +109,8 @@ class SweepSpec:
             raise ValueError("at least one stabilizer generator is required")
         if 2 * self.n > 24:
             raise ValueError("sweeps are limited to 2n <= 24")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be >= 1 (None for no limit), got {self.budget}")
 
 
 @dataclass
@@ -349,6 +358,8 @@ def find_gauge_symmetries(
         raise ValueError("d_min must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 (None for no limit), got {budget}")
     ctx = _GaugeContext(c, d_min)
     stats = SearchStats()
     start = time.monotonic()
@@ -396,15 +407,20 @@ def find_gauge_symmetries(
 class _ParentRows:
     """The first s − 1 rows of a subspace, shared by the leaves extending them.
 
-    ``reduced`` maps a low-weight vector's bit in the commuting masks to the
-    vector reduced modulo these rows; siblings fill it on first use.
+    The rows are in RREF, so their elimination is read off the pivot
+    profile.  ``reps`` masks one low-weight vector per nonzero class modulo
+    these rows, the lowest-indexed one.  ``reduced`` maps a low-weight
+    vector's bit in the commuting masks to the vector reduced modulo these
+    rows; siblings fill it on first use.
     """
 
-    __slots__ = ("rows", "elim", "reduced")
+    __slots__ = ("rows", "elim", "reps", "reduced")
 
-    def __init__(self, rows: Sequence[int]):
+    def __init__(self, rows: Sequence[int], pivots: Sequence[int], reps: int):
         self.rows = tuple(rows)
-        self.elim = gf2.Eliminator(rows)
+        self.elim = gf2.Eliminator()
+        self.elim.pivots = list(zip(pivots, self.rows))
+        self.reps = reps
         self.reduced: dict[int, int] = {}
 
 
@@ -432,6 +448,27 @@ class _SweepContext:
                 low = byte & -byte
                 table[byte] = table[byte ^ low] ^ cols[low.bit_length() - 1]
             self.anti_tables.append(table)
+        # a passing leaf's commuting classes mod S′ span at most 2r + 1 dimensions
+        self.class_cap = (1 << (2 * spec.r + 1)) - 1
+        self.index = {v: i for i, v in enumerate(self.low)}
+        self.index[0] = -1  # the zero class counts as holding a lower vector
+        self.dups: dict[int, int] = {}
+
+    def dup(self, g: int) -> int:
+        """Mask of the low-weight vectors v with v + g zero or an earlier low vector.
+
+        ORed over every g in S′, it marks all but the first low-weight
+        vector of each nonzero class mod S′, and the whole zero class.
+        """
+        mask = self.dups.get(g)
+        if mask is None:
+            index = self.index
+            mask = 0
+            for i, v in enumerate(self.low):
+                if index.get(v ^ g, i) < i:
+                    mask |= 1 << i
+            self.dups[g] = mask
+        return mask
 
     def anticommuting(self, u: int) -> int:
         """Mask of the low-weight vectors that anticommute with u."""
@@ -449,11 +486,18 @@ class _SweepContext:
         The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and
         ``commuting`` masks the low-weight vectors commuting with all of S.
         Their classes mod S span rank({u} ∪ L) − 1 dimensions, where L holds
-        them reduced mod S′; more than 2r of them reject S.  The rank is
-        taken with a small basis that stops as soon as it passes 2r + 1.
-        Only a passing S builds its witnesses: the greedy basis of those
-        classes in canonical order, whose length is that rank.
+        them reduced mod S′; more than 2r of them reject S.
+
+        First a class count: a class mod S′ commutes with u as a whole, and
+        a passing S leaves L inside a space of dimension at most 2r + 1, so
+        more than 2^(2r+1) − 1 nonzero classes mod S′ (one AND with
+        ``parent.reps``) reject S.  Otherwise the rank is taken with a small
+        basis that stops as soon as it passes 2r + 1.  Only a passing S
+        builds its witnesses: the greedy basis of those classes in canonical
+        order, whose length is that rank.
         """
+        if (commuting & parent.reps).bit_count() > self.class_cap:
+            return None
         cap = 2 * self.r + 1
         reduce = parent.elim.reduce
         reduced = parent.reduced
@@ -497,10 +541,19 @@ class _SweepContext:
         nondegeneracy uses the Gram matrix of ``qbasis``.  A witness's
         coordinates are the tag bits left after reducing it against S and
         ``qbasis``, where ``qbasis[i]`` carries tag bit 2n + i.
+
+        A nondegenerate space containing the witness span W has dimension at
+        least dim W + dim rad W, so when that exceeds 2r no sector exists and
+        ``qbasis`` is never built; every sector still counts as examined.
         """
         n, r = self.n, self.r
+        table = _sector_table(2 * (n - len(rows)), 2 * r)
+        witnesses_sw = [swap_halves(w, n) for w in witnesses]
+        w_gram = gf2.Eliminator(gf2.parities(w, witnesses_sw) for w in witnesses)
+        if 2 * len(witnesses) - w_gram.rank > 2 * r:
+            return len(table), []
         if r == 0:
-            return (1, [()]) if not witnesses else (1, [])
+            return 1, [()]
         ncols = 2 * n
         columns = (1 << ncols) - 1
         swapped = [swap_halves(v, n) for v in rows]
@@ -511,7 +564,6 @@ class _SweepContext:
             if tagged & columns:  # v is independent of S and qbasis
                 coords.add(tagged)
                 qbasis.append(v)
-        q = len(qbasis)
         needed = 0
         for w in witnesses:
             comb = coords.reduce(w)
@@ -523,7 +575,6 @@ class _SweepContext:
             sum(((v & sw).bit_count() & 1) << j for j, sw in enumerate(qbasis_sw))
             for v in qbasis
         ]
-        table = _sector_table(q, 2 * r)
         sectors = []
         for coord_rows, span in table:
             if span & needed != needed:
@@ -623,9 +674,12 @@ def _sweep_chunk(args):
 
     Later rows are built from the affine solutions of their commutation
     constraints against the earlier rows, so only isotropic bases are
-    visited.  Each level walks its rows in Gray order together with their
-    anticommuting masks, and the mask of low-weight vectors commuting with
-    every row so far is carried down, one AND per level.
+    visited.  Each level solves its constraints in place, in full 2n-bit
+    coordinates restricted to its free columns, and walks its rows in Gray
+    order together with their anticommuting masks.  Carried down, one step
+    per level: the mask of low-weight vectors commuting with every row so
+    far (one AND), the span of the rows, and the OR of ``dup`` over that
+    span, whose complement picks one low-weight vector per class.
     """
     ctx = _SWEEP_CTX
     if ctx is None:
@@ -634,6 +688,7 @@ def _sweep_chunk(args):
     n, s = ctx.n, ctx.s
     ncols = 2 * n
     frees = _free_cols(pivots, ncols)
+    free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _scatter(row0_bits, frees[0])
     prune = ctx.spec.symmetry_pruning
 
@@ -642,23 +697,35 @@ def _sweep_chunk(args):
     found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
 
     def walk(level: int, rows: list[int]):
-        """(row, anticommuting mask) for each row extending ``rows`` isotropically."""
-        free = frees[level]
+        """(row, anticommuting mask) for each row extending ``rows`` isotropically.
+
+        The constraint against ``prev`` is its swapped form on this level's
+        free columns, with the parity it leaves for the pivot bit as a tag
+        bit at column 2n.  The solutions are the pivot bit plus the tagged
+        pivots, plus any sum of one kernel vector per remaining free column.
+        """
         base = 1 << pivots[level]
-        constraints = []
+        free_mask = free_masks[level]
+        elim = gf2.Eliminator()
         for prev in rows:
             sw = swap_halves(prev, n)
-            mask = 0
-            for i, c in enumerate(free):
-                if (sw >> c) & 1:
-                    mask |= 1 << i
-            constraints.append((mask, (base & sw).bit_count() & 1))
-        sol = gf2.solve_affine(constraints, len(free))
-        if sol is None:
-            return ()
-        particular, kernel = sol
-        start = base | _scatter(particular, free)
-        steps = [_scatter(kv, free) for kv in kernel]
+            elim.add(sw & free_mask | ((base & sw).bit_count() & 1) << ncols)
+        solved = elim.pivots
+        if solved and solved[-1][0] == ncols:
+            return ()  # a constraint reduced to 0 = 1
+        start = base
+        for p, row in solved:
+            if row >> ncols:
+                start |= 1 << p
+        taken = {p for p, _ in solved}
+        steps = []
+        for f in frees[level]:
+            if f not in taken:
+                v = 1 << f
+                for p, row in solved:
+                    if (row >> f) & 1:
+                        v |= 1 << p
+                steps.append(v)
         return zip(
             _gray_walk(start, steps),
             _gray_walk(ctx.anticommuting(start), [ctx.anticommuting(v) for v in steps]),
@@ -679,20 +746,25 @@ def _sweep_chunk(args):
             for pairs in sector_list:
                 found.append((full_rows, pairs))
 
-    def rec(level: int, rows: list[int], commuting: int) -> None:
+    def rec(level: int, rows: list[int], span: list[int], commuting: int, dups: int) -> None:
         if level == s - 1:
-            leaves(_ParentRows(rows), walk(level, rows), commuting)
+            parent = _ParentRows(rows, pivots, ctx.all_low & ~dups)
+            leaves(parent, walk(level, rows), commuting)
             return
         for u, anti in walk(level, rows):
+            coset = [g ^ u for g in span]
+            child_dups = dups
+            for g in coset:
+                child_dups |= ctx.dup(g)
             rows.append(u)
-            rec(level + 1, rows, commuting & ~anti)
+            rec(level + 1, rows, span + coset, commuting & ~anti, child_dups)
             rows.pop()
 
     anti0 = ctx.anticommuting(row0)
     if s == 1:
-        leaves(_ParentRows(()), [(row0, anti0)], ctx.all_low)
+        leaves(_ParentRows((), (), ctx.all_low), [(row0, anti0)], ctx.all_low)
     else:
-        rec(1, [row0], ctx.all_low & ~anti0)
+        rec(1, [row0], [0, row0], ctx.all_low & ~anti0, ctx.dup(row0))
     return subspaces, sectors_examined, found
 
 

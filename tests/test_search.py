@@ -90,6 +90,16 @@ def test_sweep_spec_validation():
     for n, r, d in ((3, 1, 2), (5, 0, 4)):  # distance is undefined without logical qubits
         with pytest.raises(ValueError, match="k >= 1"):
             SweepSpec(n, 0, r, d)
+    for budget in (0, -1):  # None is the only "no limit"
+        with pytest.raises(ValueError, match="budget"):
+            SweepSpec(4, 1, 1, 2, budget=budget)
+    assert SweepSpec(4, 1, 1, 2, budget=1).budget == 1
+
+
+def test_find_gauge_refuses_a_budget_below_one():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            find_gauge_symmetries(catalog("five-qubit"), 3, budget=budget)
 
 
 def test_sweep_singleton_short_circuit():
@@ -142,6 +152,17 @@ def test_sweep_work_counts_are_pinned(spec, counts):
     assert (stats.subspaces, stats.sectors, stats.candidates, len(res.codes)) == counts
 
 
+@pytest.mark.parametrize(
+    "fixture, counts",
+    [("sweep_5113", (782595, 467775, 0, 0)), ("sweep_5103", (782595, 2592, 2592, 2592))],
+)
+def test_session_sweep_work_counts_are_pinned(request, fixture, counts):
+    res = request.getfixturevalue(fixture)
+    assert res.exhausted
+    stats = res.stats
+    assert (stats.subspaces, stats.sectors, stats.candidates, len(res.codes)) == counts
+
+
 def test_library_entry_points_refuse_fewer_than_one_worker():
     with pytest.raises(ValueError, match="workers"):
         find_gauge_symmetries(catalog("five-qubit"), 3, workers=0)
@@ -174,7 +195,15 @@ def _recorded_leaves(monkeypatch, spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(3, 1, 1, 2)]
+    "spec",
+    [
+        SweepSpec(4, 1, 1, 2),
+        SweepSpec(4, 1, 0, 2),
+        SweepSpec(3, 1, 1, 2),
+        SweepSpec(4, 2, 0, 2),  # the class count rejects 5,139 of 5,355 leaves
+        # at d = 3 the weight-2 vectors merge mod S′, so classes are not vectors
+        SweepSpec(5, 1, 1, 3, budget=5_000),
+    ],
 )
 def test_rank_bound_matches_a_from_scratch_count(monkeypatch, spec):
     res, seen = _recorded_leaves(monkeypatch, spec)
@@ -232,7 +261,15 @@ def _plain_sectors(ctx, rows, witnesses):
 
 @pytest.mark.parametrize(
     "spec, every",
-    [(SweepSpec(4, 1, 1, 2), 53), (SweepSpec(3, 1, 1, 2), 1), (SweepSpec(4, 1, 2, 2), 5)],
+    [
+        (SweepSpec(4, 1, 1, 2), 53),
+        (SweepSpec(3, 1, 1, 2), 1),
+        (SweepSpec(4, 1, 2, 2), 5),
+        # every survivor here has too large a witness radical for any sector
+        (SweepSpec(5, 1, 1, 3, budget=5_000), 1),
+        # every survivor here meets the radical bound with equality and has sectors
+        (SweepSpec(5, 2, 1, 2, budget=20_000), 1),
+    ],
 )
 def test_tabulated_sectors_match_a_plain_rederivation(monkeypatch, spec, every):
     _, seen = _recorded_leaves(monkeypatch, spec)
