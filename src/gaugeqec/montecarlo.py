@@ -1,12 +1,14 @@
 """Depolarizing-noise sampling and logical-error-rate estimation.
 
-Randomness comes from a counter-based generator keyed by the seed: shot i
-owns the block of n uniform draws starting at counter i*n.  Workers position
-their generator at the first shot of their range, so any partition of the
-shots reproduces the single-worker result bit for bit.
+Randomness comes from a counter-based Philox generator keyed by the seed.
+Philox draws in blocks of four words, and shot i owns the ceil(n/4) blocks
+starting at block i*ceil(n/4); its error reads the first n of those words
+and the rest of the slot is padding.  Workers position their generator at
+the first shot of their range, so any partition of the shots reproduces the
+single-worker result bit for bit.
 
-``run`` decodes chunks of shots as arrays: one GF(2) product against the
-swapped stabilizer and logical rows gives every shot's syndrome and label
+``run`` decodes chunks of shots as arrays: byte tables of parities against
+the swapped stabilizer and logical rows give every shot's syndrome and label
 bits, and each distinct pair is decoded once.  ``sample_error`` and
 ``decoder.recover_and_classify`` are the per-shot reference path.
 """
@@ -15,16 +17,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from multiprocessing import Pool
 
 import numpy as np
 
+from . import gf2
 from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
 from .pauli import PauliOp, hermitian, identity
 
-_CHUNK_SHOTS = 1 << 15
+_CHUNK_SHOTS = 1 << 13
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
 
 
@@ -101,14 +105,6 @@ class SimReport:
         return "\n".join(f"{k}: {v}" for k, v in self.as_items()) + "\n"
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Each 0/1 row as little-endian uint64 words, bit i holding column i."""
-    m, width = bits.shape
-    packed = np.zeros((m, 8 * (width // 64 + 1)), dtype=np.uint8)
-    packed[:, : (width + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``words``, each with the sum of its ``counts``."""
     order = np.lexsort(words.T)
@@ -119,37 +115,71 @@ def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return words[starts], np.add.reduceat(counts, starts)
 
 
+def _key_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Per byte of a shot's packed 2n letter bits, the key of each of its 256 values.
+
+    Entry [b, v] holds the parities of letter byte v at position b against
+    ``rows`` as little-endian uint64 words, so a shot's key is the XOR of one
+    entry per byte.
+    """
+    entries = []
+    for b in range((2 * n + 7) // 8):
+        byte = [0]
+        for i in range(8):  # parities are linear: v's entry XORs those of its bits
+            bit = gf2.parities(1 << (8 * b + i), rows)
+            byte += [key ^ bit for key in byte]
+        entries += byte
+    nwords = len(rows) // 64 + 1
+    raw = b"".join(key.to_bytes(8 * nwords, "little") for key in entries)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, 256, nwords)
+
+
 def _run_range(
     code: SubsystemCode, table: DecodingTable, model: NoiseModel, seed: int, lo: int, hi: int
 ) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
     """Shots lo..hi-1: (error-free shots not decoded, per chunk its distinct keys and counts).
 
-    A shot's key packs its syndrome bits, then its label bits above bit s.
+    Each chunk draws its slots into one buffer reused for the whole range.
+    One compare marks every hit; OR-ing each shot's Philox blocks, viewed
+    as uint32 words with the padding bytes of the last block masked out,
+    screens out the clean shots.  A noisy shot's X then Z letter bits are
+    packed into bytes, and its key is the XOR of one ``_key_tables`` entry
+    per byte: its syndrome bits, then its label bits above bit s.
     """
     tables = _tables(code)
     n, p = code.n, model.p
-    rows = tables.swapped_stab + tables.swapped_logical
-    parity = np.array([[(row >> j) & 1 for row in rows] for j in range(2 * n)], dtype=np.uint8)
+    key_of_byte = _key_tables(tables.swapped_stab + tables.swapped_logical, n)
+    width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
+    size = min(_CHUNK_SHOTS, hi - lo)
+    u_buf = np.empty((size, width))
+    hit_buf = np.empty((size, width), dtype=bool)
+    last_block = np.arange(width - 4, width) < n  # which words of the last block are letters
+    last_mask = last_block.view(np.uint32)[0]
     keys = []
     clean = 0
     gen = shot_stream(seed, lo, n)
-    width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
     identity_ok = table.entries.get(0) == identity(n)  # trivial syndrome maps to identity
     for start in range(lo, hi, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, hi - start)
-        u = gen.random((count, width))[:, :n]
+        u, hit = u_buf[:count], hit_buf[:count]
+        gen.random(out=u)
+        np.less(u, p, out=hit)
         if identity_ok:
-            noisy = (u < p).any(axis=1)
+            blocks = hit.view(np.uint32)  # one word per Philox block, one byte per draw
+            blocks[:, -1] &= last_mask
+            noisy = reduce(np.bitwise_or, blocks.T) != 0
             clean += count - int(np.count_nonzero(noisy))
-            u = u[noisy]
-        # else clean shots still go through the decoder
-        hit = u < p
+            u, hit = u[noisy, :n], hit[noisy, :n]
+        else:  # clean shots still go through the decoder
+            u, hit = u[:, :n], hit[:, :n]
         with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 hits nothing
             scaled = 3.0 * u / p
         # letter min(int(3u/p), 2) is X, Y or Z: x below 2, z from 1 on
         bits = np.concatenate((hit & (scaled < 2.0), hit & (scaled >= 1.0)), axis=1)
-        # uint8 sums wrap mod 256, which keeps their parity
-        words = _pack_words((bits.view(np.uint8) @ parity) & 1)
+        letters = np.packbits(bits, axis=1, bitorder="little")
+        words = key_of_byte[0][letters[:, 0]]
+        for b in range(1, letters.shape[1]):
+            words ^= key_of_byte[b][letters[:, b]]
         keys.append(_merge(words, np.ones(len(words), dtype=np.int64)))
     return clean, keys
 

@@ -43,9 +43,14 @@ def test_unit_probability_always_errs():
 def test_mean_weight_within_binomial_band():
     model = NoiseModel(0.5)
     shots, n = 100_000, 9
+    # one stream walks every shot's slot: n draws, then the slot's padding
+    rng = shot_stream(77, 0, n)
+    padding = 4 * ((n + 3) // 4) - n
     total = 0
-    for shot in range(shots):
-        total += sample_error(model, n, shot_stream(77, shot, n)).weight
+    for _ in range(shots):
+        total += sample_error(model, n, rng).weight
+        rng.random(padding)
+    assert total == 450_074  # the total of one fresh stream per shot
     mean = total / shots
     sigma = math.sqrt(n * 0.5 * 0.5 / shots)
     assert abs(mean - n * 0.5) <= 3 * sigma
@@ -215,6 +220,27 @@ def test_run_equals_per_shot_path(name, p, small_chunks):
     expected = per_shot_report(code, table, model, 1_500, seed=41)
     assert run(code, table, model, 1_500, seed=41) == expected
     assert run(code, table, model, 1_500, seed=41, workers=2) == expected
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        parse_code_file("n: 4\n\n[stabilizer]\nXXXX\nZZZZ\n"),
+        catalog("five-qubit"),
+        parse_code_file("n: 6\n\n[stabilizer]\nXXXXXX\nZZZZZZ\n"),
+        catalog("steane7"),
+    ],
+    ids=lambda code: f"n{code.n}",
+)
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_run_equals_per_shot_path_at_every_slot_padding(code, p, small_chunks):
+    # n = 4, 5, 6, 7 leave 0, 3, 2 and 1 padding words in a shot's last
+    # Philox block, all of which the clean-shot screen must ignore
+    table = build_table(code, 1)
+    model = NoiseModel(p)
+    expected = per_shot_report(code, table, model, 1_000, seed=19)
+    assert run(code, table, model, 1_000, seed=19) == expected
+    assert run(code, table, model, 1_000, seed=19, workers=2) == expected
 
 
 def test_identity_fallback_equals_per_shot_path_with_weight_zero_table(small_chunks):
