@@ -27,12 +27,14 @@ a stabilizer code the commutation constraints fix each gauge x partner
 modulo S, and the group depends on nothing finer.
 
 The sweep applies the bound to every leaf of its depth-first enumeration,
-so the work its siblings share is done once, in their parent.  Each level
-solves its row's commutation constraints in place, in full coordinates
-restricted to its free columns.  Which low-weight Paulis commute with a
-subspace is a bitmask over those Paulis: the mask anticommuting with a row
-is linear in the row, so each level ANDs in one row's complement, and the
-last row's Gray-code walk updates it with one XOR per step.  With
+so the work its siblings share is done once, in their parent.  A node
+solves its rows' commutation constraints on the next level once, in full
+coordinates restricted to that level's free columns, and each child refines
+that solve by its own constraint row, reduced with one XOR per step of the
+children's Gray-code walk.  Which low-weight Paulis commute with a subspace
+is a bitmask over those Paulis: the mask anticommuting with a row is linear
+in the row, so each level ANDs in one row's complement, and the Gray-code
+walk updates it with one XOR per step.  With
 S = S′ + ⟨u⟩, a leaf is first rejected by a class count: the low-weight
 vectors of one class mod S′ commute with u together, and a passing leaf has
 at most 2^(2r+1) − 1 nonzero such classes, so one AND with a mask of class
@@ -674,12 +676,20 @@ def _sweep_chunk(args):
 
     Later rows are built from the affine solutions of their commutation
     constraints against the earlier rows, so only isotropic bases are
-    visited.  Each level solves its constraints in place, in full 2n-bit
-    coordinates restricted to its free columns, and walks its rows in Gray
-    order together with their anticommuting masks.  Carried down, one step
-    per level: the mask of low-weight vectors commuting with every row so
-    far (one AND), the span of the rows, and the OR of ``dup`` over that
-    span, whose complement picks one low-weight vector per class.
+    visited.  A level's constraint against a row is the row's swapped form
+    on the level's free columns, with the parity it leaves for the pivot bit
+    as a tag bit at column 2n.  A node solves its rows' constraints on the
+    next level once (``prepare``): the RREF start, plus one kernel vector
+    k_f per remaining free column f.  Each child adds one constraint row,
+    reduced against that solve to r, which is linear in the child and so
+    follows its Gray-code walk with one XOR per step.  r = 0 keeps the
+    node's solutions; the tag bit alone (0 = 1) drops the child; otherwise
+    r's lowest bit p becomes a pivot, the start gains t·k_p for r's tag t
+    and each other k_f gains r_f·k_p: the RREF solution of the child's rows.
+    Anticommuting masks are linear too and follow the same rule.  Carried
+    down, one step per level: the mask of low-weight vectors commuting with
+    every row so far (one AND), the span of the rows, and the OR of ``dup``
+    over that span, whose complement picks one low-weight vector per class.
     """
     ctx = _SWEEP_CTX
     if ctx is None:
@@ -687,6 +697,7 @@ def _sweep_chunk(args):
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
     ncols = 2 * n
+    tag = 1 << ncols
     frees = _free_cols(pivots, ncols)
     free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _scatter(row0_bits, frees[0])
@@ -696,45 +707,41 @@ def _sweep_chunk(args):
     sectors_examined = 0
     found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
 
-    def walk(level: int, rows: list[int]):
-        """(row, anticommuting mask) for each row extending ``rows`` isotropically.
+    def constraint(level: int, v: int) -> int:
+        sw = swap_halves(v, n)
+        return sw & free_masks[level] | ((sw >> pivots[level]) & 1) << ncols
 
-        The constraint against ``prev`` is its swapped form on this level's
-        free columns, with the parity it leaves for the pivot bit as a tag
-        bit at column 2n.  The solutions are the pivot bit plus the tagged
-        pivots, plus any sum of one kernel vector per remaining free column.
-        """
-        base = 1 << pivots[level]
-        free_mask = free_masks[level]
-        elim = gf2.Eliminator()
-        for prev in rows:
-            sw = swap_halves(prev, n)
-            elim.add(sw & free_mask | ((base & sw).bit_count() & 1) << ncols)
+    def prepare(level: int, rows: list[int]):
+        """(elimination, solutions, {f: (k_f, its mask)}) on ``level``; None at 0 = 1."""
+        elim = gf2.Eliminator(constraint(level, v) for v in rows)
         solved = elim.pivots
         if solved and solved[-1][0] == ncols:
-            return ()  # a constraint reduced to 0 = 1
-        start = base
+            return None
+        start = 1 << pivots[level]
         for p, row in solved:
             if row >> ncols:
                 start |= 1 << p
         taken = {p for p, _ in solved}
-        steps = []
+        kernel = {}
         for f in frees[level]:
             if f not in taken:
-                v = 1 << f
+                k = 1 << f
                 for p, row in solved:
                     if (row >> f) & 1:
-                        v |= 1 << p
-                steps.append(v)
-        return zip(
-            _gray_walk(start, steps),
-            _gray_walk(ctx.anticommuting(start), [ctx.anticommuting(v) for v in steps]),
-        )
+                        k |= 1 << p
+                kernel[f] = (k, ctx.anticommuting(k))
+        steps = list(kernel.values())
+        kept = (start, ctx.anticommuting(start), [k for k, _ in steps], [a for _, a in steps])
+        return elim, kept, kernel
 
-    def leaves(parent: _ParentRows, candidates, commuting: int) -> None:
+    def leaves(parent: _ParentRows, u: int, anti: int, steps, antis, commuting: int) -> None:
         nonlocal subspaces, sectors_examined
-        for u, anti in candidates:
-            subspaces += 1
+        subspaces += 1 << len(steps)
+        for i in range(1 << len(steps)):
+            if i:
+                b = (i & -i).bit_length() - 1
+                u ^= steps[b]
+                anti ^= antis[b]
             if prune and not _perm_minimal(parent.rows + (u,), n):
                 continue
             witnesses = ctx.check_subspace(parent, u, commuting & ~anti)
@@ -746,25 +753,50 @@ def _sweep_chunk(args):
             for pairs in sector_list:
                 found.append((full_rows, pairs))
 
-    def rec(level: int, rows: list[int], span: list[int], commuting: int, dups: int) -> None:
+    def rec(level, rows, span, commuting, dups, u, anti, steps, antis) -> None:
         if level == s - 1:
             parent = _ParentRows(rows, pivots, ctx.all_low & ~dups)
-            leaves(parent, walk(level, rows), commuting)
+            leaves(parent, u, anti, steps, antis, commuting)
             return
-        for u, anti in walk(level, rows):
+        prepared = prepare(level + 1, rows)
+        if prepared is None:
+            return  # no child extends to the next level
+        elim, kept, kernel = prepared
+        start, start_anti = kept[:2]
+        r = elim.reduce(constraint(level + 1, u))
+        r_steps = [elim.reduce(constraint(level + 1, v)) for v in steps]
+        for i in range(1 << len(steps)):
+            if i:
+                b = (i & -i).bit_length() - 1
+                u ^= steps[b]
+                anti ^= antis[b]
+                r ^= r_steps[b]
+            if r == tag:
+                continue  # the child's constraints reduce to 0 = 1
+            child = kept
+            if r:
+                p = (r & -r).bit_length() - 1
+                kp, ap = kernel[p]
+                t = r >> ncols
+                rest = [(kf ^ kp, af ^ ap) if (r >> f) & 1 else (kf, af)
+                        for f, (kf, af) in kernel.items() if f != p]
+                child = (start ^ kp if t else start, start_anti ^ ap if t else start_anti,
+                         [k for k, _ in rest], [a for _, a in rest])
             coset = [g ^ u for g in span]
             child_dups = dups
             for g in coset:
                 child_dups |= ctx.dup(g)
             rows.append(u)
-            rec(level + 1, rows, span + coset, commuting & ~anti, child_dups)
+            rec(level + 1, rows, span + coset, commuting & ~anti, child_dups, *child)
             rows.pop()
 
     anti0 = ctx.anticommuting(row0)
     if s == 1:
-        leaves(_ParentRows((), (), ctx.all_low), [(row0, anti0)], ctx.all_low)
+        leaves(_ParentRows((), (), ctx.all_low), row0, anti0, [], [], ctx.all_low)
     else:
-        rec(1, [row0], [0, row0], ctx.all_low & ~anti0, ctx.dup(row0))
+        prepared = prepare(1, [row0])
+        if prepared is not None:
+            rec(1, [row0], [0, row0], ctx.all_low & ~anti0, ctx.dup(row0), *prepared[1])
     return subspaces, sectors_examined, found
 
 

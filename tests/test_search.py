@@ -280,6 +280,41 @@ def test_tabulated_sectors_match_a_plain_rederivation(monkeypatch, spec, every):
         assert ctx.sectors(rows, witnesses) == _plain_sectors(ctx, rows, witnesses)
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _codes_sha256(codes):
+    return _sha256("".join(serialize_code(c) for c in codes))
+
+
+# sha256 of the JSON list of (rows, witnesses) leaves in visit order, captured
+# from the sweep that re-solved every level's constraints per parent
+LEAF_ORDER_GOLDENS = [
+    (SweepSpec(4, 1, 0, 2), 11475,
+     "fd746b80efebfeea278d1274d4b323f0065c5ea4df6aa5716e2763207bf7e2ef"),
+    (SweepSpec(4, 2, 0, 2), 5355,
+     "5076723398fa58b730993ad073028fedd4ab59696c6f36d62aac910b8d320eda"),
+    # s = 4: the solves of two levels are carried from node to child
+    (SweepSpec(5, 1, 0, 3, budget=20_000), 20480,
+     "ee64c816538c68b88af0fdcfc8ddf6e583d6abaac4d63538ba6f3aabe6122025"),
+]
+
+
+def test_sweep_visit_order_and_code_lists_are_pinned(monkeypatch, sweep_5103):
+    for spec, count, sha in LEAF_ORDER_GOLDENS:
+        res, seen = _recorded_leaves(monkeypatch, spec)
+        assert (len(seen), _sha256(json.dumps(seen))) == (count, sha), spec
+        if spec == SweepSpec(4, 1, 0, 2):
+            assert _codes_sha256(res.codes) == (
+                "820d69acf3d06f1528d3b19cb3b7959e77b7c3aaf5857664ebd46262c0461f5c"
+            )
+    assert len(sweep_5103.codes) == 2592
+    assert _codes_sha256(sweep_5103.codes) == (
+        "b4a2ef5941b9a5e636906385a814f3fcfd4c7e5a951310bef65eb3e4199e150f"
+    )
+
+
 def test_sweep_budget_is_inconclusive():
     res = sweep_nonexistence(SweepSpec(4, 1, 1, 2, budget=50))
     assert not res.exhausted
