@@ -66,7 +66,7 @@ def _load_code(ref: str) -> SubsystemCode:
         )
     try:
         return parse_code_file(path.read_text())
-    except CodeFileError as exc:
+    except (CodeFileError, OSError) as exc:
         raise _CliError(f"{ref}: {exc}") from None
 
 

@@ -95,12 +95,6 @@ class CodeParams:
     r: int
     d: int | None = None
 
-    @property
-    def singleton_satisfied(self) -> bool | None:
-        if self.d is None:
-            return None
-        return singleton_check(self.n, self.k, self.d)
-
 
 @dataclass
 class ValidationReport:

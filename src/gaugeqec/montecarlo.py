@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from . import gf2
 from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
+from .parallel import ordered_map
 from .pauli import PauliOp, hermitian, identity
 
 _CHUNK_SHOTS = 1 << 13
@@ -101,9 +101,6 @@ class SimReport:
         items.append(("unrecoverable", self.unrecoverable))
         return items
 
-    def as_lines(self) -> str:
-        return "\n".join(f"{k}: {v}" for k, v in self.as_items()) + "\n"
-
 
 def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``words``, each with the sum of its ``counts``."""
@@ -135,10 +132,11 @@ def _key_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _run_range(
-    code: SubsystemCode, table: DecodingTable, model: NoiseModel, seed: int, lo: int, hi: int
+    ctx: tuple[SubsystemCode, DecodingTable, NoiseModel, int], shots: tuple[int, int]
 ) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
     """Shots lo..hi-1: (error-free shots not decoded, per chunk its distinct keys and counts).
 
+    ``ctx`` is (code, table, model, seed) and ``shots`` is (lo, hi).
     Each chunk draws its slots into one buffer reused for the whole range.
     One compare marks every hit; OR-ing each shot's Philox blocks, viewed
     as uint32 words with the padding bytes of the last block masked out,
@@ -146,6 +144,8 @@ def _run_range(
     packed into bytes, and its key is the XOR of one ``_key_tables`` entry
     per byte: its syndrome bits, then its label bits above bit s.
     """
+    code, table, model, seed = ctx
+    lo, hi = shots
     tables = _tables(code)
     n, p = code.n, model.p
     key_of_byte = _key_tables(tables.swapped_stab + tables.swapped_logical, n)
@@ -209,13 +209,9 @@ def run(
 
     if shots == 0:
         return SimReport(0, model.p, seed, 0, 0, ())
-    if workers == 1:
-        parts = [_run_range(c, table, model, seed, 0, shots)]
-    else:
-        bounds = [shots * i // workers for i in range(workers + 1)]
-        jobs = [(c, table, model, seed, bounds[i], bounds[i + 1]) for i in range(workers)]
-        with Pool(workers) as pool:
-            parts = pool.starmap(_run_range, jobs)
+    bounds = [shots * i // workers for i in range(workers + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    parts = list(ordered_map(_run_range, (c, table, model, seed), ranges, workers))
     chunks = [chunk for _, part in parts for chunk in part]
     words, counts = _merge(*(np.concatenate(column) for column in zip(*chunks)))
 

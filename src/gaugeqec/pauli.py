@@ -60,9 +60,6 @@ class PauliOp:
         """k with self == i**k * (positive Hermitian Pauli on the same bits)."""
         return (self.phase_exp - (self.x & self.z).bit_count()) % 4
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def __str__(self) -> str:
         return pauli_to_string(self)
 
@@ -124,11 +121,6 @@ def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
     phase = (p.phase_exp + q.phase_exp + 2 * ((p.z & q.x).bit_count() & 1)) % 4
     return PauliOp(p.n, phase, p.x ^ q.x, p.z ^ q.z)
-
-
-def inverse(p: PauliOp) -> PauliOp:
-    square_phase = (2 * p.phase_exp + 2 * (p.x & p.z).bit_count()) % 4
-    return PauliOp(p.n, (p.phase_exp - square_phase) % 4, p.x, p.z)
 
 
 def symplectic_inner(p: PauliOp, q: PauliOp) -> int:

@@ -47,9 +47,9 @@ gauge sector when the dimension of its witness span plus that of the span's
 radical exceeds 2r; the others read their sectors off a table of
 coordinate bases with their span masks, built once per shape.
 
-Work is split across workers by enumeration prefix; results are merged in
-canonical enumeration order, so verdicts and outputs are identical for any
-worker count.
+Work is split across workers by enumeration prefix with
+``parallel.ordered_map``; results are merged in canonical enumeration
+order, so verdicts and outputs are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
 from .distance import _gray_walk, distance
+from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves, vec_hermitian
 
 ProgressFn = Callable[["SearchStats"], None]
@@ -201,15 +201,7 @@ class _GaugeContext:
         return child
 
 
-_GAUGE_CTX: _GaugeContext | None = None
-
-
-def _gauge_worker_init(ctx: _GaugeContext) -> None:
-    global _GAUGE_CTX
-    _GAUGE_CTX = ctx
-
-
-def _gauge_filter_chunk(pivots: tuple[int, ...]):
+def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
     """Rank-bound every subgroup S′ with this pivot profile; (examined, survivors).
 
     A low-weight vector commutes with S′ exactly when its signature lies in
@@ -223,9 +215,6 @@ def _gauge_filter_chunk(pivots: tuple[int, ...]):
     K.  Survivors come back as (RREF rows of S′, basis of the witness
     classes mod S), sorted into canonical order.
     """
-    ctx = _GAUGE_CTX
-    if ctx is None:
-        raise RuntimeError("gauge filter chunk run before its worker initializer")
     r = ctx.s - len(pivots)
     frees = [f for f in range(ctx.s) if f not in pivots]
     lowers = [[p for p in pivots if p < f] for f in frees]
@@ -346,10 +335,10 @@ def find_gauge_symmetries(
 ) -> GaugeSymmetryResult:
     """Largest r such that the code restructures into r gauge qubits.
 
-    Scans r from high to low; within one r, stabilizer subgroups of corank r
-    are enumerated canonically and the first one admitting valid partners
-    with distance >= d_min wins.  A conclusive r = 0 requires the whole space
-    to have been exhausted.
+    Scans r from high to low, one pivot profile of corank-r stabilizer
+    subgroups at a time; the subgroups are enumerated canonically and the
+    first one admitting valid partners with distance >= d_min wins.  A
+    conclusive r = 0 requires the whole space to have been exhausted.
     """
     c = validated(code)
     if c.r != 0:
@@ -366,40 +355,28 @@ def find_gauge_symmetries(
     stats = SearchStats()
     start = time.monotonic()
     s = c.s
-
-    pool = Pool(workers, initializer=_gauge_worker_init, initargs=(ctx,)) if workers > 1 else None
-    _gauge_worker_init(ctx)  # main process uses the same path
+    profiles = [pivots for m in range(1, s) for pivots in combinations(range(s), m)]
+    found: SubsystemCode | None = None
+    exhausted = True
     try:
-        for r in range(s - 1, 0, -1):
-            m = s - r
-            chunks = list(combinations(range(s), m))
-            if pool is not None:
-                results = pool.imap(_gauge_filter_chunk, chunks)
-            else:
-                results = map(_gauge_filter_chunk, chunks)
-            for examined, survivors in results:
-                stats.subspaces += examined
-                if progress and stats.subspaces % PROGRESS_EVERY < examined:
-                    stats.elapsed = time.monotonic() - start
-                    progress(stats)
-                for rows, reps in survivors:
-                    try:
-                        found = _solve_gauge_partners(c, ctx, rows, reps, stats, budget)
-                    except _BudgetStop:
-                        stats.elapsed = time.monotonic() - start
-                        return GaugeSymmetryResult(0, None, False, stats)
-                    if found is not None:
-                        stats.elapsed = time.monotonic() - start
-                        return GaugeSymmetryResult(r, found, True, stats)
-                if budget is not None and stats.subspaces + stats.candidates > budget:
-                    stats.elapsed = time.monotonic() - start
-                    return GaugeSymmetryResult(0, None, False, stats)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        for examined, survivors in ordered_map(_gauge_filter_chunk, ctx, profiles, workers):
+            stats.subspaces += examined
+            if progress and stats.subspaces % PROGRESS_EVERY < examined:
+                stats.elapsed = time.monotonic() - start
+                progress(stats)
+            for rows, reps in survivors:
+                found = _solve_gauge_partners(c, ctx, rows, reps, stats, budget)
+                if found is not None:
+                    break
+            if found is not None:
+                break
+            if budget is not None and stats.subspaces + stats.candidates > budget:
+                exhausted = False
+                break
+    except _BudgetStop:
+        exhausted = False
     stats.elapsed = time.monotonic() - start
-    return GaugeSymmetryResult(0, None, True, stats)
+    return GaugeSymmetryResult(found.r if found else 0, found, exhausted, stats)
 
 
 # --------------------------------------------------------------------------
@@ -494,9 +471,9 @@ class _SweepContext:
         a passing S leaves L inside a space of dimension at most 2r + 1, so
         more than 2^(2r+1) − 1 nonzero classes mod S′ (one AND with
         ``parent.reps``) reject S.  Otherwise the rank is taken with a small
-        basis that stops as soon as it passes 2r + 1.  Only a passing S
-        builds its witnesses: the greedy basis of those classes in canonical
-        order, whose length is that rank.
+        basis that stops as soon as it passes 2r + 1.  The vectors whose
+        reductions it keeps are the witnesses: the greedy basis of those
+        classes in canonical order, whose length is that rank.
         """
         if (commuting & parent.reps).bit_count() > self.class_cap:
             return None
@@ -505,6 +482,7 @@ class _SweepContext:
         reduced = parent.reduced
         low = self.low
         basis = [reduce(u)]  # nonzero: u is independent of S′
+        witnesses: list[int] = []
         m = commuting
         while m:
             bit = m & -m
@@ -516,20 +494,11 @@ class _SweepContext:
             for b in basis:
                 if v ^ b < v:
                     v ^= b
-            if v:
+            if v:  # independent of S and the witnesses so far
                 basis.append(v)
+                witnesses.append(low[bit.bit_length() - 1])
                 if len(basis) > cap:
                     return None
-        elim = parent.elim.copy()
-        elim.add(u)
-        witnesses: list[int] = []
-        m = commuting
-        while m:
-            bit = m & -m
-            m ^= bit
-            v = low[bit.bit_length() - 1]
-            if elim.add(v):
-                witnesses.append(v)
         return witnesses
 
     def sectors(
@@ -663,15 +632,7 @@ def _perm_minimal(rows: Sequence[int], n: int) -> bool:
     return True
 
 
-_SWEEP_CTX: _SweepContext | None = None
-
-
-def _sweep_worker_init(ctx: _SweepContext) -> None:
-    global _SWEEP_CTX
-    _SWEEP_CTX = ctx
-
-
-def _sweep_chunk(args):
+def _sweep_chunk(ctx: _SweepContext, args):
     """Enumerate one (pivot profile, first row) prefix of the isotropic space.
 
     Later rows are built from the affine solutions of their commutation
@@ -691,9 +652,6 @@ def _sweep_chunk(args):
     every row so far (one AND), the span of the rows, and the OR of ``dup``
     over that span, whose complement picks one low-weight vector per class.
     """
-    ctx = _SWEEP_CTX
-    if ctx is None:
-        raise RuntimeError("sweep chunk run before its worker initializer")
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
     ncols = 2 * n
@@ -830,49 +788,32 @@ def sweep_nonexistence(
         return SweepResult([], True, stats)
 
     ctx = _SweepContext(spec)
-    chunks = _sweep_chunks(spec)
     codes: list[SubsystemCode] = []
     exhausted = True
-
-    pool = (
-        Pool(workers, initializer=_sweep_worker_init, initargs=(ctx,))
-        if workers > 1
-        else None
-    )
-    _sweep_worker_init(ctx)
-    try:
-        chunksize = max(1, len(chunks) // (32 * workers)) if pool else 1
-        results = (
-            pool.imap(_sweep_chunk, chunks, chunksize=chunksize)
-            if pool
-            else map(_sweep_chunk, chunks)
-        )
-        for subspaces, sectors_examined, found in results:
-            stats.subspaces += subspaces
-            stats.sectors += sectors_examined
-            for rows, pairs in found:
-                stats.candidates += 1
-                cand = SubsystemCode(
-                    spec.n,
-                    tuple(vec_hermitian(spec.n, v) for v in rows),
-                    tuple(
-                        (vec_hermitian(spec.n, gx), vec_hermitian(spec.n, gz))
-                        for gx, gz in pairs
-                    ),
-                )
-                # distance validates cand (ValueError if invalid), so the
-                # validated call after it is a cache hit
-                if distance(cand, "coset") >= spec.d_min:
-                    codes.append(validated(cand))
-            if progress and stats.subspaces % PROGRESS_EVERY < subspaces:
-                stats.elapsed = time.monotonic() - start
-                progress(stats)
-            if spec.budget is not None and stats.subspaces + stats.sectors > spec.budget:
-                exhausted = False
-                break
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    for subspaces, sectors_examined, found in ordered_map(
+        _sweep_chunk, ctx, _sweep_chunks(spec), workers
+    ):
+        stats.subspaces += subspaces
+        stats.sectors += sectors_examined
+        for rows, pairs in found:
+            stats.candidates += 1
+            cand = SubsystemCode(
+                spec.n,
+                tuple(vec_hermitian(spec.n, v) for v in rows),
+                tuple(
+                    (vec_hermitian(spec.n, gx), vec_hermitian(spec.n, gz))
+                    for gx, gz in pairs
+                ),
+            )
+            # distance validates cand (ValueError if invalid), so the
+            # validated call after it is a cache hit
+            if distance(cand, "coset") >= spec.d_min:
+                codes.append(validated(cand))
+        if progress and stats.subspaces % PROGRESS_EVERY < subspaces:
+            stats.elapsed = time.monotonic() - start
+            progress(stats)
+        if spec.budget is not None and stats.subspaces + stats.sectors > spec.budget:
+            exhausted = False
+            break
     stats.elapsed = time.monotonic() - start
     return SweepResult(codes, exhausted, stats)

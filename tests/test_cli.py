@@ -208,6 +208,12 @@ def test_missing_code_reference():
     assert "neither a catalog name nor" in err or "neither" in err
 
 
+def test_code_reference_naming_a_directory_exits_one(tmp_path):
+    code, out, err = run_cli("params", "--code", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_five_qubit():
     code, out, _ = run_cli("verify", "--code", "five-qubit")
     assert code == 0

@@ -121,12 +121,6 @@ def test_singleton_check():
         singleton_check(5, 1, 0)
 
 
-def test_code_params_record_singleton_once_distance_known():
-    assert CodeParams(9, 1, 0).singleton_satisfied is None
-    assert CodeParams(9, 1, 0, d=3).singleton_satisfied is True
-    assert CodeParams(4, 1, 0, d=3).singleton_satisfied is False
-
-
 def test_alternative_logical_representative():
     shor = catalog("shor9")
     bs = catalog("bacon-shor-9")

@@ -118,10 +118,10 @@ def test_report_serialization_round_trip():
     code = catalog("shor9")
     table = build_table(code, 1)
     report = run(code, table, NoiseModel(0.05), 5_000, seed=4)
-    lines = report.as_lines().splitlines()
-    assert lines[0] == "shots: 5000"
-    assert lines[-1].startswith("unrecoverable: ")
-    assert dict(report.as_items())["gauge_success"] == report.gauge_success
+    items = report.as_items()
+    assert items[0] == ("shots", 5000)
+    assert items[-1][0] == "unrecoverable"
+    assert dict(items)["gauge_success"] == report.gauge_success
 
 
 def test_table_code_mismatch_rejected():

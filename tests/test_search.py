@@ -340,15 +340,6 @@ def test_perfect_code_point_is_populated(sweep_5103):
     assert distance(first) == 3
 
 
-def test_chunks_refuse_to_run_without_their_worker_context(monkeypatch):
-    monkeypatch.setattr(search, "_GAUGE_CTX", None)
-    monkeypatch.setattr(search, "_SWEEP_CTX", None)
-    with pytest.raises(RuntimeError, match="worker initializer"):
-        search._gauge_filter_chunk((0,))
-    with pytest.raises(RuntimeError, match="worker initializer"):
-        search._sweep_chunk(((0,), 0))
-
-
 def _class_coords(code):
     """Map a vector to 0/1 coordinates of its class mod the stabilizer."""
     n = code.n
@@ -420,14 +411,13 @@ def _reference_gauge_filter(code, d_min, pivots):
     ],
     ids=lambda v: str(v) if not isinstance(v, tuple) else "r" + "".join(map(str, v)),
 )
-def test_gauge_filter_matches_a_from_scratch_rank(monkeypatch, name, d_min, ranks):
+def test_gauge_filter_matches_a_from_scratch_rank(name, d_min, ranks):
     code = catalog(name)
     ctx = search._GaugeContext(code, d_min)
-    monkeypatch.setattr(search, "_GAUGE_CTX", ctx)
     coords = _class_coords(code)
     for r in ranks:
         for pivots in combinations(range(code.s), code.s - r):
-            examined, survivors = search._gauge_filter_chunk(pivots)
+            examined, survivors = search._gauge_filter_chunk(ctx, pivots)
             ref_examined, ref_survivors = _reference_gauge_filter(code, d_min, pivots)
             assert examined == ref_examined
             assert [rows for rows, _ in survivors] == [rows for rows, _ in ref_survivors]

@@ -15,3 +15,19 @@ def test_no_assert_statements_in_the_library():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_only_the_parallel_driver_imports_multiprocessing():
+    # one ordered driver serves every parallel call site
+    importers = []
+    for path in sorted(Path(gaugeqec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                importers.append(path.name)
+    assert importers == ["parallel.py"]
