@@ -5,15 +5,18 @@ Kronecker product of its single-qubit factors (``dense``).  The checks never
 consult the symplectic machinery (no ``multiply``, ``commutes`` or GF(2)
 algebra), so they cross-check the group-theoretic results independently.
 
-They run on the code space rather than on the full 2^n-dimensional space.
-The projector P onto the joint +1 eigenspace of the stabilizer generators
-is built from its defining product, and an orthonormal basis V of its range
-(V V^dagger = P) comes from one Hermitian eigendecomposition per code.  A
-Pauli is applied to V as the signed row permutation its matrix is, at
-O(2^n) cost per column, and every dense norm is rewritten exactly in terms
-of 2^n x 2^(n-s) products: for an m x m block C and an operator L,
+They run in the code space's own m x m algebra, m = 2^(n-s).  The projector
+P onto the joint +1 eigenspace of the stabilizer generators is built from
+its defining product, and an orthonormal basis V of its range
+(V V^dagger = P) comes from a pivoted Cholesky factor of P, trace(P)
+columns long, and one QR.  A Pauli is applied to V as the signed row
+permutation its matrix is, at O(2^n) cost per column.  For an operator L
+write L_c = V^dagger L V and D = L V - V L_c, with reduced QR D = Q R.
+Since V^dagger D = 0, the dense norm of an m x m block C splits
+orthogonally into m x m terms,
 
-    ||[V C V^dagger, L V V^dagger]||_F = ||V C (V^dagger L V) - (L V) C||_F,
+    ||[V C V^dagger, L V V^dagger]||_F = ||V C L_c - (L V) C||_F
+                                        = hypot(||[C, L_c]||_F, ||R C||_F),
 
 which assumes nothing about how L commutes with the stabilizer.  Matrices
 are capped at n = 10; beyond that the functions refuse instead of degrading.
@@ -88,7 +91,9 @@ def code_projector(code: SubsystemCode) -> CodeProjector:
 
     P is the product of the (I + g)/2, accumulated as P <- (P + g P)/2.
     Every entry stays a dyadic rational, so the result is exact and equal
-    bit for bit to the Kronecker-built product.
+    bit for bit to the Kronecker-built product.  Its range is spanned by the
+    trace(P) columns of a pivoted Cholesky factor F (F F^dagger = P), whose
+    QR gives the orthonormal basis V.
     """
     c = validated(code)
     if c.n > MAX_QUBITS:
@@ -96,8 +101,17 @@ def code_projector(code: SubsystemCode) -> CodeProjector:
     proj = np.eye(1 << c.n, dtype=complex)
     for g in c.stabilizer:
         proj = (proj + _apply(g, proj)) / 2
-    eigvals, eigvecs = np.linalg.eigh(proj)
-    return CodeProjector(c, proj, eigvecs[:, eigvals > 0.5])
+    rank = round(proj.trace().real)
+    factor = np.zeros((proj.shape[0], rank), dtype=complex)
+    residual = proj.diagonal().real.copy()  # diagonal of P - F F^dagger
+    for k in range(rank):
+        i = int(np.argmax(residual))
+        if residual[i] <= TOL:
+            raise ValueError(f"projector has rank {k}, not its trace {rank}")
+        col = proj[:, i] - factor[:, :k] @ factor[i, :k].conj()
+        factor[:, k] = col / np.sqrt(residual[i])
+        residual -= np.abs(factor[:, k]) ** 2
+    return CodeProjector(c, proj, np.linalg.qr(factor)[0])
 
 
 @dataclass
@@ -114,16 +128,31 @@ def _action(v: np.ndarray, p: PauliOp) -> tuple[np.ndarray, np.ndarray]:
     return pv, v.conj().T @ pv
 
 
-def _comm_norm(v: np.ndarray, c: np.ndarray, lv: np.ndarray, lc: np.ndarray) -> float:
-    """||[V c V^dagger, L P]||_F, given lv = L V and lc = V^dagger L V."""
-    return float(np.linalg.norm(v @ (c @ lc) - lv @ c))
+def _blocks(v: np.ndarray, ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (L_c, R) over ops: L_c = V^dagger L V and (L V - V L_c) = Q R."""
+    lcs = np.empty((len(ops), v.shape[1], v.shape[1]), dtype=complex)
+    rs = np.empty_like(lcs)
+    for i, op in enumerate(ops):
+        lv, lcs[i] = _action(v, op)
+        rs[i] = np.linalg.qr(lv - v @ lcs[i], mode="r")
+    return lcs, rs
+
+
+def _comm_norm(c: np.ndarray, lcs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """||[V c V^dagger, L P]||_F for every stacked (L_c, R) of ``_blocks``.
+
+    c is one m x m block or a stack of them; the result has c's leading axes
+    followed by one axis over the operators.
+    """
+    c = c[..., None, :, :]
+    comm = np.linalg.norm(c @ lcs - lcs @ c, axis=(-2, -1))
+    return np.hypot(comm, np.linalg.norm(rs @ c, axis=(-2, -1)))
 
 
 @lru_cache(maxsize=8)
-def _logical_actions(code: SubsystemCode) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(L V, V^dagger L V) for every logical generator L."""
-    v = code_projector(code).basis
-    return tuple(_action(v, op) for op in code.logical_ops())
+def _logical_actions(code: SubsystemCode) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (L_c, R) for every logical generator L."""
+    return _blocks(code_projector(code).basis, code.logical_ops())
 
 
 def verify_subsystem_structure(code: SubsystemCode, tol: float = TOL) -> OracleReport:
@@ -134,28 +163,20 @@ def verify_subsystem_structure(code: SubsystemCode, tol: float = TOL) -> OracleR
     """
     c = validated(code)
     v = code_projector(c).basis
-    logical_actions = _logical_actions(c)
-    gauge_actions = [_action(v, g) for g in c.gauge_ops()]
+    logical = _logical_actions(c)
+    gauge = _blocks(v, c.gauge_ops())
     report = OracleReport(ok=True)
 
-    for gi, (_, gc) in enumerate(gauge_actions):
-        for li, (lv, lc) in enumerate(logical_actions):
-            resid = _comm_norm(v, gc, lv, lc)
-            report.max_residual = max(report.max_residual, resid)
-            if resid > tol:
-                report.ok = False
-                report.failures.append(
-                    f"gauge op {gi} does not commute with logical op {li} on the code space"
-                )
-    for li, (_, lc) in enumerate(logical_actions):
-        for gi, (gv, gc) in enumerate(gauge_actions):
-            resid = _comm_norm(v, lc, gv, gc)
-            report.max_residual = max(report.max_residual, resid)
-            if resid > tol:
-                report.ok = False
-                report.failures.append(
-                    f"logical op {li} does not commute with gauge op {gi} on the code space"
-                )
+    for first, second, resid in (
+        ("gauge", "logical", _comm_norm(gauge[0], *logical)),
+        ("logical", "gauge", _comm_norm(logical[0], *gauge)),
+    ):
+        report.max_residual = max(report.max_residual, float(resid.max(initial=0.0)))
+        for i, j in zip(*np.nonzero(resid > tol)):
+            report.ok = False
+            report.failures.append(
+                f"{first} op {i} does not commute with {second} op {j} on the code space"
+            )
     for j, (lx, lz) in enumerate(c.logical_pairs):
         anti = _apply(lx, _apply(lz, v)) + _apply(lz, _apply(lx, v))
         resid = float(np.linalg.norm(v.conj().T @ anti))
@@ -173,31 +194,33 @@ def verify_correctability(
 
     For every pair the operator P Ea' Eb P must commute with every logical
     action on the code space; the commutant of the logical algebra there is
-    exactly the gauge side, so commuting means the pair is harmless.
+    exactly the gauge side, so commuting means the pair is harmless.  Pairs
+    are scanned as (a, b) with b >= a and stop at the first witness.
     """
+    if not errors:
+        raise ValueError("empty error set")
     c = validated(code)
     v = code_projector(c).basis
-    logical_actions = _logical_actions(c)
-    compressed = [_apply(e, v) for e in errors]  # Ea V
+    lcs, rs = _logical_actions(c)
+    m = v.shape[1]
+    wide = np.empty((v.shape[0], len(errors) * m), dtype=complex)  # [E0 V | E1 V | ...]
+    for a, e in enumerate(errors):
+        wide[:, a * m : (a + 1) * m] = _apply(e, v)
     report = OracleReport(ok=True)
     for a in range(len(errors)):
-        left = compressed[a].conj().T  # = V' Ea'
-        for b in range(a, len(errors)):
-            m = left @ compressed[b]
-            for lv, lc in logical_actions:
-                resid = _comm_norm(v, m, lv, lc)
-                report.max_residual = max(report.max_residual, resid)
-                if resid > tol:
-                    report.ok = False
-                    if report.failing_pair is None:
-                        report.failing_pair = (errors[a], errors[b])
-                    report.failures.append(
-                        f"pair ({errors[a]}, {errors[b]}) acts on the encoded qubits"
-                    )
-                    break
-            if not report.ok and report.failing_pair is not None:
-                # keep scanning pairs only until the first witness
-                return report
+        # V' Ea' Eb V for every b >= a, as a stack of m x m blocks
+        gram = wide[:, a * m : (a + 1) * m].conj().T @ wide[:, a * m :]
+        resid = _comm_norm(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
+        bad = np.flatnonzero(resid > tol)[:1]
+        # residuals come in scan order (b, then logical op); stop at a witness
+        seen = resid[: bad[0] + 1] if bad.size else resid
+        report.max_residual = max(report.max_residual, float(seen.max(initial=0.0)))
+        if bad.size:
+            b = a + int(bad[0]) // len(lcs)
+            report.ok = False
+            report.failing_pair = (errors[a], errors[b])
+            report.failures.append(f"pair ({errors[a]}, {errors[b]}) acts on the encoded qubits")
+            return report
     return report
 
 
@@ -208,9 +231,7 @@ def acts_as_gauge(code: SubsystemCode, p: PauliOp, tol: float = TOL) -> bool:
     _, compressed = _action(v, p)
     if float(np.linalg.norm(compressed)) <= tol:
         return False
-    return all(
-        _comm_norm(v, compressed, lv, lc) <= tol for lv, lc in _logical_actions(c)
-    )
+    return bool(np.all(_comm_norm(compressed, *_logical_actions(c)) <= tol))
 
 
 def vanishes_on_code_space(code: SubsystemCode, p: PauliOp, tol: float = TOL) -> bool:

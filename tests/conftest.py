@@ -1,8 +1,8 @@
 import os
 
 # one OpenBLAS thread, set before anything imports numpy: the oracle's small
-# products and eigh slow down by orders of magnitude when its threads contend
-# with other processes for the cores
+# products slow down by orders of magnitude when its threads contend with
+# other processes for the cores
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402

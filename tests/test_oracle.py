@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from gaugeqec.code import SubsystemCode, validate, validated
 from gaugeqec.distance import Kind, classify, is_correctable_set
 from gaugeqec.oracle import (
     _apply,
+    _blocks,
+    _comm_norm,
     acts_as_gauge,
     code_projector,
     dense,
@@ -17,11 +20,14 @@ from gaugeqec.oracle import (
 )
 from gaugeqec.pauli import (
     PauliOp,
+    commutes,
     hermitian,
     identity,
+    low_weight_vecs,
     multiply,
     pauli_from_string,
     single,
+    vec_hermitian,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,3 +211,55 @@ def test_every_hermitian_pauli_agrees_with_classify(name):
             assert acts_as_gauge(code, p) == (kind is Kind.GAUGE), p
             if kind is Kind.OUTSIDE_N:
                 assert vanishes_on_code_space(code, p), p
+
+
+@pytest.mark.parametrize("name", ["steane7", "bacon-shor-9"])
+def test_comm_norm_split_matches_the_direct_and_dense_norms(name):
+    # X on qubit 0 anticommutes with a stabilizer, so L V leaves the code
+    # space and the ||R C|| term of the split is far from zero
+    c = validated(catalog(name))
+    proj = code_projector(c)
+    v = proj.basis
+    op = single(c.n, 0, "X")
+    assert not all(commutes(op, g) for g in c.stabilizer)
+    ops = [op] + c.logical_ops()
+    lcs, rs = _blocks(v, ops)
+    assert np.linalg.norm(rs[0]) > 0.5
+    rng = np.random.default_rng(127)
+    m = v.shape[1]
+    blocks = _random_matrix(rng, 2 * m, m).reshape(2, m, m)
+    split = _comm_norm(blocks, lcs, rs)
+    assert split.shape == (2, len(ops))
+    lps = [dense(p) @ proj.matrix for p in ops]
+    for i, cm in enumerate(blocks):
+        assert np.allclose(_comm_norm(cm, lcs, rs), split[i], rtol=1e-12, atol=0)
+        vcv = v @ cm @ v.conj().T
+        for j, (p, lp) in enumerate(zip(ops, lps)):
+            direct = np.linalg.norm(v @ cm @ lcs[j] - _apply(p, v) @ cm)
+            full = np.linalg.norm(vcv @ lp - lp @ vcv)
+            assert abs(split[i, j] - direct) <= 1e-10 * direct
+            assert abs(split[i, j] - full) <= 1e-10 * full
+        # the leak term carries part of the norm for the non-normalizer op
+        assert np.linalg.norm(rs[0] @ cm) > 0.1 * split[i, 0]
+
+
+@pytest.mark.parametrize("wmax", [1, 2])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_correctability_verdict_and_witness_match_group_theory(name, wmax):
+    code = catalog(name)
+    errors = [vec_hermitian(code.n, v) for v in chain((0,), low_weight_vecs(code.n, wmax))]
+    report = verify_correctability(code, errors)
+    verdict = is_correctable_set(code, errors)
+    assert report.ok == verdict.correctable
+    assert report.failing_pair == verdict.witness
+    assert len(report.failures) == (0 if report.ok else 1)
+    assert report.ok or report.max_residual > 1.0
+    assert not report.ok or report.max_residual < 1e-10
+
+
+def test_empty_error_set_is_refused_like_the_group_test():
+    code = catalog("steane7")
+    with pytest.raises(ValueError, match="empty error set"):
+        is_correctable_set(code, [])
+    with pytest.raises(ValueError, match="empty error set"):
+        verify_correctability(code, [])

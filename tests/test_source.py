@@ -31,3 +31,20 @@ def test_only_the_parallel_driver_imports_multiprocessing():
             if any(name.split(".")[0] == "multiprocessing" for name in names):
                 importers.append(path.name)
     assert importers == ["parallel.py"]
+
+
+def test_the_oracle_imports_no_symplectic_machinery():
+    # the dense oracle is an independent check: from the package it takes
+    # only the code's operator lists and the Pauli record
+    path = Path(gaugeqec.__file__).parent / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "gaugeqec"
+        ):
+            module = (node.module or "").removeprefix("gaugeqec.")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            imported |= {(name, "") for name in names if name.split(".")[0] == "gaugeqec"}
+    assert imported == {("code", "SubsystemCode"), ("code", "validated"), ("pauli", "PauliOp")}
