@@ -21,7 +21,7 @@ from the file alone.
 
 from __future__ import annotations
 
-from .code import SubsystemCode, validate
+from .code import SubsystemCode, validated
 from .pauli import PauliFormatError, pauli_from_string, pauli_to_string
 
 SECTIONS = ("stabilizer", "gauge_x", "gauge_z", "logical_x", "logical_z")
@@ -91,12 +91,10 @@ def parse_code_file(text: str) -> SubsystemCode:
         tuple(zip(ops["gauge_x"], ops["gauge_z"])),
         tuple(zip(ops["logical_x"], ops["logical_z"])),
     )
-    report = validate(code)
-    if not report.ok:
-        raise CodeFileError("; ".join(report.violations), 1)
-    if report.completed is None:
-        raise RuntimeError("validation passed without completing the code")
-    return report.completed
+    try:
+        return validated(code)
+    except ValueError as exc:
+        raise CodeFileError(str(exc), 1) from None
 
 
 def serialize_code(code: SubsystemCode) -> str:

@@ -45,10 +45,6 @@ class BinMatrix:
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {i} has bits outside {self.ncols} columns")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
 
 def rref(m: BinMatrix) -> tuple[BinMatrix, int, tuple[int, ...]]:
     """Reduced row-echelon form: (reduced, rank, pivot columns).

@@ -26,7 +26,7 @@ from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
 from .parallel import ordered_map
-from .pauli import PauliOp, hermitian, identity
+from .pauli import PauliOp, hermitian
 
 _CHUNK_SHOTS = 1 << 13
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
@@ -132,19 +132,20 @@ def _key_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _run_range(
-    ctx: tuple[SubsystemCode, DecodingTable, NoiseModel, int], shots: tuple[int, int]
-) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Shots lo..hi-1: (error-free shots not decoded, per chunk its distinct keys and counts).
+    ctx: tuple[SubsystemCode, NoiseModel, int], shots: tuple[int, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Shots lo..hi-1: per chunk its distinct keys and counts, then the clean shots.
 
-    ``ctx`` is (code, table, model, seed) and ``shots`` is (lo, hi).
+    ``ctx`` is (code, model, seed) and ``shots`` is (lo, hi).
     Each chunk draws its slots into one buffer reused for the whole range.
     One compare marks every hit; OR-ing each shot's Philox blocks, viewed
     as uint32 words with the padding bytes of the last block masked out,
     screens out the clean shots.  A noisy shot's X then Z letter bits are
     packed into bytes, and its key is the XOR of one ``_key_tables`` entry
-    per byte: its syndrome bits, then its label bits above bit s.
+    per byte: its syndrome bits, then its label bits above bit s.  The clean
+    shots are counted under key 0, one row after the chunks.
     """
-    code, table, model, seed = ctx
+    code, model, seed = ctx
     lo, hi = shots
     tables = _tables(code)
     n, p = code.n, model.p
@@ -158,20 +159,16 @@ def _run_range(
     keys = []
     clean = 0
     gen = shot_stream(seed, lo, n)
-    identity_ok = table.entries.get(0) == identity(n)  # trivial syndrome maps to identity
     for start in range(lo, hi, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, hi - start)
         u, hit = u_buf[:count], hit_buf[:count]
         gen.random(out=u)
         np.less(u, p, out=hit)
-        if identity_ok:
-            blocks = hit.view(np.uint32)  # one word per Philox block, one byte per draw
-            blocks[:, -1] &= last_mask
-            noisy = reduce(np.bitwise_or, blocks.T) != 0
-            clean += count - int(np.count_nonzero(noisy))
-            u, hit = u[noisy, :n], hit[noisy, :n]
-        else:  # clean shots still go through the decoder
-            u, hit = u[:, :n], hit[:, :n]
+        blocks = hit.view(np.uint32)  # one word per Philox block, one byte per draw
+        blocks[:, -1] &= last_mask
+        noisy = reduce(np.bitwise_or, blocks.T) != 0
+        clean += count - int(np.count_nonzero(noisy))
+        u, hit = u[noisy, :n], hit[noisy, :n]
         with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 hits nothing
             scaled = 3.0 * u / p
         # letter min(int(3u/p), 2) is X, Y or Z: x below 2, z from 1 on
@@ -181,7 +178,10 @@ def _run_range(
         for b in range(1, letters.shape[1]):
             words ^= key_of_byte[b][letters[:, b]]
         keys.append(_merge(words, np.ones(len(words), dtype=np.int64)))
-    return clean, keys
+    if clean:
+        zero = np.zeros((1, key_of_byte.shape[2]), dtype=key_of_byte.dtype)
+        keys.append((zero, np.array([clean], dtype=np.int64)))
+    return keys
 
 
 def run(
@@ -211,13 +211,13 @@ def run(
         return SimReport(0, model.p, seed, 0, 0, ())
     bounds = [shots * i // workers for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    parts = list(ordered_map(_run_range, (c, table, model, seed), ranges, workers))
-    chunks = [chunk for _, part in parts for chunk in part]
+    parts = list(ordered_map(_run_range, (c, model, seed), ranges, workers))
+    chunks = [chunk for part in parts for chunk in part]
     words, counts = _merge(*(np.concatenate(column) for column in zip(*chunks)))
 
     tables = _tables(c)
     smask = (1 << c.s) - 1
-    gauge, unrec = sum(part[0] for part in parts), 0
+    gauge = unrec = 0
     failures: Counter[str] = Counter()
     for row, count in zip(words, counts.tolist()):
         key = int.from_bytes(row.tobytes(), "little")

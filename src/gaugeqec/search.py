@@ -700,12 +700,12 @@ def _sweep_chunk(ctx: _SweepContext, args):
                 b = (i & -i).bit_length() - 1
                 u ^= steps[b]
                 anti ^= antis[b]
-            if prune and not _perm_minimal(parent.rows + (u,), n):
-                continue
             witnesses = ctx.check_subspace(parent, u, commuting & ~anti)
             if witnesses is None:
                 continue
             full_rows = parent.rows + (u,)
+            if prune and not _perm_minimal(full_rows, n):
+                continue
             examined, sector_list = ctx.sectors(full_rows, witnesses)
             sectors_examined += examined
             for pairs in sector_list:
@@ -748,13 +748,8 @@ def _sweep_chunk(ctx: _SweepContext, args):
             rec(level + 1, rows, span + coset, commuting & ~anti, child_dups, *child)
             rows.pop()
 
-    anti0 = ctx.anticommuting(row0)
-    if s == 1:
-        leaves(_ParentRows((), (), ctx.all_low), row0, anti0, [], [], ctx.all_low)
-    else:
-        prepared = prepare(1, [row0])
-        if prepared is not None:
-            rec(1, [row0], [0, row0], ctx.all_low & ~anti0, ctx.dup(row0), *prepared[1])
+    # the root holds no rows; row0 is its one child, refined like any other
+    rec(0, [], [0], ctx.all_low, 0, row0, ctx.anticommuting(row0), [], [])
     return subspaces, sectors_examined, found
 
 

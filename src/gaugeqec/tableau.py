@@ -119,18 +119,7 @@ def symplectic_complete(
         if not elim_all.add(op.vec):
             raise ValueError("supplied operators are GF(2)-dependent")
 
-    fixed_vecs: list[int] = []  # vectors of completed slots, in slot order
-    out_x: list[PauliOp | None] = [None] * n
-    out_z: list[PauliOp | None] = [None] * n
-
-    def later_supplied(slot: int) -> list[int]:
-        vecs = []
-        for kind, j, op in supplied:
-            if j > slot:
-                vecs.append(op.vec)
-        return vecs
-
-    def solve_vector(commute_with: list[int], anti_with: int | None, taken: gf2.Eliminator) -> int:
+    def solve_vector(commute_with: list[int], anti_with: int | None) -> int:
         rows = [(swap_halves(w, n), 0) for w in commute_with]
         if anti_with is not None:
             rows.append((swap_halves(anti_with, n), 1))
@@ -140,43 +129,24 @@ def symplectic_complete(
         particular, kernel = sol
         # Any admissible vector differs from the particular solution by a
         # kernel element; if neither the particular solution nor one basis
-        # shift leaves span(taken), the whole affine space is inside it.
-        if particular and not taken.contains(particular):
-            return particular
-        for k in kernel:
-            v = particular ^ k
-            if v and not taken.contains(v):
+        # shift leaves span(elim_all), the whole affine space is inside it.
+        for v in [particular] + [particular ^ k for k in kernel]:
+            if v and not elim_all.contains(v):
                 return v
         raise ValueError("no admissible completion vector")
 
+    # A slot's missing x row, then its missing z row: commute with every
+    # known row of the other slots, anticommute with the slot's other row.
     for slot in range(n):
-        vz = z_given.get(slot)
-        vx = x_given.get(slot)
-        later = later_supplied(slot)
-        taken = elim_all.copy()
-        if vx is None and vz is None:
-            xvec = solve_vector(fixed_vecs + later, None, taken)
-            taken.add(xvec)
-            zvec = solve_vector(fixed_vecs + later, xvec, taken)
-            out_x[slot] = from_vec(n, xvec)
-            out_z[slot] = from_vec(n, zvec)
-        elif vx is None:
-            xvec = solve_vector(fixed_vecs + later, vz.vec, taken)
-            out_x[slot] = from_vec(n, xvec)
-            out_z[slot] = vz
-            zvec = vz.vec
-        elif vz is None:
-            zvec = solve_vector(fixed_vecs + later, vx.vec, taken)
-            out_z[slot] = from_vec(n, zvec)
-            out_x[slot] = vx
-            xvec = vx.vec
-        else:
-            out_x[slot], out_z[slot] = vx, vz
-            xvec, zvec = vx.vec, vz.vec
-        fixed_vecs.extend((xvec, zvec))
-        elim_all.add(xvec)
-        elim_all.add(zvec)
+        others = [op.vec for side in (x_given, z_given) for j, op in side.items() if j != slot]
+        for fill, partner in ((x_given, z_given), (z_given, x_given)):
+            if slot not in fill:
+                vec = solve_vector(others, partner[slot].vec if slot in partner else None)
+                elim_all.add(vec)
+                fill[slot] = from_vec(n, vec)
 
-    frame = SymplecticFrame(n, tuple(out_x), tuple(out_z))  # type: ignore[arg-type]
+    frame = SymplecticFrame(
+        n, tuple(x_given[j] for j in range(n)), tuple(z_given[j] for j in range(n))
+    )
     frame.check()
     return frame

@@ -267,6 +267,24 @@ def test_nonidentity_trivial_syndrome_entry_decodes_clean_shots(p, small_chunks)
     assert run(code, table, model, 2_000, seed=77, workers=2) == expected
 
 
+@pytest.mark.parametrize("name", ["shor9", "five-qubit"])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_table_without_a_trivial_syndrome_entry(name, p, fallback, small_chunks):
+    # clean shots decode under key 0 like any other key: with no entry they
+    # are unrecoverable, or uncorrected with the identity fallback
+    code = validated(catalog(name))
+    entries = dict(build_table(code, 1).entries)
+    del entries[0]
+    table = DecodingTable(code, 1, entries)
+    model = NoiseModel(p)
+    expected = per_shot_report(code, table, model, 1_000, seed=5, fallback_identity=fallback)
+    lost = dict(expected.logical_failures).get("uncorrected", 0) + expected.unrecoverable
+    assert lost > 0 and (p > 0 or lost == 1_000)
+    assert run(code, table, model, 1_000, seed=5, fallback_identity=fallback) == expected
+    assert run(code, table, model, 1_000, seed=5, workers=2, fallback_identity=fallback) == expected
+
+
 def test_entry_with_the_wrong_syndrome_leaves_the_normalizer(small_chunks):
     # a hand-built entry whose syndrome differs from its key leaves a residual
     # outside the normalizer, counted under its own failure class

@@ -143,6 +143,7 @@ def test_sweep_worker_count_does_not_change_the_result():
         (SweepSpec(4, 1, 0, 2), (11475, 2268, 2268, 2268)),
         (SweepSpec(4, 2, 0, 2), (5355, 216, 216, 216)),
         (SweepSpec(4, 1, 1, 2, symmetry_pruning=True), (5355, 9870, 480, 480)),
+        (SweepSpec(4, 1, 0, 2, symmetry_pruning=True), (11475, 138, 138, 138)),
     ],
 )
 def test_sweep_work_counts_are_pinned(spec, counts):

@@ -1,15 +1,20 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from gaugeqec.catalog import catalog
-from gaugeqec.gf2 import Eliminator
+from gaugeqec.gf2 import Eliminator, parity
 from gaugeqec.pauli import (
     commutes,
+    from_vec,
     identity,
     multiply,
     pauli_from_string,
+    pauli_to_string,
     single,
+    swap_halves,
 )
 from gaugeqec.tableau import (
     centralizer_basis,
@@ -136,6 +141,57 @@ def test_symplectic_complete_rejects_pattern_violation():
         symplectic_complete(
             2, z_ops={0: pauli_from_string("XI"), 1: pauli_from_string("ZI")}
         )
+
+
+def _random_frame(rng, n):
+    """x and z vectors of a random frame: the standard one under 2n transvections."""
+    xs = [1 << j for j in range(n)]
+    zs = [1 << (n + j) for j in range(n)]
+    for _ in range(2 * n):
+        h = rng.randrange(1, 1 << (2 * n))
+        h_sw = swap_halves(h, n)
+        xs = [v ^ h if parity(v & h_sw) else v for v in xs]
+        zs = [v ^ h if parity(v & h_sw) else v for v in zs]
+    return xs, zs
+
+
+def _partial_assignment(rng):
+    """Rows of a random frame with random phases, sometimes with one slot broken."""
+    n = rng.randint(1, 6)
+    xs, zs = _random_frame(rng, n)
+    z_ops, x_ops = {}, {}
+    for _ in range(rng.randint(0, 2 * n)):
+        side, rows = rng.choice(((z_ops, zs), (x_ops, xs)))
+        j = rng.randrange(n)
+        side[j] = from_vec(n, rows[j], rng.randrange(4))
+    kind = rng.choice(("none", "none", "slot", "row", "dependent"))
+    side = rng.choice((z_ops, x_ops))
+    if kind == "slot":  # out of range
+        side[n] = from_vec(n, rng.randrange(1 << (2 * n)))
+    elif kind == "row":  # usually breaks the commutation pattern
+        side[rng.randrange(n)] = from_vec(n, rng.randrange(1 << (2 * n)), rng.randrange(4))
+    elif kind == "dependent" and len(side) >= 2:
+        a, b = rng.sample(sorted(side), 2)
+        side[rng.randrange(n)] = from_vec(n, side[a].vec ^ side[b].vec)
+    return n, z_ops, x_ops
+
+
+def test_symplectic_complete_golden():
+    # 3,000 seeded partial frames: about 60% complete, the rest raise for an
+    # out-of-range slot, a pattern violation or dependent rows
+    rng = random.Random(2005)
+    outcomes = []
+    for _ in range(3000):
+        n, z_ops, x_ops = _partial_assignment(rng)
+        try:
+            frame = symplectic_complete(n, z_ops, x_ops)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append([pauli_to_string(op) for op in frame.x_ops + frame.z_ops])
+    assert sum(isinstance(o, list) for o in outcomes) == 1875
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "6e1dd04aa18bd9c9c768ae8f2df51998d9630f4361ea488851d7f90442431e0c"
 
 
 def test_in_group_mod_phase():
