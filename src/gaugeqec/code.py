@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import gf2
 from .pauli import PauliOp, hermitian, multiply, pauli_from_string, symplectic_inner
-from .tableau import SymplecticFrame, in_group_mod_phase, symplectic_complete
+from .tableau import in_group_mod_phase, symplectic_complete
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -100,7 +100,6 @@ class CodeParams:
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
     completed: SubsystemCode | None = None
-    frame: SymplecticFrame | None = None
 
     @property
     def ok(self) -> bool:
@@ -192,7 +191,6 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
         code.logical_pairs + tuple(derived[derive_gauge:]),
     )
     report.completed = completed
-    report.frame = frame
     return report
 
 

@@ -7,12 +7,11 @@ callers (distance, search) fast.
 ``Eliminator`` is the one elimination kernel.  It pivots each row on its
 lowest set bit and keeps the pivots sorted and fully reduced, so its basis
 is the reduced row-echelon form; ``rref``, ``rank`` and ``kernel_basis``
-read it off.  ``solve_affine`` and ``solve_membership`` carry what they
-solve for as tag bits at and above column ``ncols``: the right-hand side,
-or one bit per input row.  A tag bit sits above every column, so it never
-decides a reduction and turns into a pivot only when a row's columns all
-cancel: the contradiction 0 = 1 for a right-hand side, a dependent row
-(which ``solve_membership`` skips) for a row tag.
+read it off.  What a caller solves for rides along as tag bits at and
+above column ``ncols``, one per input row (``solve_membership``) or per
+right-hand side.  A tag bit sits above every column, so it never decides a
+reduction and turns into a pivot only when a row's columns all cancel: a
+dependent row (which ``solve_membership`` skips) or the contradiction 0 = 1.
 """
 
 from __future__ import annotations
@@ -83,27 +82,6 @@ def solve_membership(m: BinMatrix, v: int) -> int | None:
 def kernel_basis(m: BinMatrix) -> list[int]:
     """Basis of {v : parity(row & v) == 0 for every row}, canonically ordered."""
     return Eliminator(m.rows).kernel(m.ncols)
-
-
-def solve_affine(rows: Iterable[tuple[int, int]], ncols: int) -> tuple[int, list[int]] | None:
-    """Solve the system parity(u & mask_i) == b_i for u.
-
-    Returns (particular solution, kernel basis) or None when inconsistent.
-    The particular solution is 0 on every free column.
-    """
-    elim = Eliminator()
-    for mask, b in rows:
-        if mask < 0 or mask >> ncols:
-            raise ValueError(f"mask has bits outside {ncols} columns")
-        if b not in (0, 1):
-            raise ValueError(f"right-hand side must be 0 or 1, got {b}")
-        if elim.add(mask | b << ncols) and elim.pivots[-1][0] == ncols:
-            return None  # the row reduced to 0 = 1
-    particular = 0
-    for p, row in elim.pivots:
-        if row >> ncols:
-            particular |= 1 << p
-    return particular, elim.kernel(ncols)
 
 
 class Eliminator:

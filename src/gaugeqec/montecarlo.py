@@ -26,7 +26,7 @@ from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
 from .parallel import ordered_map
-from .pauli import PauliOp, hermitian
+from .pauli import PauliOp, hermitian, identity
 
 _CHUNK_SHOTS = 1 << 13
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
@@ -195,9 +195,10 @@ def run(
 ) -> SimReport:
     """Sample, decode and classify ``shots`` errors; fully seed-deterministic.
 
-    Shots whose syndrome is missing from the table count as unrecoverable;
-    with ``fallback_identity`` they are instead recovered with the identity
-    and land in the ``uncorrected`` failure class.
+    Shots whose syndrome is missing from the table count as unrecoverable.
+    With ``fallback_identity`` they are recovered with the identity instead:
+    a trivial syndrome leaves the error as the residual, classified like any
+    other, and a nonzero one lands in the ``uncorrected`` failure class.
     """
     c = validated(code)
     if table.code != c:
@@ -217,11 +218,13 @@ def run(
 
     tables = _tables(c)
     smask = (1 << c.s) - 1
+    # identity recovery of a trivial syndrome is an entry like any other
+    entries = {0: identity(c.n)} | table.entries if fallback_identity else table.entries
     gauge = unrec = 0
     failures: Counter[str] = Counter()
     for row, count in zip(words, counts.tolist()):
         key = int.from_bytes(row.tobytes(), "little")
-        rep = table.entries.get(key & smask)
+        rep = entries.get(key & smask)
         if rep is None:
             if fallback_identity:
                 # identity recovery leaves the nonzero syndrome in place,

@@ -24,11 +24,14 @@ class SymplecticFrame:
     z_ops: tuple[PauliOp, ...]
 
     def check(self) -> None:
-        """Verify the single-qubit commutation pattern and full GF(2) rank."""
+        """Verify the single-qubit commutation pattern.
+
+        Rows in that pattern have the nonsingular standard Gram matrix, so
+        they are GF(2)-independent.
+        """
         n = self.n
         if len(self.x_ops) != n or len(self.z_ops) != n:
             raise ValueError("frame must hold exactly n x-rows and n z-rows")
-        ops = list(self.x_ops) + list(self.z_ops)
         for i in range(n):
             for j in range(n):
                 if symplectic_inner(self.x_ops[i], self.x_ops[j]) != 0:
@@ -38,9 +41,6 @@ class SymplecticFrame:
                 expected = 1 if i == j else 0
                 if symplectic_inner(self.x_ops[i], self.z_ops[j]) != expected:
                     raise ValueError(f"x row {i} / z row {j} break the pairing")
-        m = gf2.BinMatrix(2 * n, tuple(op.vec for op in ops))
-        if gf2.rank(m) != 2 * n:
-            raise ValueError("frame rows are GF(2)-dependent")
 
 
 def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
@@ -91,9 +91,10 @@ def symplectic_complete(
     ``z_ops`` / ``x_ops`` map 0-based slot indices to supplied operators.  The
     supplied operators must be GF(2)-independent and already satisfy the
     commutation pattern their slots demand.  Missing rows are filled by a
-    symplectic Gram-Schmidt sweep over the slots in ascending order, taking
-    a canonical admissible vector at every step, so the completion is
-    deterministic for a given input.
+    symplectic Gram-Schmidt sweep over the slots in ascending order, solved
+    against one tagged elimination of the known rows and taking a canonical
+    admissible vector at every step, so the completion is deterministic for
+    a given input.
     """
     z_given = dict(z_ops or {})
     x_given = dict(x_ops or {})
@@ -114,36 +115,36 @@ def symplectic_complete(
                 raise ValueError(
                     f"supplied {ka}'{ja} and {kb}'{jb} violate the slot pattern"
                 )
-    elim_all = gf2.Eliminator()
-    for _, _, op in supplied:
-        if not elim_all.add(op.vec):
+    # One tagged system serves every missing row: each known row joins
+    # swapped, tagged by bit 2n + i (i = j for x_j, n + j for z_j).  A row
+    # lies in the span of the known rows exactly when its swap reduces to
+    # tags alone.
+    ncols, mask = 2 * n, (1 << 2 * n) - 1
+    system = gf2.Eliminator()
+    for kind, j, op in supplied:
+        system.add(swap_halves(op.vec, n) | 1 << (ncols + (j if kind == "x" else n + j)))
+        if system.pivots[-1][0] >= ncols:
             raise ValueError("supplied operators are GF(2)-dependent")
 
-    def solve_vector(commute_with: list[int], anti_with: int | None) -> int:
-        rows = [(swap_halves(w, n), 0) for w in commute_with]
-        if anti_with is not None:
-            rows.append((swap_halves(anti_with, n), 1))
-        sol = gf2.solve_affine(rows, 2 * n)
-        if sol is None:
-            raise ValueError("inconsistent commutation constraints")
-        particular, kernel = sol
-        # Any admissible vector differs from the particular solution by a
-        # kernel element; if neither the particular solution nor one basis
-        # shift leaves span(elim_all), the whole affine space is inside it.
-        for v in [particular] + [particular ^ k for k in kernel]:
-            if v and not elim_all.contains(v):
-                return v
-        raise ValueError("no admissible completion vector")
-
     # A slot's missing x row, then its missing z row: commute with every
-    # known row of the other slots, anticommute with the slot's other row.
+    # known row but the slot's other one, anticommute with that partner.
+    # The known rows are independent, so the particular solution (0 on every
+    # free column) holds the pivots whose row carries the partner's tag.
     for slot in range(n):
-        others = [op.vec for side in (x_given, z_given) for j, op in side.items() if j != slot]
-        for fill, partner in ((x_given, z_given), (z_given, x_given)):
-            if slot not in fill:
-                vec = solve_vector(others, partner[slot].vec if slot in partner else None)
-                elim_all.add(vec)
-                fill[slot] = from_vec(n, vec)
+        for fill, i, partner in ((x_given, slot, n + slot), (z_given, n + slot, slot)):
+            if slot in fill:
+                continue
+            particular = sum(1 << p for p, row in system.pivots if row >> (ncols + partner) & 1)
+            # Any admissible vector differs from the particular solution by a
+            # kernel element; if neither the particular solution nor one basis
+            # shift leaves the span, the whole affine space is inside it.
+            for vec in [particular] + [particular ^ k for k in system.kernel(ncols)]:
+                if system.reduce(swap_halves(vec, n)) & mask:
+                    break
+            else:
+                raise ValueError("no admissible completion vector")
+            system.add(swap_halves(vec, n) | 1 << (ncols + i))
+            fill[slot] = from_vec(n, vec)
 
     frame = SymplecticFrame(
         n, tuple(x_given[j] for j in range(n)), tuple(z_given[j] for j in range(n))

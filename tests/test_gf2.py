@@ -9,7 +9,6 @@ from gaugeqec.gf2 import (
     parity,
     rank,
     rref,
-    solve_affine,
     solve_membership,
 )
 
@@ -113,28 +112,6 @@ def test_kernel_basis_size_and_orthogonality():
         assert rank(BinMatrix(ncols, tuple(kernel))) == len(kernel)
 
 
-def test_solve_affine_solutions_satisfy_system():
-    rng = random.Random(31)
-    for _ in range(200):
-        ncols = rng.randrange(1, 12)
-        sys_rows = [
-            (rng.randrange(1 << ncols), rng.randrange(2))
-            for _ in range(rng.randrange(5))
-        ]
-        sol = solve_affine(sys_rows, ncols)
-        if sol is None:
-            continue
-        particular, kernel = sol
-        for candidate in [particular] + [particular ^ k for k in kernel]:
-            for mask, b in sys_rows:
-                assert parity(candidate & mask) == b
-
-
-def test_solve_affine_inconsistent():
-    assert solve_affine([(0b01, 0), (0b01, 1)], 2) is None
-    assert solve_affine([(0, 1)], 4) is None
-
-
 def test_nine_qubit_stabilizer_rows_are_independent():
     from gaugeqec.catalog import catalog
 
@@ -172,12 +149,3 @@ def test_eliminator_matches_matrix_rank_and_membership():
             v = rng.randrange(1 << ncols)
             expected = solve_membership(BinMatrix(ncols, tuple(rows)), v) is not None
             assert elim.contains(v) == expected
-
-
-@pytest.mark.parametrize(
-    "rows, ncols",
-    [([(0b100, 1)], 2), ([(-1, 1)], 3), ([(0b01, 2)], 2)],
-)
-def test_solve_affine_rejects_masks_outside_its_columns_and_non_bit_rhs(rows, ncols):
-    with pytest.raises(ValueError):
-        solve_affine(rows, ncols)

@@ -8,6 +8,7 @@ from gaugeqec.catalog import catalog
 from gaugeqec.code import validated
 from gaugeqec.codefile import parse_code_file
 from gaugeqec.decoder import DecodingTable, Outcome, build_table, recover_and_classify, syndrome
+from gaugeqec.distance import Kind, classify
 from gaugeqec.montecarlo import (
     SEED_BOUND,
     NoiseModel,
@@ -193,13 +194,19 @@ def per_shot_report(code, table, model, shots, seed, fallback_identity=False):
     for shot in range(shots):
         error = sample_error(model, code.n, shot_stream(seed, shot, code.n))
         rec = recover_and_classify(code, table, error)
-        if rec.outcome is Outcome.GAUGE_SUCCESS:
+        if rec.outcome is Outcome.UNRECOVERABLE and fallback_identity:
+            # identity recovery leaves the error itself as the residual
+            cls = classify(code, error)
+            if cls.kind is Kind.GAUGE:
+                gauge += 1
+            elif cls.kind is Kind.LOGICAL:
+                failures[cls.label_str()] += 1
+            else:  # the nonzero syndrome stays in place
+                failures["uncorrected"] += 1
+        elif rec.outcome is Outcome.GAUGE_SUCCESS:
             gauge += 1
         elif rec.outcome is Outcome.UNRECOVERABLE:
-            if fallback_identity:
-                failures["uncorrected"] += 1
-            else:
-                unrec += 1
+            unrec += 1
         else:
             failures[rec.logical_class.label_str()] += 1
     return SimReport(shots, model.p, seed, gauge, unrec, tuple(sorted(failures.items())))
@@ -272,7 +279,8 @@ def test_nonidentity_trivial_syndrome_entry_decodes_clean_shots(p, small_chunks)
 @pytest.mark.parametrize("fallback", [False, True])
 def test_table_without_a_trivial_syndrome_entry(name, p, fallback, small_chunks):
     # clean shots decode under key 0 like any other key: with no entry they
-    # are unrecoverable, or uncorrected with the identity fallback
+    # are unrecoverable, while the identity fallback leaves them clean and
+    # counts only shots with a nonzero syndrome as uncorrected
     code = validated(catalog(name))
     entries = dict(build_table(code, 1).entries)
     del entries[0]
@@ -280,7 +288,12 @@ def test_table_without_a_trivial_syndrome_entry(name, p, fallback, small_chunks)
     model = NoiseModel(p)
     expected = per_shot_report(code, table, model, 1_000, seed=5, fallback_identity=fallback)
     lost = dict(expected.logical_failures).get("uncorrected", 0) + expected.unrecoverable
-    assert lost > 0 and (p > 0 or lost == 1_000)
+    if not fallback:
+        assert lost > 0 and (p > 0 or lost == 1_000)
+    elif p == 0:
+        assert expected.gauge_success == 1_000
+    else:  # five-qubit's table holds every nonzero syndrome
+        assert expected.unrecoverable == 0 and (lost > 0) == (name == "shor9")
     assert run(code, table, model, 1_000, seed=5, fallback_identity=fallback) == expected
     assert run(code, table, model, 1_000, seed=5, workers=2, fallback_identity=fallback) == expected
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
+from gaugeqec import gf2
 from gaugeqec.catalog import catalog
 from gaugeqec.gf2 import Eliminator, parity
 from gaugeqec.pauli import (
@@ -17,11 +19,14 @@ from gaugeqec.pauli import (
     swap_halves,
 )
 from gaugeqec.tableau import (
+    SymplecticFrame,
     centralizer_basis,
     in_group_exact,
     in_group_mod_phase,
     symplectic_complete,
 )
+from naive_ops import affine_particular, anticommute, in_span, kernel_lists, to_bits
+from naive_ops import rank as naive_rank
 
 SHOR_STAB = [
     "XXXXXXIII", "XXXIIIXXX", "ZZIIIIIII", "IZZIIIIII",
@@ -192,6 +197,96 @@ def test_symplectic_complete_golden():
     assert sum(isinstance(o, list) for o in outcomes) == 1875
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == "6e1dd04aa18bd9c9c768ae8f2df51998d9630f4361ea488851d7f90442431e0c"
+
+
+def _bits(v, width):
+    return [(v >> j) & 1 for j in range(width)]
+
+
+def _int(bits):
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def test_filled_rows_match_an_independent_gram_schmidt():
+    # Re-derive every filled row, in fill order, with the 0/1-list reference:
+    # solve "commute with every known row, anticommute with the partner", then
+    # take the first of the particular solution and its kernel shifts that is
+    # nonzero and outside the span of the known rows.
+    rng = random.Random(1113)
+    filled = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        xs, zs = _random_frame(rng, n)
+        rows = {("x", j): xs[j] for j in range(n)} | {("z", j): zs[j] for j in range(n)}
+        given = rng.sample(sorted(rows), rng.randint(0, 2 * n))
+        side = {"x": {}, "z": {}}
+        for kind, j in given:
+            side[kind][j] = from_vec(n, rows[kind, j], rng.randrange(4))
+        frame = symplectic_complete(n, side["z"], side["x"])
+        out = {("x", j): op.vec for j, op in enumerate(frame.x_ops)}
+        out |= {("z", j): op.vec for j, op in enumerate(frame.z_ops)}
+        known = {key: out[key] for key in given}
+        for slot in range(n):
+            for kind, other in (("x", "z"), ("z", "x")):
+                if (kind, slot) in known:
+                    continue
+                system = []
+                for key, v in known.items():
+                    bits = _bits(v, 2 * n)
+                    system.append((bits[n:] + bits[:n], int(key == (other, slot))))
+                particular = affine_particular(system, 2 * n)
+                kernel = kernel_lists([mask for mask, _ in system], 2 * n)
+                span = [_bits(v, 2 * n) for v in known.values()]
+                candidates = [particular] + [
+                    [a ^ b for a, b in zip(particular, k)] for k in kernel
+                ]
+                expected = next(c for c in candidates if any(c) and not in_span(span, c))
+                assert out[kind, slot] == _int(expected)
+                known[kind, slot] = out[kind, slot]
+                filled += 1
+    assert filled > 600
+
+
+@pytest.mark.parametrize("n, frames", [(1, 6), (2, 720)])
+def test_frame_check_accepts_exactly_the_standard_gram_matrix(n, frames):
+    # every assignment of 2n rows: the pattern check alone passes exactly when
+    # the Gram matrix is the standard form, and those rows have full rank
+    ops = [from_vec(n, v) for v in range(1 << 2 * n)]
+    letters = ["".join("IXZY"[op.x >> j & 1 | (op.z >> j & 1) << 1] for j in range(n)) for op in ops]
+    anti = [[anticommute(a, b) for b in letters] for a in letters]
+    passed = 0
+    for rows in product(range(1 << 2 * n), repeat=2 * n):
+        standard = all(
+            anti[rows[i]][rows[j]] == (abs(i - j) == n)
+            for i in range(2 * n)
+            for j in range(2 * n)
+        )
+        frame = SymplecticFrame(n, tuple(ops[v] for v in rows[:n]), tuple(ops[v] for v in rows[n:]))
+        try:
+            frame.check()
+        except ValueError:
+            assert not standard
+            continue
+        assert standard
+        assert naive_rank([to_bits(letters[v]) for v in rows]) == 2 * n
+        passed += 1
+    assert passed == frames
+
+
+@pytest.mark.parametrize("name", ["shor9", "bacon-shor-9"])
+def test_completion_builds_one_elimination(name, monkeypatch):
+    stabilizer = catalog(name).stabilizer
+    built = []
+
+    class Counting(gf2.Eliminator):
+        def __init__(self, rows=()):
+            built.append(1)
+            super().__init__(rows)
+
+    monkeypatch.setattr(gf2, "Eliminator", Counting)
+    frame = symplectic_complete(9, z_ops=dict(enumerate(stabilizer)))
+    assert frame.z_ops[: len(stabilizer)] == stabilizer
+    assert len(built) == 1
 
 
 def test_in_group_mod_phase():
