@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import gf2
-from .pauli import PauliOp, hermitian, multiply, pauli_from_string, symplectic_inner
-from .tableau import in_group_mod_phase, symplectic_complete
+from .pauli import PauliOp, from_vec, hermitian, multiply, pauli_from_string, swap_halves
+from .tableau import complete_rows, in_group_mod_phase
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -32,6 +32,13 @@ class SubsystemCode:
         object.__setattr__(self, "stabilizer", tuple(self.stabilizer))
         object.__setattr__(self, "gauge_pairs", tuple(tuple(p) for p in self.gauge_pairs))
         object.__setattr__(self, "logical_pairs", tuple(tuple(p) for p in self.logical_pairs))
+        # hashed once for the caches keyed on codes; only ints go in, so the
+        # value survives pickling to another process
+        fields = (self.n, self.stabilizer, self.gauge_pairs, self.logical_pairs)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_strings(
@@ -116,8 +123,8 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
     report = ValidationReport()
     bad = report.violations.append
     n = code.n
-    everything = list(code.stabilizer) + code.gauge_ops() + code.logical_ops()
-    for op in everything:
+    sector = code.gauge_ops() + code.logical_ops()
+    for op in code.stabilizer + tuple(sector):
         if op.n != n:
             bad(f"operator {op} is on {op.n} qubits, code has {n}")
             return report
@@ -129,68 +136,62 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
     if not 0 <= derive_gauge <= max(free, 0):
         bad(f"derive_gauge = {derive_gauge} exceeds the {free} free slots")
 
+    # checks on (x|z) vectors: u, v anticommute iff u AND swap(v) has odd weight
     for i, g in enumerate(code.stabilizer):
         if g.sign_exponent != 0:
             bad(
                 f"stabilizer generator {i} has sign i^{g.sign_exponent}; "
                 "the group would not fix the code space (contains -1)"
             )
+    stab, vecs = [g.vec for g in code.stabilizer], [op.vec for op in sector]
+    stab_sw, vecs_sw = [swap_halves(v, n) for v in stab], [swap_halves(v, n) for v in vecs]
     for i in range(s):
         for j in range(i + 1, s):
-            if symplectic_inner(code.stabilizer[i], code.stabilizer[j]):
+            if (stab[i] & stab_sw[j]).bit_count() & 1:
                 bad(f"stabilizer generators {i} and {j} anticommute")
     elim = gf2.Eliminator()
-    for i, g in enumerate(code.stabilizer):
-        if not elim.add(g.vec):
+    for i, v in enumerate(stab):
+        if not elim.add(v):
             bad(f"stabilizer generator {i} depends on earlier generators")
 
-    sector = code.gauge_ops() + code.logical_ops()
-    names = [f"gauge {kind}{i}" for i in range(r) for kind in ("x", "z")] + [
-        f"logical {kind}{i}" for i in range(k) for kind in ("x", "z")
-    ]
-    for a, op in enumerate(sector):
-        for i, g in enumerate(code.stabilizer):
-            if symplectic_inner(op, g):
-                bad(f"{names[a]} anticommutes with stabilizer generator {i}")
-    for a in range(len(sector)):
-        for b in range(a + 1, len(sector)):
+    def name(a: int) -> str:
+        kind = "xz"[a % 2]
+        return f"gauge {kind}{a // 2}" if a < 2 * r else f"logical {kind}{a // 2 - r}"
+
+    for a, v in enumerate(vecs):
+        for i, g in enumerate(stab_sw):
+            if (v & g).bit_count() & 1:
+                bad(f"{name(a)} anticommutes with stabilizer generator {i}")
+    for a, v in enumerate(vecs):
+        for b in range(a + 1, len(vecs)):
             # partners inside one pair anticommute; everything else commutes
-            expected = 1 if (a // 2 == b // 2 and a % 2 != b % 2) else 0
-            got = symplectic_inner(sector[a], sector[b])
-            if got != expected:
+            expected = b == a + 1 and a % 2 == 0
+            if (v & vecs_sw[b]).bit_count() & 1 != expected:
                 verb = "must anticommute" if expected else "must commute"
-                bad(f"{names[a]} and {names[b]} {verb}")
-    for a, op in enumerate(sector):
-        if not elim.add(op.vec):
-            bad(f"{names[a]} depends on earlier generators")
+                bad(f"{name(a)} and {name(b)} {verb}")
+    for a, v in enumerate(vecs):
+        if not elim.add(v):
+            bad(f"{name(a)} depends on earlier generators")
 
     if report.violations:
         return report
 
+    # the supplied rows passed the checks above; the core checks the whole frame
+    known = {n + i: v for i, v in enumerate(stab)}
+    known |= {s + a // 2 + n * (a % 2): v for a, v in enumerate(vecs)}
     try:
-        z_slots = {i: g for i, g in enumerate(code.stabilizer)}
-        x_slots = {}
-        for i, (gx, gz) in enumerate(code.gauge_pairs):
-            z_slots[s + i] = gz
-            x_slots[s + i] = gx
-        for i, (lx, lz) in enumerate(code.logical_pairs):
-            z_slots[s + r + i] = lz
-            x_slots[s + r + i] = lx
-        frame = symplectic_complete(n, z_slots, x_slots)
+        rows = complete_rows(n, known)
     except ValueError as exc:
         bad(f"frame completion failed: {exc}")
         return report
 
-    derived = [
-        (frame.x_ops[j], frame.z_ops[j]) for j in range(s + r + k, n)
-    ]
-    completed = SubsystemCode(
+    derived = [(from_vec(n, rows[j]), from_vec(n, rows[n + j])) for j in range(s + r + k, n)]
+    report.completed = SubsystemCode(
         n,
         code.stabilizer,
         code.gauge_pairs + tuple(derived[:derive_gauge]),
         code.logical_pairs + tuple(derived[derive_gauge:]),
     )
-    report.completed = completed
     return report
 
 

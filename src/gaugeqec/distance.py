@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import gf2
 from .code import SubsystemCode, validated
-from .pauli import PauliOp, multiply, swap_halves, vec_weight
+from .pauli import PauliOp, swap_halves
 from .tableau import centralizer_basis
 
 DEFAULT_BUDGET = 1 << 30
@@ -127,50 +127,35 @@ def distance(
     c = validated(code)
     if c.k == 0:
         raise ValueError("distance is undefined for a code with no logical qubits")
-    tables = _tables(c)
-    n = c.n
-    best = 2 * n  # above any weight
-
+    n, low = c.n, (1 << c.n) - 1
     if method == "exhaustive":
-        basis = [op.vec for op in centralizer_basis(n, c.stabilizer)]
-        if 1 << len(basis) > budget:
+        rows = [op.vec for op in centralizer_basis(n, c.stabilizer)]
+        if 1 << len(rows) > budget:
             raise BudgetExceededError(
-                f"2^{len(basis)} centralizer elements exceed the budget {budget}"
+                f"2^{len(rows)} centralizer elements exceed the budget {budget}"
             )
-        for v in _gray_walk(0, basis):
-            if v == 0:
-                continue
-            w = vec_weight(v, n)
-            # centralizer elements commute with the stabilizer: gauge iff no label bit
-            if w < best and tables.label_bits(v):
-                best = w
-                if best == 1:
-                    break
+        # centralizer elements commute with the stabilizer: gauge iff no label bit
+        offsets, logical = [0], _tables(c).label_bits
     elif method == "coset":
-        group_rows = [op.vec for op in c.group_generators()]
+        rows = [op.vec for op in c.group_generators()]
         logical_rows = [op.vec for op in c.logical_ops()]
         classes = (1 << len(logical_rows)) - 1
-        if classes * (1 << len(group_rows)) > budget:
+        if classes * (1 << len(rows)) > budget:
             raise BudgetExceededError(
-                f"{classes} classes x 2^{len(group_rows)} gauge elements exceed the budget {budget}"
+                f"{classes} classes x 2^{len(rows)} gauge elements exceed the budget {budget}"
             )
-        done = False
-        for label in range(1, classes + 1):
-            offset = 0
-            for i in range(len(logical_rows)):
-                if (label >> i) & 1:
-                    offset ^= logical_rows[i]
-            for v in _gray_walk(offset, group_rows):
-                w = vec_weight(v, n)
-                if w < best:
-                    best = w
-                    if best == 1:
-                        done = True
-                        break
-            if done:
-                break
+        # one offset per nontrivial logical class, each coset wholly logical
+        offsets, logical = list(_gray_walk(0, logical_rows))[1:], bool
     else:
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
+    best = 2 * n  # above any weight
+    for offset in offsets:
+        for v in _gray_walk(offset, rows):
+            w = ((v | v >> n) & low).bit_count()
+            if w < best and logical(v):
+                best = w
+                if best == 1:
+                    return best
     return best
 
 
@@ -190,8 +175,7 @@ def is_correctable_set(
     for i in range(len(errors)):
         for j in range(i, len(errors)):
             # i == j gives the identity (mod phase), which is always gauge
-            prod = multiply(errors[i], errors[j])
-            cls = tables.classify_vec(prod.vec)
+            cls = tables.classify_vec(errors[i].vec ^ errors[j].vec)  # their product
             if cls.kind is Kind.LOGICAL:
                 return CorrectabilityResult(False, (errors[i], errors[j]), cls)
     return CorrectabilityResult(True)

@@ -34,6 +34,7 @@ from .pauli import PauliOp
 
 MAX_QUBITS = 10
 TOL = 1e-10
+_BLOCK_BYTES = 1 << 23  # the E V stacks verify_correctability holds at once
 
 _FACTORS = {
     (0, 0): np.eye(2, dtype=complex),
@@ -128,6 +129,14 @@ def _action(v: np.ndarray, p: PauliOp) -> tuple[np.ndarray, np.ndarray]:
     return pv, v.conj().T @ pv
 
 
+def _stacked(v: np.ndarray, errors: list[PauliOp]) -> np.ndarray:
+    """[E0 V | E1 V | ...]: each error applied to the code-space basis."""
+    wide = np.empty((v.shape[0], len(errors), v.shape[1]), dtype=complex)
+    for a, e in enumerate(errors):
+        wide[:, a] = _apply(e, v)
+    return wide.reshape(v.shape[0], -1)
+
+
 def _blocks(v: np.ndarray, ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (L_c, R) over ops: L_c = V^dagger L V and (L V - V L_c) = Q R."""
     lcs = np.empty((len(ops), v.shape[1], v.shape[1]), dtype=complex)
@@ -203,24 +212,29 @@ def verify_correctability(
     v = code_projector(c).basis
     lcs, rs = _logical_actions(c)
     m = v.shape[1]
-    wide = np.empty((v.shape[0], len(errors) * m), dtype=complex)  # [E0 V | E1 V | ...]
-    for a, e in enumerate(errors):
-        wide[:, a * m : (a + 1) * m] = _apply(e, v)
+    block = max(1, _BLOCK_BYTES // v.nbytes)  # errors per stack of E V
     report = OracleReport(ok=True)
     for a in range(len(errors)):
-        # V' Ea' Eb V for every b >= a, as a stack of m x m blocks
-        gram = wide[:, a * m : (a + 1) * m].conj().T @ wide[:, a * m :]
-        resid = _comm_norm(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
-        bad = np.flatnonzero(resid > tol)[:1]
-        # residuals come in scan order (b, then logical op); stop at a witness
-        seen = resid[: bad[0] + 1] if bad.size else resid
-        report.max_residual = max(report.max_residual, float(seen.max(initial=0.0)))
-        if bad.size:
-            b = a + int(bad[0]) // len(lcs)
-            report.ok = False
-            report.failing_pair = (errors[a], errors[b])
-            report.failures.append(f"pair ({errors[a]}, {errors[b]}) acts on the encoded qubits")
-            return report
+        home = a - a % block
+        if a == home:
+            here = _stacked(v, errors[home : home + block])
+        ea = here[:, (a - home) * m : (a - home + 1) * m].conj().T
+        # V' Ea' Eb V for every b >= a as stacks of m x m blocks, one block of
+        # errors at a time; the E V of a block after a's own is rebuilt per a
+        for start in range(home, len(errors), block):
+            wide = here if start == home else _stacked(v, errors[start : start + block])
+            lo = max(a, start)
+            gram = ea @ wide[:, (lo - start) * m :]
+            resid = _comm_norm(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
+            bad = np.flatnonzero(resid > tol)[:1]
+            # residuals come in scan order (b, then logical op); stop at a witness
+            seen = resid[: bad[0] + 1] if bad.size else resid
+            report.max_residual = max(report.max_residual, float(seen.max(initial=0.0)))
+            if bad.size:
+                pair = (errors[a], errors[lo + int(bad[0]) // len(lcs)])
+                report.ok, report.failing_pair = False, pair
+                report.failures.append(f"pair ({pair[0]}, {pair[1]}) acts on the encoded qubits")
+                return report
     return report
 
 

@@ -146,11 +146,6 @@ def swap_halves(vec: int, n: int) -> int:
     return ((vec & mask) << n) | (vec >> n)
 
 
-def vec_weight(vec: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return ((vec | (vec >> n)) & mask).bit_count()
-
-
 def low_weight_vecs(n: int, wmax: int):
     """(x|z) vectors of every Pauli with weight 1..wmax, lowest weight first.
 

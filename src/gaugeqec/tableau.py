@@ -24,23 +24,29 @@ class SymplecticFrame:
     z_ops: tuple[PauliOp, ...]
 
     def check(self) -> None:
-        """Verify the single-qubit commutation pattern.
+        """Verify the single-qubit commutation pattern (``check_pattern``)."""
+        n, ops = self.n, self.x_ops + self.z_ops
+        if len(self.x_ops) != n or len(self.z_ops) != n or any(op.n != n for op in ops):
+            raise ValueError("frame must hold exactly n x-rows and n z-rows on n qubits")
+        check_pattern(n, [op.vec for op in ops])
 
-        Rows in that pattern have the nonsingular standard Gram matrix, so
-        they are GF(2)-independent.
-        """
-        n = self.n
-        if len(self.x_ops) != n or len(self.z_ops) != n:
-            raise ValueError("frame must hold exactly n x-rows and n z-rows")
-        for i in range(n):
-            for j in range(n):
-                if symplectic_inner(self.x_ops[i], self.x_ops[j]) != 0:
-                    raise ValueError(f"x rows {i},{j} anticommute")
-                if symplectic_inner(self.z_ops[i], self.z_ops[j]) != 0:
-                    raise ValueError(f"z rows {i},{j} anticommute")
-                expected = 1 if i == j else 0
-                if symplectic_inner(self.x_ops[i], self.z_ops[j]) != expected:
-                    raise ValueError(f"x row {i} / z row {j} break the pairing")
+
+def check_pattern(n: int, rows: Sequence[int]) -> None:
+    """Raise unless (x|z) ``rows`` x_0..x_{n-1}, z_0..z_{n-1} have the frame pattern.
+
+    x_i and z_j anticommute exactly when i == j and all other pairs commute;
+    such rows have the nonsingular standard Gram matrix, so are independent.
+    """
+    swapped = [swap_halves(v, n) for v in rows]
+    for i in range(n):
+        xi, zi = rows[i], rows[n + i]
+        for j in range(n):
+            if (xi & swapped[j]).bit_count() & 1:
+                raise ValueError(f"x rows {i},{j} anticommute")
+            if (zi & swapped[n + j]).bit_count() & 1:
+                raise ValueError(f"z rows {i},{j} anticommute")
+            if (xi & swapped[n + j]).bit_count() & 1 != (i == j):
+                raise ValueError(f"x row {i} / z row {j} break the pairing")
 
 
 def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
@@ -88,66 +94,66 @@ def symplectic_complete(
 ) -> SymplecticFrame:
     """Extend a partial slot assignment to a full symplectic frame.
 
-    ``z_ops`` / ``x_ops`` map 0-based slot indices to supplied operators.  The
-    supplied operators must be GF(2)-independent and already satisfy the
-    commutation pattern their slots demand.  Missing rows are filled by a
-    symplectic Gram-Schmidt sweep over the slots in ascending order, solved
-    against one tagged elimination of the known rows and taking a canonical
-    admissible vector at every step, so the completion is deterministic for
-    a given input.
+    ``z_ops`` / ``x_ops`` map 0-based slot indices to supplied operators,
+    which must be GF(2)-independent and satisfy the commutation pattern of
+    their slots.  The missing rows come from ``complete_rows``: a symplectic
+    Gram-Schmidt sweep taking a canonical admissible vector at every step.
     """
-    z_given = dict(z_ops or {})
-    x_given = dict(x_ops or {})
-    for op in list(z_given.values()) + list(x_given.values()):
-        if op.n != n:
-            raise ValueError("operator qubit count mismatch")
-    supplied: list[tuple[str, int, PauliOp]] = [
-        ("z", j, op) for j, op in sorted(z_given.items())
-    ] + [("x", j, op) for j, op in sorted(x_given.items())]
+    z_given, x_given = dict(z_ops or {}), dict(x_ops or {})
+    supplied = [("z", j, op) for j, op in sorted(z_given.items())]
+    supplied += [("x", j, op) for j, op in sorted(x_given.items())]
+    if any(op.n != n for _, _, op in supplied):
+        raise ValueError("operator qubit count mismatch")
     for kind, j, _ in supplied:
         if not 0 <= j < n:
             raise ValueError(f"slot {j} outside 0..{n - 1}")
-    # Declared commutation pattern among the supplied operators.
     for a, (ka, ja, opa) in enumerate(supplied):
         for kb, jb, opb in supplied[a + 1 :]:
-            expected = 1 if (ja == jb and ka != kb) else 0
-            if symplectic_inner(opa, opb) != expected:
-                raise ValueError(
-                    f"supplied {ka}'{ja} and {kb}'{jb} violate the slot pattern"
-                )
-    # One tagged system serves every missing row: each known row joins
-    # swapped, tagged by bit 2n + i (i = j for x_j, n + j for z_j).  A row
-    # lies in the span of the known rows exactly when its swap reduces to
-    # tags alone.
+            if symplectic_inner(opa, opb) != (ja == jb and ka != kb):
+                raise ValueError(f"supplied {ka}'{ja} and {kb}'{jb} violate the slot pattern")
+    rows = complete_rows(n, {j if kind == "x" else n + j: op.vec for kind, j, op in supplied})
+    return SymplecticFrame(
+        n,
+        tuple(x_given[j] if j in x_given else from_vec(n, rows[j]) for j in range(n)),
+        tuple(z_given[j] if j in z_given else from_vec(n, rows[n + j]) for j in range(n)),
+    )
+
+
+def complete_rows(n: int, known: Mapping[int, int]) -> list[int]:
+    """The 2n (x|z) rows x_0..x_{n-1}, z_0..z_{n-1} of a frame around ``known``.
+
+    ``known`` maps row indices to GF(2)-independent rows that keep the frame
+    pattern among themselves; the finished frame passes ``check_pattern``.
+    """
+    # One tagged system serves every missing row: each known row i joins
+    # swapped, tagged by bit 2n + i, so a row lies in the span of the known
+    # rows exactly when its swap reduces to tags alone.
     ncols, mask = 2 * n, (1 << 2 * n) - 1
     system = gf2.Eliminator()
-    for kind, j, op in supplied:
-        system.add(swap_halves(op.vec, n) | 1 << (ncols + (j if kind == "x" else n + j)))
+    for i, vec in known.items():
+        system.add(swap_halves(vec, n) | 1 << (ncols + i))
         if system.pivots[-1][0] >= ncols:
             raise ValueError("supplied operators are GF(2)-dependent")
-
-    # A slot's missing x row, then its missing z row: commute with every
-    # known row but the slot's other one, anticommute with that partner.
-    # The known rows are independent, so the particular solution (0 on every
-    # free column) holds the pivots whose row carries the partner's tag.
+    # A slot's missing x row, then z row, commutes with every known row but
+    # its partner.  The particular solution holds the pivots whose row carries
+    # the partner's tag: with the partner known it anticommutes with it, which
+    # no row of the span does.  Otherwise it is 0 and the first kernel vector
+    # outside the span is taken; if none is, every solution lies in the span.
+    rows = dict(known)
     for slot in range(n):
-        for fill, i, partner in ((x_given, slot, n + slot), (z_given, n + slot, slot)):
-            if slot in fill:
+        for i, partner in ((slot, n + slot), (n + slot, slot)):
+            if i in rows:
                 continue
-            particular = sum(1 << p for p, row in system.pivots if row >> (ncols + partner) & 1)
-            # Any admissible vector differs from the particular solution by a
-            # kernel element; if neither the particular solution nor one basis
-            # shift leaves the span, the whole affine space is inside it.
-            for vec in [particular] + [particular ^ k for k in system.kernel(ncols)]:
-                if system.reduce(swap_halves(vec, n)) & mask:
-                    break
-            else:
-                raise ValueError("no admissible completion vector")
+            vec = sum(1 << p for p, row in system.pivots if row >> (ncols + partner) & 1)
+            if not vec:
+                for k in system.kernel(ncols):
+                    if system.reduce(swap_halves(k, n)) & mask:
+                        vec = k
+                        break
+                else:
+                    raise ValueError("no admissible completion vector")
             system.add(swap_halves(vec, n) | 1 << (ncols + i))
-            fill[slot] = from_vec(n, vec)
-
-    frame = SymplecticFrame(
-        n, tuple(x_given[j] for j in range(n)), tuple(z_given[j] for j in range(n))
-    )
-    frame.check()
+            rows[i] = vec
+    frame = [rows[i] for i in range(2 * n)]
+    check_pattern(n, frame)
     return frame

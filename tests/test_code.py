@@ -1,3 +1,8 @@
+import hashlib
+import json
+import pickle
+import random
+
 import pytest
 
 from gaugeqec.catalog import CATALOG_NAMES, catalog
@@ -12,7 +17,7 @@ from gaugeqec.code import (
     validated,
 )
 from gaugeqec.gf2 import BinMatrix, Eliminator, rank
-from gaugeqec.pauli import multiply, pauli_from_string
+from gaugeqec.pauli import from_vec, hermitian, multiply, pauli_from_string
 from gaugeqec.tableau import centralizer_basis
 
 
@@ -171,3 +176,88 @@ def test_too_many_generators_invalid():
         )
     )
     assert not report.ok
+
+
+def _random_frame(rng, n):
+    """x and z vectors of a random frame: the standard one under 2n transvections."""
+    xs = [1 << j for j in range(n)]
+    zs = [1 << (n + j) for j in range(n)]
+    for _ in range(2 * n):
+        h = rng.randrange(1, 1 << (2 * n))
+        h_sw = ((h & ((1 << n) - 1)) << n) | (h >> n)
+        xs = [v ^ h if (v & h_sw).bit_count() & 1 else v for v in xs]
+        zs = [v ^ h if (v & h_sw).bit_count() & 1 else v for v in zs]
+    return xs, zs
+
+
+def _seeded_code(rng):
+    """A code cut from a random frame, most of the time broken in one way."""
+    n = rng.randint(1, 6)
+    xs, zs = _random_frame(rng, n)
+    s = rng.randint(0, n)
+    r = rng.randint(0, n - s)
+    k = rng.randint(0, n - s - r)
+    stab = [hermitian(n, v & ((1 << n) - 1), v >> n) for v in zs[:s]]
+    pairs = [
+        (from_vec(n, xs[j], rng.randrange(4)), from_vec(n, zs[j], rng.randrange(4)))
+        for j in range(s, s + r + k)
+    ]
+    free = n - s - r - k
+    derive_gauge = rng.choice((-1, free + 1)) if rng.random() < 0.1 else rng.randint(0, free)
+    kind = rng.choice(("none", "row", "row", "sign", "dependent", "too-many", "qubits"))
+    ops = stab + [op for pair in pairs for op in pair]
+    if kind == "row" and ops:
+        i = rng.randrange(len(ops))
+        ops[i] = from_vec(n, rng.randrange(1 << (2 * n)), ops[i].phase_exp if i < s else 0)
+    elif kind == "sign" and s:
+        i = rng.randrange(s)
+        ops[i] = from_vec(n, ops[i].vec, (ops[i].phase_exp + rng.randint(1, 3)) % 4)
+    elif kind == "dependent" and len(ops) >= 3:
+        a, b, c = rng.sample(range(len(ops)), 3)
+        ops[c] = from_vec(n, ops[a].vec ^ ops[b].vec, ops[c].phase_exp)
+    elif kind == "too-many":
+        extra = [from_vec(n, v) for v in xs[: rng.randint(1, n)]]
+        ops = ops[:s] + extra + ops[s:]
+        s += len(extra)
+    elif kind == "qubits" and ops:
+        ops[rng.randrange(len(ops))] = from_vec(n + 1, rng.randrange(1 << (2 * n + 2)))
+    sector = ops[s:]
+    pairs = [(sector[2 * i], sector[2 * i + 1]) for i in range(len(sector) // 2)]
+    return SubsystemCode(n, tuple(ops[:s]), tuple(pairs[:r]), tuple(pairs[r:])), derive_gauge
+
+
+def test_validate_golden():
+    # 4,000 seeded codes from random frames, most broken by one random row, a
+    # stabilizer sign, a dependent generator, extra generators or a qubit
+    # count: every violation message in order, and every completed code
+    rng = random.Random(1411)
+    outcomes = []
+    for _ in range(4000):
+        code, derive_gauge = _seeded_code(rng)
+        report = validate(code, derive_gauge)
+        if report.ok:
+            c = report.completed
+            outcomes.append([f"{c.s} {c.r} {c.k}"] + [str(op) for op in c.normalizer_generators()])
+        else:
+            outcomes.append(["invalid"] + report.violations)
+    assert sum(o[0] != "invalid" for o in outcomes) == 981
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "f595c0417d26663f9937d1ce8563fa859c3aec77d9895220f6499346662f29ee"
+
+
+def test_equal_codes_hash_equal_and_survive_pickling():
+    for name in CATALOG_NAMES:
+        code = catalog(name)
+        rebuilt = SubsystemCode.from_strings(
+            stabilizer=[str(g) for g in code.stabilizer],
+            gauge_x=[str(gx) for gx, _ in code.gauge_pairs],
+            gauge_z=[str(gz) for _, gz in code.gauge_pairs],
+            logical_x=[str(lx) for lx, _ in code.logical_pairs],
+            logical_z=[str(lz) for _, lz in code.logical_pairs],
+        )
+        assert rebuilt == code and hash(rebuilt) == hash(code)
+        assert hash(code) == hash((code.n, code.stabilizer, code.gauge_pairs, code.logical_pairs))
+        copy = pickle.loads(pickle.dumps(code))
+        assert copy == code and hash(copy) == hash(code)
+        assert validated(copy) is validated(code)  # one cache entry for both
+    assert SubsystemCode(2) != SubsystemCode(3)

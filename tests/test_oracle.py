@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -8,9 +9,11 @@ from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, validate, validated
 from gaugeqec.distance import Kind, classify, is_correctable_set
 from gaugeqec.oracle import (
+    _BLOCK_BYTES,
     _apply,
     _blocks,
     _comm_norm,
+    _logical_actions,
     acts_as_gauge,
     code_projector,
     dense,
@@ -255,6 +258,27 @@ def test_correctability_verdict_and_witness_match_group_theory(name, wmax):
     assert len(report.failures) == (0 if report.ok else 1)
     assert report.ok or report.max_residual > 1.0
     assert not report.ok or report.max_residual < 1e-10
+
+
+def test_long_error_list_is_checked_in_bounded_memory():
+    # 352 weight-<=2 errors on bacon-shor-9: holding every E V at once took a
+    # traced peak of 121 MB; blocks of E V keep it to a few blocks
+    code = catalog("bacon-shor-9")
+    errors = [vec_hermitian(code.n, v) for v in chain((0,), low_weight_vecs(code.n, 2))]
+    assert len(errors) == 352
+    _logical_actions(code)  # the cached projector and logical blocks are not counted
+    tracemalloc.start()
+    try:
+        report = verify_correctability(code, errors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _BLOCK_BYTES
+    assert len(errors) * code_projector(code).basis.nbytes > 10 * _BLOCK_BYTES  # many blocks
+    verdict = is_correctable_set(code, errors)
+    assert report.ok is verdict.correctable is False
+    assert report.failing_pair == verdict.witness
+    assert [str(e) for e in report.failing_pair] == ["XIIIIIIII", "IXXIIIIII"]
 
 
 def test_empty_error_set_is_refused_like_the_group_test():

@@ -133,6 +133,7 @@ def test_sweep_worker_count_does_not_change_the_result():
     serial = sweep_nonexistence(SweepSpec(4, 1, 1, 2))
     parallel = sweep_nonexistence(SweepSpec(4, 1, 1, 2), workers=2)
     assert serial.codes == parallel.codes
+    assert [hash(c) for c in serial.codes] == [hash(c) for c in parallel.codes]
     assert serial.exhausted == parallel.exhausted
 
 

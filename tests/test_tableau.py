@@ -289,6 +289,26 @@ def test_completion_builds_one_elimination(name, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("name", ["shor9", "bacon-shor-9"])
+def test_completion_takes_kernel_shifts_only_for_rows_inside_the_span(name, monkeypatch):
+    # a row whose partner is known anticommutes with it, so its particular
+    # solution is outside the span; only the x row of an empty slot (its
+    # particular solution is 0) needs the kernel shifts: one call per empty
+    # slot, not one per missing row (2n - s)
+    stabilizer = catalog(name).stabilizer
+    calls = []
+    kernel = gf2.Eliminator.kernel
+
+    def counting(self, ncols):
+        calls.append(ncols)
+        return kernel(self, ncols)
+
+    monkeypatch.setattr(gf2.Eliminator, "kernel", counting)
+    frame = symplectic_complete(9, z_ops=dict(enumerate(stabilizer)))
+    assert frame.z_ops[: len(stabilizer)] == stabilizer
+    assert len(calls) == 9 - len(stabilizer)
+
+
 def test_in_group_mod_phase():
     gens = _ops(SHOR_STAB)
     assert in_group_mod_phase(gens, identity(9))
