@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from . import gf2
 from .pauli import PauliOp, from_vec, hermitian, multiply, pauli_from_string, swap_halves
-from .tableau import complete_rows, in_group_mod_phase
+from .tableau import PartialFrame, in_group_mod_phase
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -149,9 +148,9 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
         for j in range(i + 1, s):
             if (stab[i] & stab_sw[j]).bit_count() & 1:
                 bad(f"stabilizer generators {i} and {j} anticommute")
-    elim = gf2.Eliminator()
+    frame = PartialFrame(n)
     for i, v in enumerate(stab):
-        if not elim.add(v):
+        if not frame.add(n + i, v):
             bad(f"stabilizer generator {i} depends on earlier generators")
 
     def name(a: int) -> str:
@@ -170,17 +169,15 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
                 verb = "must anticommute" if expected else "must commute"
                 bad(f"{name(a)} and {name(b)} {verb}")
     for a, v in enumerate(vecs):
-        if not elim.add(v):
+        if not frame.add(s + a // 2 + n * (a % 2), v):
             bad(f"{name(a)} depends on earlier generators")
 
     if report.violations:
         return report
 
-    # the supplied rows passed the checks above; the core checks the whole frame
-    known = {n + i: v for i, v in enumerate(stab)}
-    known |= {s + a // 2 + n * (a % 2): v for a, v in enumerate(vecs)}
+    # the supplied rows passed the checks above; completion checks the whole frame
     try:
-        rows = complete_rows(n, known)
+        rows = frame.complete()
     except ValueError as exc:
         bad(f"frame completion failed: {exc}")
         return report

@@ -64,11 +64,8 @@ class DecodingTable:
 
     def dump(self) -> str:
         """One line per entry: '<syndrome bits> <pauli string>', sorted."""
-        width = self.code.s
-        lines = []
-        for bits, rep in self.entries.items():
-            key = "".join("1" if (bits >> j) & 1 else "0" for j in range(width))
-            lines.append(f"{key} {pauli_to_string(rep)}")
+        s = self.code.s
+        lines = (f"{Syndrome(s, key)} {pauli_to_string(rep)}" for key, rep in self.entries.items())
         return "\n".join(sorted(lines)) + "\n"
 
 

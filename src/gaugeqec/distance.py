@@ -63,33 +63,33 @@ class _Tables:
     A validated code is a complete symplectic frame, so a commuting operator's
     coefficient on X̄_j is <v, Z̄_j> (label bit 2j) and on Z̄_j is <v, X̄_j>
     (bit 2j+1); it is in the gauge group exactly when all label bits vanish.
+    ``key`` maps a vector to its syndrome in the low s bits and its label
+    bits above them.
     """
 
-    __slots__ = ("swapped_stab", "swapped_logical")
+    __slots__ = ("key", "s")
 
     def __init__(self, code: SubsystemCode):
-        self.swapped_stab = tuple(swap_halves(g.vec, code.n) for g in code.stabilizer)
-        self.swapped_logical = tuple(
-            swap_halves(op.vec, code.n) for lx, lz in code.logical_pairs for op in (lz, lx)
-        )
+        rows = [g.vec for g in code.stabilizer]
+        rows += [op.vec for lx, lz in code.logical_pairs for op in (lz, lx)]
+        self.key = gf2.ParityMap((swap_halves(v, code.n) for v in rows), 2 * code.n)
+        self.s = code.s
 
     def syndrome_bits(self, vec: int) -> int:
-        return gf2.parities(vec, self.swapped_stab)
+        return self.key(vec) & ((1 << self.s) - 1)
 
-    def label_bits(self, vec: int) -> int:
-        return gf2.parities(vec, self.swapped_logical)
-
-    def class_of(self, syndrome: int, label: int) -> OperatorClass:
-        """The class of an operator with these syndrome and label bits."""
-        if syndrome:
+    def class_of(self, key: int) -> OperatorClass:
+        """The class of an operator with this key."""
+        if key & ((1 << self.s) - 1):
             return OperatorClass(Kind.OUTSIDE_N)
+        label = key >> self.s
         if not label:
             return OperatorClass(Kind.GAUGE)
-        width = len(self.swapped_logical)
+        width = self.key.width - self.s
         return OperatorClass(Kind.LOGICAL, tuple((label >> i) & 1 for i in range(width)))
 
     def classify_vec(self, vec: int) -> OperatorClass:
-        return self.class_of(self.syndrome_bits(vec), self.label_bits(vec))
+        return self.class_of(self.key(vec))
 
 
 @lru_cache(maxsize=256)
@@ -102,15 +102,6 @@ def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
     if p.n != c.n:
         raise ValueError(f"operator is on {p.n} qubits, code has {c.n}")
     return _tables(c).classify_vec(p.vec)
-
-
-def _gray_walk(start: int, rows: Sequence[int]):
-    """Yield start XOR every combination of rows, one row flip per step."""
-    v = start
-    yield v
-    for i in range(1, 1 << len(rows)):
-        v ^= rows[(i & -i).bit_length() - 1]
-        yield v
 
 
 def distance(
@@ -134,8 +125,8 @@ def distance(
             raise BudgetExceededError(
                 f"2^{len(rows)} centralizer elements exceed the budget {budget}"
             )
-        # centralizer elements commute with the stabilizer: gauge iff no label bit
-        offsets, logical = [0], _tables(c).label_bits
+        # centralizer elements have no syndrome: gauge iff the key is 0
+        offsets, logical = [0], _tables(c).key
     elif method == "coset":
         rows = [op.vec for op in c.group_generators()]
         logical_rows = [op.vec for op in c.logical_ops()]
@@ -145,12 +136,12 @@ def distance(
                 f"{classes} classes x 2^{len(rows)} gauge elements exceed the budget {budget}"
             )
         # one offset per nontrivial logical class, each coset wholly logical
-        offsets, logical = list(_gray_walk(0, logical_rows))[1:], bool
+        offsets, logical = list(gf2.gray_walk(0, logical_rows))[1:], bool
     else:
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
     best = 2 * n  # above any weight
     for offset in offsets:
-        for v in _gray_walk(offset, rows):
+        for v in gf2.gray_walk(offset, rows):
             w = ((v | v >> n) & low).bit_count()
             if w < best and logical(v):
                 best = w

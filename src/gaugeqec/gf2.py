@@ -2,7 +2,7 @@
 
 Rows are Python ints with bit j holding column j.  Everything here is a
 word-parallel XOR/AND/popcount operation, which keeps the enumeration-heavy
-callers (distance, search) fast.
+callers (distance, search) fast; ``ParityMap`` is the one parity table.
 
 ``Eliminator`` is the one elimination kernel.  It pivots each row on its
 lowest set bit and keeps the pivots sorted and fully reduced, so its basis
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def parity(v: int) -> int:
@@ -28,6 +28,44 @@ def parity(v: int) -> int:
 def parities(v: int, rows: Iterable[int]) -> int:
     """Bit i is the parity of v AND rows[i]."""
     return sum(((v & row).bit_count() & 1) << i for i, row in enumerate(rows))
+
+
+class ParityMap:
+    """v -> ``parities(v, rows)`` for v below bit ``nbits``, one lookup per byte of v.
+
+    ``tables[b][x]`` holds the parities of byte value x at byte b of v; the
+    map is linear, so each entry is the XOR of the entries of its bits.
+    ``width`` is the number of rows, the bit length bound of every value.
+    """
+
+    __slots__ = ("tables", "width")
+
+    def __init__(self, rows: Iterable[int], nbits: int) -> None:
+        rows = tuple(rows)
+        self.width = len(rows)
+        self.tables: list[list[int]] = []
+        for first in range(0, nbits, 8):
+            table = [0]
+            for c in range(first, first + 8):
+                col = parities(1 << c, rows)
+                table += [key ^ col for key in table]
+            self.tables.append(table)
+
+    def __call__(self, v: int) -> int:
+        key = 0
+        for table in self.tables:
+            key ^= table[v & 0xFF]
+            v >>= 8
+        return key
+
+
+def gray_walk(start: int, rows: Sequence[int]):
+    """Yield start XOR every combination of rows, one row flip per step."""
+    v = start
+    yield v
+    for i in range(1, 1 << len(rows)):
+        v ^= rows[(i & -i).bit_length() - 1]
+        yield v
 
 
 @dataclass(frozen=True)
@@ -81,7 +119,7 @@ def solve_membership(m: BinMatrix, v: int) -> int | None:
 
 def kernel_basis(m: BinMatrix) -> list[int]:
     """Basis of {v : parity(row & v) == 0 for every row}, canonically ordered."""
-    return Eliminator(m.rows).kernel(m.ncols)
+    return Eliminator(m.rows).kernel(range(m.ncols))
 
 
 class Eliminator:
@@ -115,24 +153,28 @@ class Eliminator:
         insort(self.pivots, (p, v))
         return True
 
-    def kernel(self, ncols: int) -> list[int]:
-        """Basis of the vectors below bit ncols orthogonal to every row.
+    def solution(self, tag: int) -> int:
+        """The pivots whose rows carry bit ``tag``.
 
-        One vector per free column f < ncols, in ascending f: bit f plus
-        the pivots of the rows holding bit f.  Bits at and above ncols
-        (tags) are ignored.
+        For a right-hand side riding as tag bit ``tag``, this is the
+        solution with every free column 0.
+        """
+        v = 0
+        for p, row in self.pivots:
+            if (row >> tag) & 1:
+                v |= 1 << p
+        return v
+
+    def kernel(self, columns: Iterable[int]) -> list[int]:
+        """One vector per free column f among ``columns``, in their order.
+
+        The vector is bit f plus the pivots of the rows holding bit f, so
+        over range(ncols) this is a basis of the vectors below bit ncols
+        orthogonal to every row.  Bits outside ``columns`` (tags) are
+        ignored.
         """
         taken = {p for p, _ in self.pivots}
-        basis = []
-        for f in range(ncols):
-            if f in taken:
-                continue
-            v = 1 << f
-            for p, row in self.pivots:
-                if (row >> f) & 1:
-                    v |= 1 << p
-            basis.append(v)
-        return basis
+        return [self.solution(f) | 1 << f for f in columns if f not in taken]
 
     @property
     def rank(self) -> int:

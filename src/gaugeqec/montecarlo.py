@@ -7,10 +7,11 @@ and the rest of the slot is padding.  Workers position their generator at
 the first shot of their range, so any partition of the shots reproduces the
 single-worker result bit for bit.
 
-``run`` decodes chunks of shots as arrays: byte tables of parities against
-the swapped stabilizer and logical rows give every shot's syndrome and label
-bits, and each distinct pair is decoded once.  ``sample_error`` and
-``decoder.recover_and_classify`` are the per-shot reference path.
+``run`` decodes chunks of shots as arrays: a numpy copy of the byte tables
+of the code's key map (a ``gf2.ParityMap``: syndrome bits, then label bits)
+gives every shot's key, and each distinct key is decoded once.
+``sample_error`` and ``decoder.recover_and_classify`` are the per-shot
+reference path.
 """
 
 from __future__ import annotations
@@ -112,22 +113,10 @@ def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return words[starts], np.add.reduceat(counts, starts)
 
 
-def _key_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Per byte of a shot's packed 2n letter bits, the key of each of its 256 values.
-
-    Entry [b, v] holds the parities of letter byte v at position b against
-    ``rows`` as little-endian uint64 words, so a shot's key is the XOR of one
-    entry per byte.
-    """
-    entries = []
-    for b in range((2 * n + 7) // 8):
-        byte = [0]
-        for i in range(8):  # parities are linear: v's entry XORs those of its bits
-            bit = gf2.parities(1 << (8 * b + i), rows)
-            byte += [key ^ bit for key in byte]
-        entries += byte
-    nwords = len(rows) // 64 + 1
-    raw = b"".join(key.to_bytes(8 * nwords, "little") for key in entries)
+def _key_tables(key: gf2.ParityMap) -> np.ndarray:
+    """``key``'s byte tables as little-endian uint64 words, entry [b, v] per byte value v."""
+    nwords = key.width // 64 + 1
+    raw = b"".join(entry.to_bytes(8 * nwords, "little") for table in key.tables for entry in table)
     return np.frombuffer(raw, dtype="<u8").reshape(-1, 256, nwords)
 
 
@@ -147,9 +136,8 @@ def _run_range(
     """
     code, model, seed = ctx
     lo, hi = shots
-    tables = _tables(code)
     n, p = code.n, model.p
-    key_of_byte = _key_tables(tables.swapped_stab + tables.swapped_logical, n)
+    key_of_byte = _key_tables(_tables(code).key)
     width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
     size = min(_CHUNK_SHOTS, hi - lo)
     u_buf = np.empty((size, width))
@@ -233,9 +221,8 @@ def run(
             else:
                 unrec += count
             continue
-        # the residual rep * e carries the XOR of both parity patterns
-        syndrome = (key & smask) ^ tables.syndrome_bits(rep.vec)
-        cls = tables.class_of(syndrome, (key >> c.s) ^ tables.label_bits(rep.vec))
+        # the residual rep * e carries the XOR of both keys
+        cls = tables.class_of(key ^ tables.key(rep.vec))
         if cls.kind is Kind.GAUGE:
             gauge += count
         else:

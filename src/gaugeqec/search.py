@@ -32,9 +32,9 @@ solves its rows' commutation constraints on the next level once, in full
 coordinates restricted to that level's free columns, and each child refines
 that solve by its own constraint row, reduced with one XOR per step of the
 children's Gray-code walk.  Which low-weight Paulis commute with a subspace
-is a bitmask over those Paulis: the mask anticommuting with a row is linear
-in the row, so each level ANDs in one row's complement, and the Gray-code
-walk updates it with one XOR per step.  With
+is a bitmask over those Paulis: the mask anticommuting with a row is a
+``gf2.ParityMap`` of the row, linear in it, so each level ANDs in one row's
+complement, and the Gray-code walk updates it with one XOR per step.  With
 S = S′ + ⟨u⟩, a leaf is first rejected by a class count: the low-weight
 vectors of one class mod S′ commute with u together, and a passing leaf has
 at most 2^(2r+1) − 1 nonzero such classes, so one AND with a mask of class
@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
-from .distance import _gray_walk, distance
+from .distance import distance
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves, vec_hermitian
 
@@ -303,7 +303,7 @@ def _solve_gauge_partners(
             break
         if system.pivots[-1][0] >= ncols:  # some row reduced to 0 = 1
             raise RuntimeError("independent commutation constraints must be consistent")
-        gx = sum(1 << p for p, row in system.pivots if (row >> (ncols + j)) & 1)
+        gx = system.solution(ncols + j)
         stats.candidates += 1
         chosen.append(gx)
         cover.add(gx)
@@ -410,23 +410,11 @@ class _SweepContext:
         self.s = spec.s
         self.r = spec.r
         self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
-        # Bit i of a mask stands for self.low[i].  The mask anticommuting
-        # with u is linear in u: the XOR, over the bits c of u, of the
-        # vectors with bit (c + n) mod 2n set.  Tabulated a byte of u at a time.
-        n = spec.n
+        # Bit i of a mask stands for self.low[i]; ``anti(u)`` masks the
+        # low-weight vectors that anticommute with u.
         self.all_low = (1 << len(self.low)) - 1
-        col_masks = [
-            sum(1 << i for i, v in enumerate(self.low) if (v >> ((c + n) % (2 * n))) & 1)
-            for c in range(2 * n)
-        ]
-        self.anti_tables = []
-        for first in range(0, 2 * n, 8):
-            cols = col_masks[first:first + 8]
-            table = [0] * (1 << len(cols))
-            for byte in range(1, len(table)):
-                low = byte & -byte
-                table[byte] = table[byte ^ low] ^ cols[low.bit_length() - 1]
-            self.anti_tables.append(table)
+        anti = gf2.ParityMap((swap_halves(v, spec.n) for v in self.low), 2 * spec.n)
+        self.anti = anti.__call__  # a bound method is cheaper to call than the instance
         # a passing leaf's commuting classes mod S′ span at most 2r + 1 dimensions
         self.class_cap = (1 << (2 * spec.r + 1)) - 1
         self.index = {v: i for i, v in enumerate(self.low)}
@@ -447,14 +435,6 @@ class _SweepContext:
                 if index.get(v ^ g, i) < i:
                     mask |= 1 << i
             self.dups[g] = mask
-        return mask
-
-    def anticommuting(self, u: int) -> int:
-        """Mask of the low-weight vectors that anticommute with u."""
-        mask = 0
-        for table in self.anti_tables:
-            mask ^= table[u & 0xFF]
-            u >>= 8
         return mask
 
     def check_subspace(
@@ -542,19 +522,13 @@ class _SweepContext:
                 raise RuntimeError("witness outside the centralizer of the subspace")
             needed |= 1 << (comb >> ncols)
         qbasis_sw = [swap_halves(v, n) for v in qbasis]
-        gram = [
-            sum(((v & sw).bit_count() & 1) << j for j, sw in enumerate(qbasis_sw))
-            for v in qbasis
-        ]
+        gram = [gf2.parities(v, qbasis_sw) for v in qbasis]
         sectors = []
         for coord_rows, span in table:
             if span & needed != needed:
                 continue
             images = [_combine(cr, gram) for cr in coord_rows]
-            restricted = [
-                sum(((img & cr).bit_count() & 1) << j for j, cr in enumerate(coord_rows))
-                for img in images
-            ]
+            restricted = [gf2.parities(img, coord_rows) for img in images]
             if gf2.Eliminator(restricted).rank != 2 * r:
                 continue  # degenerate restriction: not a gauge sector
             lifted = [_combine(cr, qbasis) for cr in coord_rows]
@@ -578,7 +552,7 @@ def _sector_table(q: int, dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     table = []
     for rows in _rref_bases(q, dim):
         span = 0
-        for v in _gray_walk(0, rows):
+        for v in gf2.gray_walk(0, rows):
             span |= 1 << v
         table.append((rows, span))
     return tuple(table)
@@ -660,6 +634,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
     free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _scatter(row0_bits, frees[0])
     prune = ctx.spec.symmetry_pruning
+    anti = ctx.anti
 
     subspaces = 0
     sectors_examined = 0
@@ -672,24 +647,15 @@ def _sweep_chunk(ctx: _SweepContext, args):
     def prepare(level: int, rows: list[int]):
         """(elimination, solutions, {f: (k_f, its mask)}) on ``level``; None at 0 = 1."""
         elim = gf2.Eliminator(constraint(level, v) for v in rows)
-        solved = elim.pivots
-        if solved and solved[-1][0] == ncols:
+        if elim.pivots and elim.pivots[-1][0] == ncols:
             return None
-        start = 1 << pivots[level]
-        for p, row in solved:
-            if row >> ncols:
-                start |= 1 << p
-        taken = {p for p, _ in solved}
+        start = 1 << pivots[level] | elim.solution(ncols)
+        # k_f holds the pivots below its free column f, which is its top bit
         kernel = {}
-        for f in frees[level]:
-            if f not in taken:
-                k = 1 << f
-                for p, row in solved:
-                    if (row >> f) & 1:
-                        k |= 1 << p
-                kernel[f] = (k, ctx.anticommuting(k))
+        for k in elim.kernel(frees[level]):
+            kernel[k.bit_length() - 1] = (k, anti(k))
         steps = list(kernel.values())
-        kept = (start, ctx.anticommuting(start), [k for k, _ in steps], [a for _, a in steps])
+        kept = (start, anti(start), [k for k, _ in steps], [a for _, a in steps])
         return elim, kept, kernel
 
     def leaves(parent: _ParentRows, u: int, anti: int, steps, antis, commuting: int) -> None:
@@ -749,7 +715,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
             rows.pop()
 
     # the root holds no rows; row0 is its one child, refined like any other
-    rec(0, [], [0], ctx.all_low, 0, row0, ctx.anticommuting(row0), [], [])
+    rec(0, [], [0], ctx.all_low, 0, row0, anti(row0), [], [])
     return subspaces, sectors_examined, found
 
 

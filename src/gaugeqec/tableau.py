@@ -96,8 +96,9 @@ def symplectic_complete(
 
     ``z_ops`` / ``x_ops`` map 0-based slot indices to supplied operators,
     which must be GF(2)-independent and satisfy the commutation pattern of
-    their slots.  The missing rows come from ``complete_rows``: a symplectic
-    Gram-Schmidt sweep taking a canonical admissible vector at every step.
+    their slots.  The missing rows come from ``PartialFrame.complete``: a
+    symplectic Gram-Schmidt sweep taking a canonical admissible vector at
+    every step.
     """
     z_given, x_given = dict(z_ops or {}), dict(x_ops or {})
     supplied = [("z", j, op) for j, op in sorted(z_given.items())]
@@ -111,7 +112,11 @@ def symplectic_complete(
         for kb, jb, opb in supplied[a + 1 :]:
             if symplectic_inner(opa, opb) != (ja == jb and ka != kb):
                 raise ValueError(f"supplied {ka}'{ja} and {kb}'{jb} violate the slot pattern")
-    rows = complete_rows(n, {j if kind == "x" else n + j: op.vec for kind, j, op in supplied})
+    frame = PartialFrame(n)
+    for kind, j, op in supplied:
+        if not frame.add(j if kind == "x" else n + j, op.vec):
+            raise ValueError("supplied operators are GF(2)-dependent")
+    rows = frame.complete()
     return SymplecticFrame(
         n,
         tuple(x_given[j] if j in x_given else from_vec(n, rows[j]) for j in range(n)),
@@ -119,41 +124,54 @@ def symplectic_complete(
     )
 
 
-def complete_rows(n: int, known: Mapping[int, int]) -> list[int]:
-    """The 2n (x|z) rows x_0..x_{n-1}, z_0..z_{n-1} of a frame around ``known``.
+class PartialFrame:
+    """The known (x|z) rows of a frame, x_0..x_{n-1} then z_0..z_{n-1}, by index.
 
-    ``known`` maps row indices to GF(2)-independent rows that keep the frame
-    pattern among themselves; the finished frame passes ``check_pattern``.
+    One tagged system serves every query: each known row i joins swapped,
+    tagged by bit 2n + i, so a vector lies in the span of the known rows
+    exactly when its swap reduces to tags alone.
     """
-    # One tagged system serves every missing row: each known row i joins
-    # swapped, tagged by bit 2n + i, so a row lies in the span of the known
-    # rows exactly when its swap reduces to tags alone.
-    ncols, mask = 2 * n, (1 << 2 * n) - 1
-    system = gf2.Eliminator()
-    for i, vec in known.items():
-        system.add(swap_halves(vec, n) | 1 << (ncols + i))
-        if system.pivots[-1][0] >= ncols:
-            raise ValueError("supplied operators are GF(2)-dependent")
-    # A slot's missing x row, then z row, commutes with every known row but
-    # its partner.  The particular solution holds the pivots whose row carries
-    # the partner's tag: with the partner known it anticommutes with it, which
-    # no row of the span does.  Otherwise it is 0 and the first kernel vector
-    # outside the span is taken; if none is, every solution lies in the span.
-    rows = dict(known)
-    for slot in range(n):
-        for i, partner in ((slot, n + slot), (n + slot, slot)):
-            if i in rows:
-                continue
-            vec = sum(1 << p for p, row in system.pivots if row >> (ncols + partner) & 1)
-            if not vec:
-                for k in system.kernel(ncols):
-                    if system.reduce(swap_halves(k, n)) & mask:
-                        vec = k
-                        break
-                else:
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, int] = {}
+        self.system = gf2.Eliminator()
+
+    def add(self, i: int, vec: int) -> bool:
+        """Make ``vec`` row i; False, leaving it out, if it depends on the known rows."""
+        n = self.n
+        tagged = self.system.reduce(swap_halves(vec, n) | 1 << (2 * n + i))
+        if not tagged & ((1 << 2 * n) - 1):
+            return False
+        self.system.add(tagged)
+        self.rows[i] = vec
+        return True
+
+    def complete(self) -> list[int]:
+        """All 2n rows of a frame around the known rows.
+
+        The known rows must keep the frame pattern among themselves; the
+        finished frame passes ``check_pattern``.
+        """
+        # A slot's missing x row, then z row, commutes with every known row
+        # but its partner.  The particular solution is read off the partner's
+        # tag: with the partner known it anticommutes with it, which no row of
+        # the span does.  Otherwise it is 0 and the first kernel vector outside
+        # the span is taken; if none is, every solution lies in the span.
+        n, system = self.n, self.system
+        ncols, mask = 2 * n, (1 << 2 * n) - 1
+        for slot in range(n):
+            for i, partner in ((slot, n + slot), (n + slot, slot)):
+                if i in self.rows:
+                    continue
+                vec = system.solution(ncols + partner)
+                if not vec:
+                    kernel = system.kernel(range(ncols))
+                    vec = next((k for k in kernel if system.reduce(swap_halves(k, n)) & mask), 0)
+                if not vec:
                     raise ValueError("no admissible completion vector")
-            system.add(swap_halves(vec, n) | 1 << (ncols + i))
-            rows[i] = vec
-    frame = [rows[i] for i in range(2 * n)]
-    check_pattern(n, frame)
-    return frame
+                system.add(swap_halves(vec, n) | 1 << (ncols + i))
+                self.rows[i] = vec
+        frame = [self.rows[i] for i in range(ncols)]
+        check_pattern(n, frame)
+        return frame

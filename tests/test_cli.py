@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,19 @@ def test_decode_command():
     assert code == 0
     assert "outcome: logical_failure" in out
     assert "class: X" in out
+
+
+# every decode table dump of the catalog at t = 1, 2 and the shor9 syndrome
+# of every weight-1 error, captured before the syndrome, label and key
+# parities moved onto one gf2.ParityMap
+TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_table_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_GOLDEN))
+def test_table_and_syndrome_stdout_golden(command):
+    code, out, _ = run_cli(*command.split())
+    assert code == 0
+    assert out == TABLE_GOLDEN[command]
 
 
 def test_decode_table_dump():

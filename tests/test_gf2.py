@@ -5,7 +5,10 @@ import pytest
 from gaugeqec.gf2 import (
     BinMatrix,
     Eliminator,
+    ParityMap,
+    gray_walk,
     kernel_basis,
+    parities,
     parity,
     rank,
     rref,
@@ -149,3 +152,26 @@ def test_eliminator_matches_matrix_rank_and_membership():
             v = rng.randrange(1 << ncols)
             expected = solve_membership(BinMatrix(ncols, tuple(rows)), v) is not None
             assert elim.contains(v) == expected
+
+
+@pytest.mark.parametrize("nbits", [1, 5, 8, 13, 18, 24])
+def test_parity_map_matches_parities(nbits):
+    rng = random.Random(nbits)
+    for nrows in (0, 1, 7, 64, 65, 130):
+        rows = [rng.randrange(1 << nbits) for _ in range(nrows)]
+        key = ParityMap(rows, nbits)
+        assert key.width == nrows
+        assert [len(table) for table in key.tables] == [256] * ((nbits + 7) // 8)
+        for v in [0, (1 << nbits) - 1] + [rng.randrange(1 << nbits) for _ in range(200)]:
+            assert key(v) == parities(v, rows)
+
+
+def test_gray_walk_visits_every_combination_once():
+    rows = [0b0011, 0b0110, 0b1000]
+    walk = list(gray_walk(0b10000, rows))
+    assert sorted(walk) == sorted(
+        0b10000 ^ (rows[0] * (c & 1)) ^ (rows[1] * (c >> 1 & 1)) ^ (rows[2] * (c >> 2))
+        for c in range(8)
+    )
+    # one row flip per step
+    assert all((a ^ b) in rows for a, b in zip(walk, walk[1:]))

@@ -8,7 +8,7 @@ rows.
 
 import random
 
-from gaugeqec.gf2 import BinMatrix, kernel_basis, rank, rref, solve_membership
+from gaugeqec.gf2 import BinMatrix, Eliminator, kernel_basis, rank, rref, solve_membership
 from naive_ops import kernel_lists, membership_combination, rref_lists
 
 SYSTEMS = 2400
@@ -80,3 +80,39 @@ def test_solve_membership_matches_reference():
         else:
             assert got == _int(ref)
     assert absent > SYSTEMS // 10
+
+
+def test_eliminator_solution_matches_reference():
+    # A x = b with b riding as a tag bit: x with its free columns 0 holds
+    # b's coefficients over the pivot columns of A, which are exactly the
+    # columns independent of the columns before them
+    inconsistent = 0
+    for rng, ncols, rows in _systems(105):
+        columns = [[(row >> c) & 1 for row in rows] for c in range(ncols)]
+        rhs = [[rng.randrange(2) for _ in rows] for _ in range(rng.randrange(1, 4))]
+        if rows and rng.random() < 0.5:  # a consistent right-hand side
+            rhs[0] = [(row & rng.randrange(1 << ncols)).bit_count() & 1 for row in rows]
+        elim = Eliminator(
+            row | sum(b[i] << (ncols + t) for t, b in enumerate(rhs)) for i, row in enumerate(rows)
+        )
+        refs = [membership_combination(columns, b) for b in rhs]
+        if None in refs:
+            inconsistent += 1
+            assert elim.pivots[-1][0] >= ncols  # some row reduced to 0 = 1
+            continue
+        for t, ref in enumerate(refs):
+            assert elim.solution(ncols + t) == _int(ref)
+    assert 0 < inconsistent < SYSTEMS
+
+
+def test_eliminator_kernel_over_columns_matches_reference():
+    for rng, ncols, rows in _systems(106):
+        tags = [row | rng.randrange(8) << ncols for row in rows]  # tag bits are never columns
+        ref = kernel_lists([_bits(v, ncols) for v in rows], ncols)
+        free = [f for f in range(ncols) if f not in {p for p, _ in Eliminator(rows).pivots}]
+        by_column = dict(zip(free, (_int(v) for v in ref)))
+        elim = Eliminator(tags)
+        assert elim.kernel(range(ncols)) == list(by_column.values())
+        # a subset skipping pivots, in any order
+        subset = rng.sample(range(ncols), rng.randrange(ncols + 1))
+        assert elim.kernel(subset) == [by_column[f] for f in subset if f in by_column]
