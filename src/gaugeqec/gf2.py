@@ -112,7 +112,7 @@ def solve_membership(m: BinMatrix, v: int) -> int | None:
     for i, row in enumerate(m.rows):
         tagged = elim.reduce(row | 1 << (ncols + i))
         if tagged & mask:
-            elim.add(tagged)
+            elim.insert(tagged)
     rest = elim.reduce(v)
     return None if rest & mask else rest >> ncols
 
@@ -143,15 +143,17 @@ class Eliminator:
 
     def add(self, v: int) -> bool:
         """Insert v into the basis; True if the rank grew."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
+        if v := self.reduce(v):
+            self.insert(v)
+        return v != 0
+
+    def insert(self, v: int) -> None:
+        """Insert a nonzero v that ``reduce`` already returned."""
         p = (v & -v).bit_length() - 1
         self.pivots = [
             (q, row ^ v) if (row >> p) & 1 else (q, row) for q, row in self.pivots
         ]
         insort(self.pivots, (p, v))
-        return True
 
     def solution(self, tag: int) -> int:
         """The pivots whose rows carry bit ``tag``.

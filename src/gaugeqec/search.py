@@ -35,14 +35,15 @@ children's Gray-code walk.  Which low-weight Paulis commute with a subspace
 is a bitmask over those Paulis: the mask anticommuting with a row is a
 ``gf2.ParityMap`` of the row, linear in it, so each level ANDs in one row's
 complement, and the Gray-code walk updates it with one XOR per step.  With
-S = S′ + ⟨u⟩, a leaf is first rejected by a class count: the low-weight
-vectors of one class mod S′ commute with u together, and a passing leaf has
-at most 2^(2r+1) − 1 nonzero such classes, so one AND with a mask of class
-representatives, carried down with the span of S′, and a popcount reject
-most leaves.  The rest are rejected once rank({u} ∪ L) − 1 passes 2r,
-where L is the commuting set reduced modulo S′, using a basis that stops at
-2r + 2 rows; the parent reads its elimination of S′ off its RREF rows and
-fills the reduced low-weight vectors on first use.  A surviving leaf has no
+S = S′ + ⟨u⟩, the leaves' walk counts classes: the low-weight vectors of
+one class mod S′ commute with u together, and a passing leaf has at most
+2^(2r+1) − 1 nonzero such classes, so one AND of the leaf's mask with the
+parent's commuting class representatives (carried down with the span of S′)
+and a popcount reject most leaves; nothing else runs for them.  The rest
+are rejected once rank({u} ∪ L) − 1 passes 2r, where L is those
+representatives reduced modulo S′, with a basis that stops at 2r + 2 rows;
+the parent's elimination of S′, read off its RREF rows when its first leaf
+passes, fills the reduced vectors on first use.  A surviving leaf has no
 gauge sector when the dimension of its witness span plus that of the span's
 radical exceeds 2r; the others read their sectors off a table of
 coordinate bases with their span masks, built once per shape.
@@ -386,20 +387,18 @@ def find_gauge_symmetries(
 class _ParentRows:
     """The first s − 1 rows of a subspace, shared by the leaves extending them.
 
-    The rows are in RREF, so their elimination is read off the pivot
-    profile.  ``reps`` masks one low-weight vector per nonzero class modulo
-    these rows, the lowest-indexed one.  ``reduced`` maps a low-weight
-    vector's bit in the commuting masks to the vector reduced modulo these
-    rows; siblings fill it on first use.
+    Built when the first of those leaves passes the class count.  The rows
+    are in RREF, so their elimination is read off the pivot profile.
+    ``reduced`` maps a class representative's bit in the commuting masks to
+    the vector reduced modulo these rows; siblings fill it on first use.
     """
 
-    __slots__ = ("rows", "elim", "reps", "reduced")
+    __slots__ = ("rows", "elim", "reduced")
 
-    def __init__(self, rows: Sequence[int], pivots: Sequence[int], reps: int):
+    def __init__(self, rows: Sequence[int], pivots: Sequence[int]):
         self.rows = tuple(rows)
         self.elim = gf2.Eliminator()
         self.elim.pivots = list(zip(pivots, self.rows))
-        self.reps = reps
         self.reduced: dict[int, int] = {}
 
 
@@ -412,7 +411,6 @@ class _SweepContext:
         self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
         # Bit i of a mask stands for self.low[i]; ``anti(u)`` masks the
         # low-weight vectors that anticommute with u.
-        self.all_low = (1 << len(self.low)) - 1
         anti = gf2.ParityMap((swap_halves(v, spec.n) for v in self.low), 2 * spec.n)
         self.anti = anti.__call__  # a bound method is cheaper to call than the instance
         # a passing leaf's commuting classes mod S′ span at most 2r + 1 dimensions
@@ -437,33 +435,26 @@ class _SweepContext:
             self.dups[g] = mask
         return mask
 
-    def check_subspace(
-        self, parent: _ParentRows, u: int, commuting: int
-    ) -> list[int] | None:
+    def check_subspace(self, parent: _ParentRows, u: int, reps: int) -> list[int] | None:
         """Independent low-weight centralizer classes, or None past the bound.
 
-        The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and
-        ``commuting`` masks the low-weight vectors commuting with all of S.
+        The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and ``reps``
+        masks the first low-weight vector of each nonzero class mod S′ that
+        commutes with all of S; any other commuting low-weight vector
+        reduces mod S′ to 0 or to the reduction of an earlier one of these.
         Their classes mod S span rank({u} ∪ L) − 1 dimensions, where L holds
-        them reduced mod S′; more than 2r of them reject S.
-
-        First a class count: a class mod S′ commutes with u as a whole, and
-        a passing S leaves L inside a space of dimension at most 2r + 1, so
-        more than 2^(2r+1) − 1 nonzero classes mod S′ (one AND with
-        ``parent.reps``) reject S.  Otherwise the rank is taken with a small
-        basis that stops as soon as it passes 2r + 1.  The vectors whose
-        reductions it keeps are the witnesses: the greedy basis of those
-        classes in canonical order, whose length is that rank.
+        them reduced mod S′; more than 2r of them reject S.  The rank is
+        taken with a small basis that stops as soon as it passes 2r + 1.
+        The vectors whose reductions it keeps are the witnesses: the greedy
+        basis of those classes in canonical order, whose length is that rank.
         """
-        if (commuting & parent.reps).bit_count() > self.class_cap:
-            return None
         cap = 2 * self.r + 1
         reduce = parent.elim.reduce
         reduced = parent.reduced
         low = self.low
         basis = [reduce(u)]  # nonzero: u is independent of S′
         witnesses: list[int] = []
-        m = commuting
+        m = reps
         while m:
             bit = m & -m
             m ^= bit
@@ -513,7 +504,7 @@ class _SweepContext:
         for v in gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(swapped))):
             tagged = coords.reduce(v | 1 << (ncols + len(qbasis)))
             if tagged & columns:  # v is independent of S and qbasis
-                coords.add(tagged)
+                coords.insert(tagged)
                 qbasis.append(v)
         needed = 0
         for w in witnesses:
@@ -625,6 +616,8 @@ def _sweep_chunk(ctx: _SweepContext, args):
     down, one step per level: the mask of low-weight vectors commuting with
     every row so far (one AND), the span of the rows, and the OR of ``dup``
     over that span, whose complement picks one low-weight vector per class.
+    A leaf with more commuting classes than ``class_cap`` costs one AND and
+    one popcount; the first other leaf builds its parent's ``_ParentRows``.
     """
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
@@ -651,22 +644,28 @@ def _sweep_chunk(ctx: _SweepContext, args):
             return None
         start = 1 << pivots[level] | elim.solution(ncols)
         # k_f holds the pivots below its free column f, which is its top bit
-        kernel = {}
-        for k in elim.kernel(frees[level]):
-            kernel[k.bit_length() - 1] = (k, anti(k))
+        kernel = {k.bit_length() - 1: (k, anti(k)) for k in elim.kernel(frees[level])}
         steps = list(kernel.values())
         kept = (start, anti(start), [k for k, _ in steps], [a for _, a in steps])
         return elim, kept, kernel
 
-    def leaves(parent: _ParentRows, u: int, anti: int, steps, antis, commuting: int) -> None:
+    def leaves(rows, classes: int, u: int, anti: int, steps, antis) -> None:
+        """Check each leaf over ``rows``; ``classes`` masks their commuting class representatives."""
         nonlocal subspaces, sectors_examined
         subspaces += 1 << len(steps)
+        cap = ctx.class_cap
+        parent = None
         for i in range(1 << len(steps)):
             if i:
                 b = (i & -i).bit_length() - 1
                 u ^= steps[b]
                 anti ^= antis[b]
-            witnesses = ctx.check_subspace(parent, u, commuting & ~anti)
+            reps = classes & ~anti
+            if reps.bit_count() > cap:
+                continue
+            if parent is None:
+                parent = _ParentRows(rows, pivots)
+            witnesses = ctx.check_subspace(parent, u, reps)
             if witnesses is None:
                 continue
             full_rows = parent.rows + (u,)
@@ -679,8 +678,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
 
     def rec(level, rows, span, commuting, dups, u, anti, steps, antis) -> None:
         if level == s - 1:
-            parent = _ParentRows(rows, pivots, ctx.all_low & ~dups)
-            leaves(parent, u, anti, steps, antis, commuting)
+            leaves(rows, commuting & ~dups, u, anti, steps, antis)
             return
         prepared = prepare(level + 1, rows)
         if prepared is None:
@@ -715,7 +713,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
             rows.pop()
 
     # the root holds no rows; row0 is its one child, refined like any other
-    rec(0, [], [0], ctx.all_low, 0, row0, anti(row0), [], [])
+    rec(0, [], [0], (1 << len(ctx.low)) - 1, 0, row0, anti(row0), [], [])
     return subspaces, sectors_examined, found
 
 

@@ -143,7 +143,7 @@ class PartialFrame:
         tagged = self.system.reduce(swap_halves(vec, n) | 1 << (2 * n + i))
         if not tagged & ((1 << 2 * n) - 1):
             return False
-        self.system.add(tagged)
+        self.system.insert(tagged)
         self.rows[i] = vec
         return True
 

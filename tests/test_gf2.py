@@ -154,6 +154,21 @@ def test_eliminator_matches_matrix_rank_and_membership():
             assert elim.contains(v) == expected
 
 
+def test_insert_of_a_reduced_row_matches_add():
+    rng = random.Random(7)
+    for _ in range(50):
+        ncols = rng.randrange(1, 14)
+        added, inserted = Eliminator(), Eliminator()
+        for _ in range(rng.randrange(10)):
+            v = rng.randrange(1 << ncols)
+            grew = added.add(v)
+            reduced = inserted.reduce(v)
+            assert grew == (reduced != 0)
+            if reduced:
+                inserted.insert(reduced)
+            assert inserted.pivots == added.pivots
+
+
 @pytest.mark.parametrize("nbits", [1, 5, 8, 13, 18, 24])
 def test_parity_map_matches_parities(nbits):
     rng = random.Random(nbits)

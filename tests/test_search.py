@@ -180,20 +180,59 @@ def _letters(v: int, n: int) -> str:
     return "".join(out)
 
 
-def _recorded_leaves(monkeypatch, spec):
-    """(rows, check_subspace result) for every leaf the sweep visits."""
+def _recorded_leaves(monkeypatch, spec, class_count=False):
+    """(rows, check_subspace result) for every leaf that reaches the rank loop.
+
+    Unless ``class_count`` is set, the class count in front of the rank loop
+    is disabled: its cap becomes the number of low-weight vectors, which no
+    count exceeds, so every leaf the sweep visits is recorded.
+    """
     seen = []
     original = search._SweepContext.check_subspace
+    init = search._SweepContext.__init__
 
-    def record(self, parent, u, commuting):
-        result = original(self, parent, u, commuting)
+    def record(self, parent, u, reps):
+        result = original(self, parent, u, reps)
         seen.append((parent.rows + (u,), result))
         return result
 
+    def uncapped(self, spec):
+        init(self, spec)
+        self.class_cap = len(self.low)
+
     monkeypatch.setattr(search._SweepContext, "check_subspace", record)
+    if not class_count:
+        monkeypatch.setattr(search._SweepContext, "__init__", uncapped)
     res = sweep_nonexistence(spec)
     monkeypatch.undo()
     return res, seen
+
+
+@pytest.mark.parametrize(
+    "spec, calls",
+    [
+        (SweepSpec(4, 2, 0, 2), 216),
+        (SweepSpec(4, 1, 1, 2), 5355),  # every leaf passes the class count
+        (SweepSpec(3, 1, 1, 2), None),
+        (SweepSpec(5, 1, 1, 3, budget=5_000), None),
+    ],
+)
+def test_class_count_rejects_only_leaves_the_rank_bound_rejects(monkeypatch, spec, calls):
+    res_all, every = _recorded_leaves(monkeypatch, spec)
+    res, counted = _recorded_leaves(monkeypatch, spec, class_count=True)
+    assert len(every) == res_all.stats.subspaces
+    kept = {rows for rows, _ in counted}
+    assert len(kept) == len(counted)
+    # the rank loop sees an order-preserving subsequence, with the same verdicts
+    assert [leaf for leaf in every if leaf[0] in kept] == counted
+    assert all(witnesses is None for rows, witnesses in every if rows not in kept)
+    stats, stats_all = res.stats, res_all.stats
+    assert (stats.subspaces, stats.sectors, stats.candidates) == (
+        stats_all.subspaces, stats_all.sectors, stats_all.candidates
+    )
+    assert res.codes == res_all.codes and res.exhausted == res_all.exhausted
+    if calls is not None:
+        assert (len(counted), len(every)) == (calls, 5355)
 
 
 @pytest.mark.parametrize(
