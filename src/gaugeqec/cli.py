@@ -90,13 +90,18 @@ def _emit(items: list[tuple[str, object]], as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _progress_printer(label: str):
+def _stats_text(stats, sectors: bool) -> str:
+    """Work counters for standard error; only the sweep examines sectors."""
+    examined = f" sectors={stats.sectors}" if sectors else ""
+    return (
+        f"subspaces={stats.subspaces}{examined} candidates={stats.candidates} "
+        f"elapsed={stats.elapsed:.1f}s"
+    )
+
+
+def _progress_printer(label: str, sectors: bool):
     def cb(stats) -> None:
-        print(
-            f"{label}: subspaces={stats.subspaces} candidates={stats.candidates} "
-            f"sectors={stats.sectors} elapsed={stats.elapsed:.1f}s",
-            file=sys.stderr,
-        )
+        print(f"{label}: {_stats_text(stats, sectors)}", file=sys.stderr)
 
     return cb
 
@@ -175,7 +180,7 @@ def _cmd_find_gauge(args) -> int:
         args.distance_min,
         budget=args.budget,
         workers=args.workers,
-        progress=_progress_printer("find-gauge") if args.verbose else None,
+        progress=_progress_printer("find-gauge", False) if args.verbose else None,
     )
     items: list[tuple[str, object]] = [
         ("r", res.r_found),
@@ -184,11 +189,7 @@ def _cmd_find_gauge(args) -> int:
     if res.restructured is not None:
         items.append(("code_file", serialize_code(res.restructured)))
     _emit(items, args.json)
-    print(
-        f"find-gauge stats: subspaces={res.stats.subspaces} "
-        f"candidates={res.stats.candidates} elapsed={res.stats.elapsed:.1f}s",
-        file=sys.stderr,
-    )
+    print(f"find-gauge stats: {_stats_text(res.stats, False)}", file=sys.stderr)
     return 0 if res.conclusive else 2
 
 
@@ -203,7 +204,7 @@ def _cmd_sweep(args) -> int:
     res = sweep_nonexistence(
         spec,
         workers=args.workers,
-        progress=_progress_printer("sweep") if args.verbose else None,
+        progress=_progress_printer("sweep", True) if args.verbose else None,
     )
     items: list[tuple[str, object]] = [
         ("codes_found", len(res.codes)),
@@ -212,11 +213,7 @@ def _cmd_sweep(args) -> int:
     if res.codes:
         items.append(("first_code", serialize_code(res.codes[0])))
     _emit(items, args.json)
-    print(
-        f"sweep stats: subspaces={res.stats.subspaces} sectors={res.stats.sectors} "
-        f"candidates={res.stats.candidates} elapsed={res.stats.elapsed:.1f}s",
-        file=sys.stderr,
-    )
+    print(f"sweep stats: {_stats_text(res.stats, True)}", file=sys.stderr)
     return 0 if res.conclusive else 2
 
 

@@ -8,35 +8,30 @@ stabilizer subspace at a target parameter point together with every
 hyperbolic gauge sector, to prove codes with those parameters do or do not
 exist.
 
-Both searches share one exact pruning idea: any operator of weight below the
-distance target that commutes with the candidate stabilizer must end up
-inside the gauge group, so the span of such operators modulo the stabilizer
-cannot exceed the gauge dimension.  Subspaces failing that rank bound cannot
-yield a valid candidate and are rejected before any partner solving; the
-bound is necessary, so no candidate is ever lost.
+The gauge search needs no bound.  Keeping a subgroup S′ of the stabilizer S
+and the logical operators L fixes the gauge group: G = S + ⟨gx⟩ lies in
+C(S′) ∩ C(L), and for a stabilizer input both have dimension s + r, so
+they are equal.  The restructured code keeps d >= d_min exactly when no
+Pauli of weight below d_min whose syndrome lies in K = S′^⊥ anticommutes
+with a logical operator; those syndromes are one bitmask per code, and K
+is walked depth-first, pruning a node whose new coset hits the mask.  The
+commutation constraints fix each gauge x partner modulo S, so partner
+solving needs no search.
 
-The gauge search applies the bound to every corank-r subgroup S′ of the
-stabilizer S, in coefficient space over S's generators: the low-weight
-Paulis commuting with S′ are those whose syndrome lies in K = S′^⊥, and
-their classes mod S must fit in r = dim K gauge slots.  K is enumerated
-depth-first, one basis vector per free column of S′, and each level adds
-only the new coset's buckets (a per-syndrome basis mod S, reduced once per
-code) to its parent's elimination; the rank only grows with K, so a node
-past r is pruned with all its leaves.  Partner solving needs no search: for
-a stabilizer code the commutation constraints fix each gauge x partner
-modulo S, and the group depends on nothing finer.
-
-The sweep applies the bound to every leaf of its depth-first enumeration,
-so the work its siblings share is done once, in their parent.  A node
-solves its rows' commutation constraints on the next level once, in full
-coordinates restricted to that level's free columns, and each child refines
-that solve by its own constraint row, reduced with one XOR per step of the
-children's Gray-code walk.  Which low-weight Paulis commute with a subspace
-is a bitmask over those Paulis: the mask anticommuting with a row is a
-``gf2.ParityMap`` of the row, linear in it, so each level ANDs in one row's
-complement, and the Gray-code walk updates it with one XOR per step.  With
-S = S′ + ⟨u⟩, the leaves' walk counts classes: the low-weight vectors of
-one class mod S′ commute with u together, and a passing leaf has at most
+The sweep prunes by a necessary rank bound: any operator of weight below
+the distance target that commutes with the candidate stabilizer must end up
+inside the gauge group, so their span modulo the stabilizer cannot exceed
+2r; no candidate is lost.  The bound runs at every leaf of the depth-first
+enumeration, so the work its siblings share is done once, in their parent.
+A node solves its rows' commutation constraints on the next level once, in
+full coordinates restricted to that level's free columns, and each child
+refines that solve by its own constraint row, reduced with one XOR per step
+of the children's Gray-code walk.  Which low-weight Paulis commute with a
+subspace is a bitmask over those Paulis: the mask anticommuting with a row
+is a ``gf2.ParityMap`` of the row, linear in it, so each level ANDs in one
+row's complement, and the Gray-code walk updates it with one XOR per step.
+With S = S′ + ⟨u⟩, the leaves' walk counts classes: the low-weight vectors
+of one class mod S′ commute with u together, and a passing leaf has at most
 2^(2r+1) − 1 nonzero such classes, so one AND of the leaf's mask with the
 parent's commuting class representatives (carried down with the span of S′)
 and a popcount reject most leaves; nothing else runs for them.  The rest
@@ -45,8 +40,8 @@ representatives reduced modulo S′, with a basis that stops at 2r + 2 rows;
 the parent's elimination of S′, read off its RREF rows when its first leaf
 passes, fills the reduced vectors on first use.  A surviving leaf has no
 gauge sector when the dimension of its witness span plus that of the span's
-radical exceeds 2r; the others read their sectors off a table of
-coordinate bases with their span masks, built once per shape.
+radical exceeds 2r; the others read their sectors off a table of coordinate
+bases with their span masks, built once per shape.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -59,11 +54,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, singleton_check, validated
-from .distance import distance
+from .distance import _tables, distance
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves, vec_hermitian
 
@@ -164,106 +159,64 @@ def _rref_bases(ncols: int, rank: int) -> Iterator[tuple[int, ...]]:
 class _GaugeContext:
     """Immutable picture of the input code, shareable with workers.
 
-    ``bucket_bases`` maps a syndrome signature (bit i: anticommutes with
-    stabilizer generator i) to a basis, modulo the stabilizer, of the
-    low-weight vectors with that signature.
+    Bit ``sig`` of ``bad`` is set when a Pauli of weight 1 to d_min − 1 with
+    syndrome ``sig`` anticommutes with a logical operator.
     """
 
     def __init__(self, code: SubsystemCode, d_min: int):
-        self.n = code.n
-        self.s = code.s
-        self.d_min = d_min
-        self.svecs = tuple(g.vec for g in code.stabilizer)
-        self.logical_vecs = tuple(op.vec for op in code.logical_ops())
-        n = self.n
-        self.stab_elim = gf2.Eliminator(self.svecs)
-        swapped = [swap_halves(v, n) for v in self.svecs]
-        buckets: dict[int, gf2.Eliminator] = {}
-        for v in low_weight_vecs(n, d_min - 1):
-            sig = gf2.parities(v, swapped)
-            # stabilizer elements reduce to 0 and are not added
-            buckets.setdefault(sig, gf2.Eliminator()).add(self.stab_elim.reduce(v))
-        self.bucket_bases = {
-            sig: tuple(row for _, row in elim.pivots)
-            for sig, elim in buckets.items()
-            if elim.rank
-        }
-
-    def absorb(
-        self, elim: gf2.Eliminator, sigs: Iterable[int], r: int
-    ) -> gf2.Eliminator | None:
-        """``elim`` extended by the buckets of ``sigs``; None once its rank passes r."""
-        child = elim.copy()
-        bases = self.bucket_bases
-        for sig in sigs:
-            for v in bases.get(sig, ()):
-                if child.add(v) and child.rank > r:
-                    return None
-        return child
+        self.s = s = code.s
+        self.bad = 0
+        # a key holds the syndrome in its low s bits (bit i: anticommutes with
+        # stabilizer generator i) and the logical label above them
+        for key in map(_tables(code).key, low_weight_vecs(code.n, d_min - 1)):
+            if key >> s:
+                self.bad |= 1 << (key & ((1 << s) - 1))
 
 
 def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
-    """Rank-bound every subgroup S′ with this pivot profile; (examined, survivors).
+    """Every subgroup S′ with this pivot profile; (examined, first survivor).
 
-    A low-weight vector commutes with S′ exactly when its signature lies in
-    K = S′^⊥, so its class mod S must be absorbed by the r = dim K gauge
-    slots.  K has one basis vector per free column f of S′: bit f plus the
-    pivots of the rows holding bit f, any subset of the pivots below f.
-    Choosing those vectors depth-first, free column by free column, walks
-    every S′ of the profile once; each level adds only the buckets of the
-    new coset k + K′ to its parent's elimination, and a node whose rank
-    passes r is pruned with all its leaves, since the rank only grows with
-    K.  Survivors come back as (RREF rows of S′, basis of the witness
-    classes mod S), sorted into canonical order.
+    S′ survives when no syndrome in K = S′^⊥ is ``bad``: then no Pauli of
+    weight below d_min commutes with S′ and acts logically.  K has one
+    basis vector per free column f of S′: bit f plus the pivots of the rows
+    holding bit f, any subset of the pivots below f.  Choosing those vectors
+    depth-first, free column by free column, walks every S′ of the profile
+    once; each level tests only the new coset k + K′, and a node whose coset
+    hits ``bad`` is pruned with all its leaves.  The survivor returned is
+    the canonically first one's RREF rows, or None.
     """
     r = ctx.s - len(pivots)
     frees = [f for f in range(ctx.s) if f not in pivots]
     lowers = [[p for p in pivots if p < f] for f in frees]
-    leaves = [1] * (r + 1)  # leaves[level]: subspaces below a node at that depth
-    for level in range(r - 1, -1, -1):
-        leaves[level] = leaves[level + 1] << len(lowers[level])
-    examined = 0
-    survivors: list[tuple[tuple[int, ...], list[int]]] = []
+    bad = ctx.bad
+    survivors: list[tuple[int, ...]] = []
     ks: list[int] = []
 
-    def rec(level: int, span: list[int], elim: gf2.Eliminator) -> None:
-        nonlocal examined
+    def rec(level: int, span: list[int]) -> None:
         if level == r:
-            examined += 1
-            rows = tuple(
+            survivors.append(tuple(
                 (1 << p) | sum(1 << f for f, k in zip(frees, ks) if (k >> p) & 1)
                 for p in pivots
-            )
-            survivors.append((rows, [row for _, row in elim.pivots]))
+            ))
             return
         for bits in range(1 << len(lowers[level])):
             k = (1 << frees[level]) | _scatter(bits, lowers[level])
             coset = [k ^ x for x in span]
-            child = ctx.absorb(elim, coset, r)
-            if child is None:
-                examined += leaves[level + 1]
+            if any(bad >> x & 1 for x in coset):
                 continue
             ks.append(k)
-            rec(level + 1, span + coset, child)
+            rec(level + 1, span + coset)
             ks.pop()
 
-    root = ctx.absorb(gf2.Eliminator(), (0,), r)
-    if root is None:
-        return leaves[0], []
-    rec(0, [0], root)
-    survivors.sort(key=lambda item: item[0])
-    return examined, survivors
+    if not bad & 1:  # else a logical operator below d_min commutes with every S′
+        rec(0, [0])
+    return 1 << sum(map(len, lowers)), min(survivors, default=None)
 
 
 def _solve_gauge_partners(
-    code: SubsystemCode,
-    ctx: _GaugeContext,
-    coeff_rows: tuple[int, ...],
-    witnesses: list[int],
-    stats: SearchStats,
-    budget: int | None,
-) -> SubsystemCode | None:
-    """Solve for the x partners of one stabilizer subgroup, one per gauge slot.
+    code: SubsystemCode, d_min: int, coeff_rows: tuple[int, ...]
+) -> SubsystemCode:
+    """The restructured code of one stabilizer subgroup, one x partner per gauge slot.
 
     The z generators are the original stabilizer generators outside the
     subgroup's pivot set.  The x partner gx_j must commute with the subgroup,
@@ -272,59 +225,36 @@ def _solve_gauge_partners(
     stabilizer: any two differ by an operator commuting with S and with the
     logical operators, and in a stabilizer code only S itself does.  The
     gauge group S + ⟨gx⟩ only depends on each gx_j modulo S, so the
-    particular solution is the one candidate per slot.
-
-    The walk stops as soon as the witness classes not yet absorbed outnumber
-    the unassigned gauge slots; a full assignment covering all witnesses has
-    distance >= d_min by construction of the witness set.
+    particular solution is the one candidate per slot.  The subgroup must
+    have passed the syndrome filter, so a distance below d_min is an error.
     """
-    n, s = ctx.n, ctx.s
-    r = s - len(coeff_rows)
-    sprime = [_combine(c, ctx.svecs) for c in coeff_rows]
+    n = code.n
+    svecs = [g.vec for g in code.stabilizer]
+    sprime = [_combine(c, svecs) for c in coeff_rows]
     pivot_set = {(c & -c).bit_length() - 1 for c in coeff_rows}
-    gz_idx = [j for j in range(s) if j not in pivot_set]
+    gz_idx = [j for j in range(code.s) if j not in pivot_set]
     # One linear system serves every slot: the constraint rows in swapped
-    # form with gz_i tagged by bit 2n + i, so slot j's right-hand side is tag
-    # bit j and its particular solution is read off the pivot rows; each
+    # form with gz_i tagged by bit 2n + i, so slot i's right-hand side is tag
+    # bit i and its particular solution is read off the pivot rows; each
     # chosen partner joins as one more row with right-hand side 0.
     ncols = 2 * n
-    system = gf2.Eliminator(swap_halves(v, n) for v in sprime + list(ctx.logical_vecs))
+    rows = sprime + [op.vec for op in code.logical_ops()]
+    system = gf2.Eliminator(swap_halves(v, n) for v in rows)
     for i, j in enumerate(gz_idx):
-        system.add(swap_halves(ctx.svecs[j], n) | 1 << (ncols + i))
-
-    chosen: list[int] = []
-    cover = ctx.stab_elim.copy()
-    for j in range(r + 1):
-        if budget is not None and stats.subspaces + stats.candidates > budget:
-            raise _BudgetStop
-        probe = cover.copy()
-        if sum(1 for w in witnesses if probe.add(w)) > r - j:
-            return None  # too few slots left to absorb the witness classes
-        if j == r:
-            break
+        system.add(swap_halves(svecs[j], n) | 1 << (ncols + i))
+    gauge_pairs = []
+    for i, j in enumerate(gz_idx):
         if system.pivots[-1][0] >= ncols:  # some row reduced to 0 = 1
             raise RuntimeError("independent commutation constraints must be consistent")
-        gx = system.solution(ncols + j)
-        stats.candidates += 1
-        chosen.append(gx)
-        cover.add(gx)
+        gx = system.solution(ncols + i)
         system.add(swap_halves(gx, n))
+        gauge_pairs.append((vec_hermitian(n, gx), code.stabilizer[j]))
 
     stab_ops = tuple(vec_hermitian(n, v) for v in sprime)
-    gauge_pairs = tuple(
-        (vec_hermitian(n, gx), code.stabilizer[j]) for gx, j in zip(chosen, gz_idx)
-    )
-    cand = SubsystemCode(n, stab_ops, gauge_pairs, code.logical_pairs)
-    try:
-        if distance(cand, "coset") < ctx.d_min:
-            return None
-    except ValueError:
-        return None  # cand is not a valid subsystem code
+    cand = SubsystemCode(n, stab_ops, tuple(gauge_pairs), code.logical_pairs)
+    if distance(cand, "coset") < d_min:
+        raise RuntimeError("a subgroup passing the syndrome filter must keep d >= d_min")
     return validated(cand)  # cached by distance
-
-
-class _BudgetStop(Exception):
-    pass
 
 
 def find_gauge_symmetries(
@@ -337,9 +267,11 @@ def find_gauge_symmetries(
     """Largest r such that the code restructures into r gauge qubits.
 
     Scans r from high to low, one pivot profile of corank-r stabilizer
-    subgroups at a time; the subgroups are enumerated canonically and the
-    first one admitting valid partners with distance >= d_min wins.  A
-    conclusive r = 0 requires the whole space to have been exhausted.
+    subgroups at a time, and assembles the canonically first subgroup that
+    passes the syndrome filter; ``stats.candidates`` counts the codes
+    assembled, 0 or 1.  The budget is checked against ``stats.subspaces``
+    after each profile with no survivor.  A conclusive r = 0 requires the
+    whole space to have been exhausted.
     """
     c = validated(code)
     if c.r != 0:
@@ -355,27 +287,21 @@ def find_gauge_symmetries(
     ctx = _GaugeContext(c, d_min)
     stats = SearchStats()
     start = time.monotonic()
-    s = c.s
-    profiles = [pivots for m in range(1, s) for pivots in combinations(range(s), m)]
+    profiles = [pivots for m in range(1, c.s) for pivots in combinations(range(c.s), m)]
     found: SubsystemCode | None = None
     exhausted = True
-    try:
-        for examined, survivors in ordered_map(_gauge_filter_chunk, ctx, profiles, workers):
-            stats.subspaces += examined
-            if progress and stats.subspaces % PROGRESS_EVERY < examined:
-                stats.elapsed = time.monotonic() - start
-                progress(stats)
-            for rows, reps in survivors:
-                found = _solve_gauge_partners(c, ctx, rows, reps, stats, budget)
-                if found is not None:
-                    break
-            if found is not None:
-                break
-            if budget is not None and stats.subspaces + stats.candidates > budget:
-                exhausted = False
-                break
-    except _BudgetStop:
-        exhausted = False
+    for examined, rows in ordered_map(_gauge_filter_chunk, ctx, profiles, workers):
+        stats.subspaces += examined
+        if progress and stats.subspaces % PROGRESS_EVERY < examined:
+            stats.elapsed = time.monotonic() - start
+            progress(stats)
+        if rows is not None:
+            found = _solve_gauge_partners(c, d_min, rows)
+            stats.candidates += 1
+            break
+        if budget is not None and stats.subspaces > budget:
+            exhausted = False
+            break
     stats.elapsed = time.monotonic() - start
     return GaugeSymmetryResult(found.r if found else 0, found, exhausted, stats)
 

@@ -156,10 +156,13 @@ def test_worker_flag_output_identical_sweep():
 
 
 def test_worker_flag_output_identical_find_gauge():
-    base = ("find-gauge", "--code", "five-qubit", "--distance-min", "3")
-    _, one, _ = run_cli(*base, "--workers", "1")
-    _, two, _ = run_cli(*base, "--workers", "2")
-    assert one == two
+    for name, d_min, r in (("five-qubit", "3", 0), ("shor9", "3", 4), ("steane7", "2", 3)):
+        base = ("find-gauge", "--code", name, "--distance-min", d_min)
+        code1, one, _ = run_cli(*base, "--workers", "1")
+        code2, two, _ = run_cli(*base, "--workers", "2")
+        assert code1 == code2 == 0
+        assert one == two
+        assert one.startswith(f"r: {r}\nexhausted: true\n")
 
 
 @pytest.mark.parametrize(

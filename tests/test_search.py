@@ -73,11 +73,14 @@ def test_find_gauge_budget_reports_inconclusive():
 
 
 def test_find_gauge_worker_count_does_not_change_the_result():
-    serial = find_gauge_symmetries(catalog("five-qubit"), 3)
-    parallel = find_gauge_symmetries(catalog("five-qubit"), 3, workers=2)
-    assert serial.r_found == parallel.r_found
-    assert serial.exhausted == parallel.exhausted
-    assert serial.restructured == parallel.restructured
+    for name, d_min, r in (("five-qubit", 3, 0), ("shor9", 3, 4), ("steane7", 2, 3)):
+        serial = find_gauge_symmetries(catalog(name), d_min)
+        parallel = find_gauge_symmetries(catalog(name), d_min, workers=2)
+        assert serial.r_found == parallel.r_found == r
+        assert serial.exhausted == parallel.exhausted
+        assert serial.restructured == parallel.restructured
+        assert serial.stats.subspaces == parallel.stats.subspaces
+        assert serial.stats.candidates == parallel.stats.candidates == (r > 0)
 
 
 def test_sweep_spec_validation():
@@ -381,63 +384,48 @@ def test_perfect_code_point_is_populated(sweep_5103):
     assert distance(first) == 3
 
 
-def _class_coords(code):
-    """Map a vector to 0/1 coordinates of its class mod the stabilizer."""
-    n = code.n
-    stab = [naive_ops.to_bits(_letters(g.vec, n)) for g in code.stabilizer]
-    reduced, pivots = naive_ops.rref_lists(stab, 2 * n)
-    keep = [c for c in range(2 * n) if c not in pivots]
-
-    def coords(p: str) -> list[int]:
-        v = naive_ops.to_bits(p)
-        for row, c in zip(reduced, pivots):
-            if v[c]:
-                v = [(a + b) % 2 for a, b in zip(v, row)]
-        return [v[c] for c in keep]
-
-    return coords
+def _subgroups(s, pivots):
+    """Every subgroup S′ with this pivot profile: RREF coefficient rows over the
+    s stabilizer generators, in canonical order (row 0's free bits outermost)."""
+    frees = [[c for c in range(p + 1, s) if c not in pivots] for p in pivots]
+    for values in product(*(range(1 << len(f)) for f in frees)):
+        yield tuple(
+            (1 << p) | sum(((v >> j) & 1) << c for j, c in enumerate(f))
+            for p, f, v in zip(pivots, frees, values)
+        )
 
 
 def _reference_gauge_filter(code, d_min, pivots):
-    """One pivot profile of the gauge filter, each subspace from scratch.
+    """One pivot profile of the gauge filter, each subgroup from scratch.
 
-    Subspaces S′ (coefficient rows over the stabilizer generators) come in
-    canonical order, row 0's free bits outermost.  The low-weight Paulis
-    commuting with S′ are those whose syndrome lies in S′^⊥; S′ survives when
-    their classes mod S span at most r = s − |S′| dimensions.  Returns
-    (examined, [(rows, class coordinates of the commuting Paulis)]).
+    Each S′ is built as Pauli strings, products of the stabilizer generators
+    its rows select.  S′ survives when no Pauli of weight below d_min that
+    commutes with all of S′ anticommutes with a logical operator.  Returns
+    (examined, the first survivor's rows or None).
     """
-    n, s = code.n, code.s
-    r = s - len(pivots)
+    n = code.n
     stab = [_letters(g.vec, n) for g in code.stabilizer]
-    coords = _class_coords(code)
-    groups: dict[tuple[int, ...], list[list[int]]] = {}
-    for p in naive_ops.all_paulis_up_to_weight(n, d_min - 1, include_identity=False):
-        syndrome = tuple(int(naive_ops.anticommute(p, g)) for g in stab)
-        cls = coords(p)
-        group = groups.setdefault(syndrome, [])
-        if any(cls) and cls not in group:
-            group.append(cls)
-    frees = [[c for c in range(p + 1, s) if c not in pivots] for p in pivots]
-    examined, survivors = 0, []
-    for values in product(*(range(1 << len(f)) for f in frees)):
-        rows = []
-        for p, f, v in zip(pivots, frees, values):
-            row = [0] * s
-            row[p] = 1
-            for j, c in enumerate(f):
-                row[c] = (v >> j) & 1
-            rows.append(row)
+    logical = [_letters(op.vec, n) for op in validated(code).logical_ops()]
+    acting = [
+        p
+        for p in naive_ops.all_paulis_up_to_weight(n, d_min - 1, include_identity=False)
+        if any(naive_ops.anticommute(p, q) for q in logical)
+    ]
+    examined, first = 0, None
+    for rows in _subgroups(code.s, pivots):
         examined += 1
-        dual = [[0] * s]
-        for k in naive_ops.kernel_lists(rows, s):
-            dual += [[(a + b) % 2 for a, b in zip(x, k)] for x in dual]
-        classes = [cls for syndrome in dual for cls in groups.get(tuple(syndrome), ())]
-        # a prefix already past r decides the rejection; the rank only grows
-        if naive_ops.rank(classes[: 4 * (r + 1)]) > r or naive_ops.rank(classes) > r:
+        if first is not None:
             continue
-        survivors.append((tuple(sum(b << c for c, b in enumerate(row)) for row in rows), classes))
-    return examined, survivors
+        sprime = []
+        for row in rows:
+            g = "I" * n
+            for i, h in enumerate(stab):
+                if (row >> i) & 1:
+                    g = naive_ops.mul(g, h)[1]
+            sprime.append(g)
+        if not any(all(not naive_ops.anticommute(p, g) for g in sprime) for p in acting):
+            first = rows
+    return examined, first
 
 
 @pytest.mark.parametrize(
@@ -445,28 +433,90 @@ def _reference_gauge_filter(code, d_min, pivots):
     [
         ("five-qubit", 2, (3, 2, 1)),
         ("five-qubit", 3, (3, 2, 1)),
-        ("steane7", 2, (5, 4, 3, 2, 1)),  # survivors at every r <= 4
+        ("five-qubit", 4, (3, 2, 1)),  # d = 3 < d_min: every subgroup is rejected
+        ("steane7", 2, (5, 4, 3, 2, 1)),  # survivors at r = 3 and below
         ("steane7", 3, (5, 4, 3, 2, 1)),
         ("shor9", 2, (7,)),
-        ("shor9", 3, (7, 6)),  # every subspace pruned, most of them as subtrees
+        ("shor9", 3, (7, 6)),  # every subgroup pruned, most of them as subtrees
     ],
     ids=lambda v: str(v) if not isinstance(v, tuple) else "r" + "".join(map(str, v)),
 )
-def test_gauge_filter_matches_a_from_scratch_rank(name, d_min, ranks):
-    code = catalog(name)
+def test_gauge_filter_matches_a_from_scratch_syndrome_check(name, d_min, ranks):
+    code = validated(catalog(name))
     ctx = search._GaugeContext(code, d_min)
-    coords = _class_coords(code)
     for r in ranks:
         for pivots in combinations(range(code.s), code.s - r):
-            examined, survivors = search._gauge_filter_chunk(ctx, pivots)
-            ref_examined, ref_survivors = _reference_gauge_filter(code, d_min, pivots)
-            assert examined == ref_examined
-            assert [rows for rows, _ in survivors] == [rows for rows, _ in ref_survivors]
-            for (rows, witnesses), (_, classes) in zip(survivors, ref_survivors):
-                wcoords = [coords(_letters(w, code.n)) for w in witnesses]
-                span = naive_ops.rank(classes)
-                assert len(witnesses) == naive_ops.rank(wcoords) == span, rows
-                assert naive_ops.rank(classes + wcoords) == span, rows
+            got = search._gauge_filter_chunk(ctx, pivots)
+            assert got == _reference_gauge_filter(code, d_min, pivots), pivots
+
+
+@pytest.mark.parametrize("seed, d_min", [(0, 2), (3, 2), (24, 3)])
+def test_gauge_filter_rejects_every_subgroup_below_the_input_distance(seed, d_min):
+    # a logical operator of weight below d_min commutes with every S′, yet
+    # some nonzero syndromes of these codes are not bad: only the zero
+    # syndrome at the root rejects every subgroup
+    code = validated(_random_stabilizer_code(seed))
+    assert distance(code) < d_min
+    ctx = search._GaugeContext(code, d_min)
+    assert ctx.bad & 1 and ctx.bad != (1 << (1 << code.s)) - 1
+    for m in range(1, code.s):
+        for pivots in combinations(range(code.s), m):
+            got = search._gauge_filter_chunk(ctx, pivots)
+            assert got[1] is None
+            assert got == _reference_gauge_filter(code, d_min, pivots), pivots
+
+
+def _every_survivor(monkeypatch, ctx, pivots):
+    """Every subgroup of the profile that the filter keeps, not only the first."""
+    monkeypatch.setattr(search, "min", lambda survivors, default: survivors, raising=False)
+    _, survivors = search._gauge_filter_chunk(ctx, pivots)
+    monkeypatch.undo()
+    return set(survivors)
+
+
+@pytest.mark.parametrize(
+    "name, kept",
+    [
+        ("five-qubit", {2: 0, 3: 0, 4: 0}),  # every restructured code has d = 1
+        ("steane7", {2: 272, 3: 0}),
+    ],
+    ids=["five-qubit", "steane7"],
+)
+def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(
+    monkeypatch, name, kept
+):
+    # the gauge group is C(S′) ∩ C(L), so the syndrome filter is exact: it
+    # keeps S′ if and only if the restructured code has d >= d_min
+    code = validated(catalog(name))
+    profiles = [pivots for m in range(1, code.s) for pivots in combinations(range(code.s), m)]
+    verdicts = {}
+    for d_min in kept:
+        ctx = search._GaugeContext(code, d_min)
+        verdicts[d_min] = set().union(*(_every_survivor(monkeypatch, ctx, p) for p in profiles))
+    checked = 0
+    for pivots in profiles:
+        for rows in _subgroups(code.s, pivots):
+            # d_min = 1 only assembles: every code has d >= 1
+            d = distance(search._solve_gauge_partners(code, 1, rows), "exhaustive")
+            for d_min in kept:
+                assert (rows in verdicts[d_min]) == (d >= d_min), (rows, d_min, d)
+            checked += 1
+    assert checked == {"five-qubit": 65, "steane7": 2823}[name]
+    assert {d_min: len(rows) for d_min, rows in verdicts.items()} == kept
+
+
+def test_partner_solving_refuses_a_code_below_the_distance_target(monkeypatch):
+    # with no syndrome marked bad the first subgroup survives the filter;
+    # its code has d < 3, which the guard must report, not return
+    init = search._GaugeContext.__init__
+
+    def blind(self, code, d_min):
+        init(self, code, d_min)
+        self.bad = 0
+
+    monkeypatch.setattr(search._GaugeContext, "__init__", blind)
+    with pytest.raises(RuntimeError, match="d >= d_min"):
+        find_gauge_symmetries(catalog("shor9"), 3)
 
 
 @pytest.mark.parametrize("name", ["five-qubit", "steane7"])
