@@ -34,11 +34,11 @@ With S = S′ + ⟨u⟩, the leaves' walk counts classes: the low-weight vectors
 of one class mod S′ commute with u together, and a passing leaf has at most
 2^(2r+1) − 1 nonzero such classes, so one AND of the leaf's mask with the
 parent's commuting class representatives (carried down with the span of S′)
-and a popcount reject most leaves; nothing else runs for them.  The rest
-are rejected once rank({u} ∪ L) − 1 passes 2r, where L is those
-representatives reduced modulo S′, with a basis that stops at 2r + 2 rows;
-the parent's elimination of S′, read off its RREF rows when its first leaf
-passes, fills the reduced vectors on first use.  A surviving leaf has no
+and a popcount reject most leaves; nothing else runs for them, and the
+walk runs in the loop that takes each leaf-parent from its parent, with no
+call of its own.  The rest are rejected once rank({u} ∪ L) − 1 passes 2r,
+where L is those representatives reduced modulo S′ by its RREF rows, once
+per parent, with a basis that stops at 2r + 2 rows.  A surviving leaf has no
 gauge sector when the dimension of its witness span plus that of the span's
 radical exceeds 2r; the others read their sectors off a table of coordinate
 bases with their span masks, built once per shape.
@@ -273,6 +273,7 @@ def find_gauge_symmetries(
     after each profile with no survivor.  A conclusive r = 0 requires the
     whole space to have been exhausted.
     """
+    start = time.monotonic()
     c = validated(code)
     if c.r != 0:
         raise ValueError("input must be a stabilizer code (no gauge pairs)")
@@ -286,7 +287,6 @@ def find_gauge_symmetries(
         raise ValueError(f"budget must be >= 1 (None for no limit), got {budget}")
     ctx = _GaugeContext(c, d_min)
     stats = SearchStats()
-    start = time.monotonic()
     profiles = [pivots for m in range(1, c.s) for pivots in combinations(range(c.s), m)]
     found: SubsystemCode | None = None
     exhausted = True
@@ -314,18 +314,16 @@ class _ParentRows:
     """The first s − 1 rows of a subspace, shared by the leaves extending them.
 
     Built when the first of those leaves passes the class count.  The rows
-    are in RREF, so their elimination is read off the pivot profile.
-    ``reduced`` maps a class representative's bit in the commuting masks to
-    the vector reduced modulo these rows; siblings fill it on first use.
+    are in RREF, so their (pivot, row) ``pairs`` reduce a vector modulo them;
+    ``reduced[i]`` is low-weight vector i so reduced, 0 until first needed.
     """
 
-    __slots__ = ("rows", "elim", "reduced")
+    __slots__ = ("rows", "pairs", "reduced")
 
-    def __init__(self, rows: Sequence[int], pivots: Sequence[int]):
+    def __init__(self, rows: Sequence[int], pivots: Sequence[int], nlow: int):
         self.rows = tuple(rows)
-        self.elim = gf2.Eliminator()
-        self.elim.pivots = list(zip(pivots, self.rows))
-        self.reduced: dict[int, int] = {}
+        self.pairs = tuple(zip(pivots, self.rows))
+        self.reduced = [0] * nlow
 
 
 class _SweepContext:
@@ -350,15 +348,10 @@ class _SweepContext:
 
         ORed over every g in S′, it marks all but the first low-weight
         vector of each nonzero class mod S′, and the whole zero class.
+        Stored in ``dups``, which callers read first.
         """
-        mask = self.dups.get(g)
-        if mask is None:
-            index = self.index
-            mask = 0
-            for i, v in enumerate(self.low):
-                if index.get(v ^ g, i) < i:
-                    mask |= 1 << i
-            self.dups[g] = mask
+        index = self.index
+        mask = self.dups[g] = sum(1 << i for i, v in enumerate(self.low) if index.get(v ^ g, i) < i)
         return mask
 
     def check_subspace(self, parent: _ParentRows, u: int, reps: int) -> list[int] | None:
@@ -375,25 +368,31 @@ class _SweepContext:
         basis of those classes in canonical order, whose length is that rank.
         """
         cap = 2 * self.r + 1
-        reduce = parent.elim.reduce
-        reduced = parent.reduced
-        low = self.low
-        basis = [reduce(u)]  # nonzero: u is independent of S′
+        pairs, reduced, low = parent.pairs, parent.reduced, self.low
+        for p, row in pairs:
+            if u >> p & 1:
+                u ^= row
+        basis = [u]  # nonzero: u is independent of S′
         witnesses: list[int] = []
         m = reps
         while m:
             bit = m & -m
             m ^= bit
-            v = reduced.get(bit)
-            if v is None:
-                v = reduced[bit] = reduce(low[bit.bit_length() - 1])
+            i = bit.bit_length() - 1
+            v = reduced[i]
+            if not v:  # a class representative never reduces to 0
+                v = low[i]
+                for p, row in pairs:
+                    if v >> p & 1:
+                        v ^= row
+                reduced[i] = v
             # insertion-order reduction on each row's top bit
             for b in basis:
                 if v ^ b < v:
                     v ^= b
             if v:  # independent of S and the witnesses so far
                 basis.append(v)
-                witnesses.append(low[bit.bit_length() - 1])
+                witnesses.append(low[i])
                 if len(basis) > cap:
                     return None
         return witnesses
@@ -464,6 +463,12 @@ def _combine(bits: int, rows: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _gray_order(m: int) -> tuple[int | None, ...]:
+    """None, then the step each later move of an m-step Gray-code walk flips."""
+    return (None,) + tuple((i & -i).bit_length() - 1 for i in range(1, 1 << m))
+
+
+@lru_cache(maxsize=None)
 def _sector_table(q: int, dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every rank-``dim`` RREF basis over q columns with the mask of its span."""
     table = []
@@ -531,7 +536,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
     visited.  A level's constraint against a row is the row's swapped form
     on the level's free columns, with the parity it leaves for the pivot bit
     as a tag bit at column 2n.  A node solves its rows' constraints on the
-    next level once (``prepare``): the RREF start, plus one kernel vector
+    next level once (in ``children``): the RREF start, plus one kernel vector
     k_f per remaining free column f.  Each child adds one constraint row,
     reduced against that solve to r, which is linear in the child and so
     follows its Gray-code walk with one XOR per step.  r = 0 keeps the
@@ -542,6 +547,8 @@ def _sweep_chunk(ctx: _SweepContext, args):
     down, one step per level: the mask of low-weight vectors commuting with
     every row so far (one AND), the span of the rows, and the OR of ``dup``
     over that span, whose complement picks one low-weight vector per class.
+    A leaf-parent holds s − 1 rows, S′, and no span; ``rec`` walks its leaves
+    in the loop that takes it from ``children``, or at s = 1 from the chunk.
     A leaf with more commuting classes than ``class_cap`` costs one AND and
     one popcount; the first other leaf builds its parent's ``_ParentRows``.
     """
@@ -553,7 +560,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
     free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _scatter(row0_bits, frees[0])
     prune = ctx.spec.symmetry_pruning
-    anti = ctx.anti
+    anti_of, dup, stored_dup, cap = ctx.anti, ctx.dup, ctx.dups.get, ctx.class_cap
 
     subspaces = 0
     sectors_examined = 0
@@ -563,59 +570,24 @@ def _sweep_chunk(ctx: _SweepContext, args):
         sw = swap_halves(v, n)
         return sw & free_masks[level] | ((sw >> pivots[level]) & 1) << ncols
 
-    def prepare(level: int, rows: list[int]):
-        """(elimination, solutions, {f: (k_f, its mask)}) on ``level``; None at 0 = 1."""
-        elim = gf2.Eliminator(constraint(level, v) for v in rows)
+    def children(level, rows, span, commuting, dups, u, anti, steps, antis):
+        """The children of a node holding ``level`` rows, as nodes for ``rec``.
+
+        A node is (rows, span or None at a leaf-parent, commuting mask, OR of
+        ``dup``, its children's start, steps and their masks); ``rows`` is shared.
+        """
+        elim = gf2.Eliminator(constraint(level + 1, v) for v in rows)
         if elim.pivots and elim.pivots[-1][0] == ncols:
-            return None
-        start = 1 << pivots[level] | elim.solution(ncols)
+            return  # the rows' constraints on the next level are 0 = 1
+        start = 1 << pivots[level + 1] | elim.solution(ncols)
         # k_f holds the pivots below its free column f, which is its top bit
-        kernel = {k.bit_length() - 1: (k, anti(k)) for k in elim.kernel(frees[level])}
-        steps = list(kernel.values())
-        kept = (start, anti(start), [k for k, _ in steps], [a for _, a in steps])
-        return elim, kept, kernel
-
-    def leaves(rows, classes: int, u: int, anti: int, steps, antis) -> None:
-        """Check each leaf over ``rows``; ``classes`` masks their commuting class representatives."""
-        nonlocal subspaces, sectors_examined
-        subspaces += 1 << len(steps)
-        cap = ctx.class_cap
-        parent = None
-        for i in range(1 << len(steps)):
-            if i:
-                b = (i & -i).bit_length() - 1
-                u ^= steps[b]
-                anti ^= antis[b]
-            reps = classes & ~anti
-            if reps.bit_count() > cap:
-                continue
-            if parent is None:
-                parent = _ParentRows(rows, pivots)
-            witnesses = ctx.check_subspace(parent, u, reps)
-            if witnesses is None:
-                continue
-            full_rows = parent.rows + (u,)
-            if prune and not _perm_minimal(full_rows, n):
-                continue
-            examined, sector_list = ctx.sectors(full_rows, witnesses)
-            sectors_examined += examined
-            for pairs in sector_list:
-                found.append((full_rows, pairs))
-
-    def rec(level, rows, span, commuting, dups, u, anti, steps, antis) -> None:
-        if level == s - 1:
-            leaves(rows, commuting & ~dups, u, anti, steps, antis)
-            return
-        prepared = prepare(level + 1, rows)
-        if prepared is None:
-            return  # no child extends to the next level
-        elim, kept, kernel = prepared
-        start, start_anti = kept[:2]
+        kernel = {k.bit_length() - 1: (k, anti_of(k)) for k in elim.kernel(frees[level + 1])}
+        kept = (start, anti_of(start), [k for k, _ in kernel.values()], [a for _, a in kernel.values()])
+        carry = level + 2 < s  # the children are not leaf-parents
         r = elim.reduce(constraint(level + 1, u))
         r_steps = [elim.reduce(constraint(level + 1, v)) for v in steps]
-        for i in range(1 << len(steps)):
-            if i:
-                b = (i & -i).bit_length() - 1
+        for b in _gray_order(len(steps)):
+            if b is not None:
                 u ^= steps[b]
                 anti ^= antis[b]
                 r ^= r_steps[b]
@@ -626,20 +598,48 @@ def _sweep_chunk(ctx: _SweepContext, args):
                 p = (r & -r).bit_length() - 1
                 kp, ap = kernel[p]
                 t = r >> ncols
-                rest = [(kf ^ kp, af ^ ap) if (r >> f) & 1 else (kf, af)
-                        for f, (kf, af) in kernel.items() if f != p]
-                child = (start ^ kp if t else start, start_anti ^ ap if t else start_anti,
-                         [k for k, _ in rest], [a for _, a in rest])
-            coset = [g ^ u for g in span]
+                child = (start ^ kp if t else start, kept[1] ^ ap if t else kept[1],
+                         [k ^ kp if r >> f & 1 else k for f, (k, _) in kernel.items() if f != p],
+                         [a ^ ap if r >> f & 1 else a for f, (_, a) in kernel.items() if f != p])
             child_dups = dups
-            for g in coset:
-                child_dups |= ctx.dup(g)
+            for g in span:
+                m = stored_dup(g ^ u)
+                child_dups |= dup(g ^ u) if m is None else m
             rows.append(u)
-            rec(level + 1, rows, span + coset, commuting & ~anti, child_dups, *child)
+            yield rows, span + [g ^ u for g in span] if carry else None, commuting & ~anti, child_dups, *child
             rows.pop()
 
-    # the root holds no rows; row0 is its one child, refined like any other
-    rec(0, [], [0], (1 << len(ctx.low)) - 1, 0, row0, anti(row0), [], [])
+    def rec(level, nodes) -> None:
+        """Descend into ``nodes``, which hold ``level`` rows; walk the leaves of leaf-parents."""
+        nonlocal subspaces, sectors_examined
+        for rows, span, commuting, dups, u, anti, steps, antis in nodes:
+            if level < s - 1:
+                rec(level + 1, children(level, rows, span, commuting, dups, u, anti, steps, antis))
+                continue
+            classes = commuting & ~dups
+            subspaces += 1 << len(steps)
+            parent = None
+            for b in _gray_order(len(steps)):
+                if b is not None:
+                    u ^= steps[b]
+                    anti ^= antis[b]
+                reps = classes & ~anti
+                if reps.bit_count() > cap:
+                    continue
+                if parent is None:
+                    parent = _ParentRows(rows, pivots, len(ctx.low))
+                witnesses = ctx.check_subspace(parent, u, reps)
+                if witnesses is None:
+                    continue
+                full_rows = parent.rows + (u,)
+                if prune and not _perm_minimal(full_rows, n):
+                    continue
+                examined, sector_list = ctx.sectors(full_rows, witnesses)
+                sectors_examined += examined
+                found.extend((full_rows, pairs) for pairs in sector_list)
+
+    # the root holds no rows; row0 is its one child (its one leaf at s = 1)
+    rec(0, [([], [0], (1 << len(ctx.low)) - 1, 0, row0, anti_of(row0), [], [])])
     return subspaces, sectors_examined, found
 
 

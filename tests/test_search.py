@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -81,6 +82,18 @@ def test_find_gauge_worker_count_does_not_change_the_result():
         assert serial.restructured == parallel.restructured
         assert serial.stats.subspaces == parallel.stats.subspaces
         assert serial.stats.candidates == parallel.stats.candidates == (r > 0)
+
+
+def test_find_gauge_elapsed_includes_the_syndrome_table(monkeypatch):
+    # the table of low-weight syndromes is built before the first subgroup
+    init = search._GaugeContext.__init__
+
+    def slow(self, code, d_min):
+        time.sleep(0.05)
+        init(self, code, d_min)
+
+    monkeypatch.setattr(search._GaugeContext, "__init__", slow)
+    assert find_gauge_symmetries(catalog("five-qubit"), 3).stats.elapsed >= 0.05
 
 
 def test_sweep_spec_validation():
@@ -342,6 +355,12 @@ LEAF_ORDER_GOLDENS = [
     # s = 4: the solves of two levels are carried from node to child
     (SweepSpec(5, 1, 0, 3, budget=20_000), 20480,
      "ee64c816538c68b88af0fdcfc8ddf6e583d6abaac4d63538ba6f3aabe6122025"),
+    # s = 1: the chunk's root is the leaves' parent
+    (SweepSpec(3, 1, 1, 2), 63,
+     "1f493dc2901eb41d1b03804b8aa81830caf837b45af2fc3c19feefb1b1c2017a"),
+    # s = 3, with weight-2 vectors merging mod S′
+    (SweepSpec(5, 1, 1, 3, budget=5_000), 4096,
+     "c4d2b35200d431c72249ee1c27290ae69a7c8665bc962c33017028f9174bd0b0"),
 ]
 
 
