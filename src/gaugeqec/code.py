@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .pauli import PauliOp, from_vec, hermitian, multiply, pauli_from_string, swap_halves
-from .tableau import PartialFrame, in_group_mod_phase
+from .tableau import PartialFrame, check_qubits, in_group_mod_phase
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -235,5 +235,6 @@ def singleton_check(n: int, k: int, d: int) -> bool:
 def logical_equivalent(code: SubsystemCode, p: PauliOp, q: PauliOp) -> bool:
     """Whether p and q act identically on the encoded qubits (p*q in the gauge group)."""
     c = validated(code)
+    check_qubits(c.n, (p, q))
     prod = multiply(p, q)
     return in_group_mod_phase(c.group_generators(), prod)

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import gf2
 from .code import SubsystemCode, validated
 from .pauli import PauliOp, swap_halves
-from .tableau import centralizer_basis
+from .tableau import centralizer_basis, check_qubits
 
 DEFAULT_BUDGET = 1 << 30
 
@@ -99,8 +99,7 @@ def _tables(code: SubsystemCode) -> _Tables:
 
 def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
     c = validated(code)
-    if p.n != c.n:
-        raise ValueError(f"operator is on {p.n} qubits, code has {c.n}")
+    check_qubits(c.n, (p,))
     return _tables(c).classify_vec(p.vec)
 
 
@@ -162,6 +161,7 @@ def is_correctable_set(
     c = validated(code)
     if not errors:
         raise ValueError("empty error set")
+    check_qubits(c.n, errors)
     tables = _tables(c)
     for i in range(len(errors)):
         for j in range(i, len(errors)):

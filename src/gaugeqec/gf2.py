@@ -181,8 +181,3 @@ class Eliminator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "Eliminator":
-        dup = Eliminator()
-        dup.pivots = list(self.pivots)
-        return dup

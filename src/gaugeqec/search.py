@@ -41,7 +41,10 @@ where L is those representatives reduced modulo S′ by its RREF rows, once
 per parent, with a basis that stops at 2r + 2 rows.  A surviving leaf has no
 gauge sector when the dimension of its witness span plus that of the span's
 radical exceeds 2r; the others read their sectors off a table of coordinate
-bases with their span masks, built once per shape.
+bases with their span masks, built once per shape.  A covering sector puts
+every commuting Pauli of weight below d_min into the gauge group, so each
+nondegenerate one is a code with d >= d_min, built in the job that finds it;
+its distance is only a guard.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -134,21 +137,23 @@ def _free_cols(pivots: Sequence[int], ncols: int) -> list[list[int]]:
     ]
 
 
-def _scatter(bits: int, cols: Sequence[int]) -> int:
+def _combine(bits: int, rows: Sequence[int]) -> int:
+    """XOR of the rows selected by the set bits."""
     v = 0
-    for i, c in enumerate(cols):
-        if (bits >> i) & 1:
-            v |= 1 << c
+    while bits:
+        low = bits & -bits
+        v ^= rows[low.bit_length() - 1]
+        bits ^= low
     return v
 
 
 def _rref_bases(ncols: int, rank: int) -> Iterator[tuple[int, ...]]:
     """Every rank-``rank`` RREF row tuple over ``ncols`` columns, canonically."""
     for pivots in combinations(range(ncols), rank):
-        frees = _free_cols(pivots, ncols)
+        frees = [[1 << c for c in f] for f in _free_cols(pivots, ncols)]
         for values in product(*(range(1 << len(f)) for f in frees)):
             yield tuple(
-                (1 << p) | _scatter(v, f) for p, f, v in zip(pivots, frees, values)
+                (1 << p) | _combine(v, f) for p, f, v in zip(pivots, frees, values)
             )
 
 
@@ -187,7 +192,7 @@ def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
     """
     r = ctx.s - len(pivots)
     frees = [f for f in range(ctx.s) if f not in pivots]
-    lowers = [[p for p in pivots if p < f] for f in frees]
+    lowers = [[1 << p for p in pivots if p < f] for f in frees]
     bad = ctx.bad
     survivors: list[tuple[int, ...]] = []
     ks: list[int] = []
@@ -200,7 +205,7 @@ def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
             ))
             return
         for bits in range(1 << len(lowers[level])):
-            k = (1 << frees[level]) | _scatter(bits, lowers[level])
+            k = (1 << frees[level]) | _combine(bits, lowers[level])
             coset = [k ^ x for x in span]
             if any(bad >> x & 1 for x in coset):
                 continue
@@ -248,12 +253,24 @@ def _solve_gauge_partners(
             raise RuntimeError("independent commutation constraints must be consistent")
         gx = system.solution(ncols + i)
         system.add(swap_halves(gx, n))
-        gauge_pairs.append((vec_hermitian(n, gx), code.stabilizer[j]))
+        gauge_pairs.append((gx, svecs[j]))
+    return _guarded_code(n, sprime, gauge_pairs, d_min, code.logical_pairs)
 
-    stab_ops = tuple(vec_hermitian(n, v) for v in sprime)
-    cand = SubsystemCode(n, stab_ops, tuple(gauge_pairs), code.logical_pairs)
+
+def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> SubsystemCode:
+    """The validated code of (x|z) stabilizer rows and gauge (x, z) row pairs.
+
+    Both searches build only codes that keep d >= d_min by construction, so
+    the distance is a guard: a code below d_min raises RuntimeError.
+    """
+    cand = SubsystemCode(
+        n,
+        tuple(vec_hermitian(n, v) for v in stab),
+        tuple((vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs),
+        logical_pairs,
+    )
     if distance(cand, "coset") < d_min:
-        raise RuntimeError("a subgroup passing the syndrome filter must keep d >= d_min")
+        raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
     return validated(cand)  # cached by distance
 
 
@@ -404,10 +421,11 @@ class _SweepContext:
 
         Sectors are 2r-dimensional subspaces of the q-dimensional quotient
         C(S)/S, in the coordinates of ``qbasis``.  Their RREF bases and span
-        masks come from ``_sector_table``, so coverage is one mask test;
-        nondegeneracy uses the Gram matrix of ``qbasis``.  A witness's
-        coordinates are the tag bits left after reducing it against S and
-        ``qbasis``, where ``qbasis[i]`` carries tag bit 2n + i.
+        masks come from ``_sector_table``, so coverage is one mask test, and
+        a covering sector is kept exactly when ``_hyperbolic_pairs`` splits
+        it, which is when it is nondegenerate.  A witness's coordinates are
+        the tag bits left after reducing it against S and ``qbasis``, where
+        ``qbasis[i]`` carries tag bit 2n + i.
 
         A nondegenerate space containing the witness span W has dimension at
         least dim W + dim rad W, so when that exceeds 2r no sector exists and
@@ -419,14 +437,11 @@ class _SweepContext:
         w_gram = gf2.Eliminator(gf2.parities(w, witnesses_sw) for w in witnesses)
         if 2 * len(witnesses) - w_gram.rank > 2 * r:
             return len(table), []
-        if r == 0:
-            return 1, [()]
         ncols = 2 * n
         columns = (1 << ncols) - 1
-        swapped = [swap_halves(v, n) for v in rows]
         coords = gf2.Eliminator(rows)
         qbasis = []
-        for v in gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(swapped))):
+        for v in gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(swap_halves(g, n) for g in rows))):
             tagged = coords.reduce(v | 1 << (ncols + len(qbasis)))
             if tagged & columns:  # v is independent of S and qbasis
                 coords.insert(tagged)
@@ -437,29 +452,13 @@ class _SweepContext:
             if comb & columns:
                 raise RuntimeError("witness outside the centralizer of the subspace")
             needed |= 1 << (comb >> ncols)
-        qbasis_sw = [swap_halves(v, n) for v in qbasis]
-        gram = [gf2.parities(v, qbasis_sw) for v in qbasis]
         sectors = []
         for coord_rows, span in table:
-            if span & needed != needed:
-                continue
-            images = [_combine(cr, gram) for cr in coord_rows]
-            restricted = [gf2.parities(img, coord_rows) for img in images]
-            if gf2.Eliminator(restricted).rank != 2 * r:
-                continue  # degenerate restriction: not a gauge sector
-            lifted = [_combine(cr, qbasis) for cr in coord_rows]
-            sectors.append(tuple(_hyperbolic_pairs(lifted, n)))
+            if span & needed == needed:
+                pairs = _hyperbolic_pairs([_combine(cr, qbasis) for cr in coord_rows], n)
+                if pairs is not None:
+                    sectors.append(pairs)
         return len(table), sectors
-
-
-def _combine(bits: int, rows: Sequence[int]) -> int:
-    """XOR of the rows selected by the set bits."""
-    v = 0
-    while bits:
-        low = bits & -bits
-        v ^= rows[low.bit_length() - 1]
-        bits ^= low
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -480,8 +479,13 @@ def _sector_table(q: int, dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-def _hyperbolic_pairs(basis: list[int], n: int) -> list[tuple[int, int]]:
-    """Split a nondegenerate even-dimensional space into anticommuting pairs."""
+def _hyperbolic_pairs(basis: list[int], n: int) -> tuple[tuple[int, int], ...] | None:
+    """Split the span of ``basis`` into anticommuting pairs; None if it is degenerate.
+
+    Each step pairs the first vector with the first that anticommutes with
+    it and makes the rest commute with both.  A first vector with no such
+    partner commutes with the whole span, so the span has a radical.
+    """
     work = list(basis)
     pairs = []
     while work:
@@ -492,7 +496,7 @@ def _hyperbolic_pairs(basis: list[int], n: int) -> list[tuple[int, int]]:
                 partner = b
                 break
         if partner is None:
-            raise RuntimeError("nondegenerate space must pair up")
+            return None
         pairs.append((a, partner))
         a_sw = swap_halves(a, n)
         p_sw = swap_halves(partner, n)
@@ -506,7 +510,7 @@ def _hyperbolic_pairs(basis: list[int], n: int) -> list[tuple[int, int]]:
                 u ^= partner
             rest.append(u)
         work = rest
-    return pairs
+    return tuple(pairs)
 
 
 def _permute_vec(v: int, perm: Sequence[int], n: int) -> int:
@@ -551,6 +555,7 @@ def _sweep_chunk(ctx: _SweepContext, args):
     in the loop that takes it from ``children``, or at s = 1 from the chunk.
     A leaf with more commuting classes than ``class_cap`` costs one AND and
     one popcount; the first other leaf builds its parent's ``_ParentRows``.
+    Returns (subspaces, sectors examined, the codes of the kept sectors).
     """
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
@@ -558,13 +563,13 @@ def _sweep_chunk(ctx: _SweepContext, args):
     tag = 1 << ncols
     frees = _free_cols(pivots, ncols)
     free_masks = [sum(1 << c for c in free) for free in frees]
-    row0 = (1 << pivots[0]) | _scatter(row0_bits, frees[0])
-    prune = ctx.spec.symmetry_pruning
+    row0 = (1 << pivots[0]) | _combine(row0_bits, [1 << c for c in frees[0]])
+    prune, d_min = ctx.spec.symmetry_pruning, ctx.spec.d_min
     anti_of, dup, stored_dup, cap = ctx.anti, ctx.dup, ctx.dups.get, ctx.class_cap
 
     subspaces = 0
     sectors_examined = 0
-    found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    codes: list[SubsystemCode] = []
 
     def constraint(level: int, v: int) -> int:
         sw = swap_halves(v, n)
@@ -636,11 +641,11 @@ def _sweep_chunk(ctx: _SweepContext, args):
                     continue
                 examined, sector_list = ctx.sectors(full_rows, witnesses)
                 sectors_examined += examined
-                found.extend((full_rows, pairs) for pairs in sector_list)
+                codes.extend(_guarded_code(n, full_rows, pairs, d_min) for pairs in sector_list)
 
     # the root holds no rows; row0 is its one child (its one leaf at s = 1)
     rec(0, [([], [0], (1 << len(ctx.low)) - 1, 0, row0, anti_of(row0), [], [])])
-    return subspaces, sectors_examined, found
+    return subspaces, sectors_examined, codes
 
 
 def _sweep_chunks(spec: SweepSpec) -> list[tuple[tuple[int, ...], int]]:
@@ -657,7 +662,11 @@ def sweep_nonexistence(
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> SweepResult:
-    """Enumerate every candidate at [[n, k, r]] and keep those with d >= d_min.
+    """Every code at [[n, k, r]] with d >= d_min: a stabilizer and a gauge sector.
+
+    A sector covering the stabilizer's witnesses holds every commuting Pauli
+    of weight below d_min, so its code keeps d >= d_min; the distance, taken
+    in the job with validation, is only a guard.  ``candidates`` == ``len(codes)``.
 
     Parameter points already excluded by the Singleton bound short-circuit to
     an exhausted empty result.  ``exhausted`` is False whenever the budget
@@ -675,25 +684,13 @@ def sweep_nonexistence(
     ctx = _SweepContext(spec)
     codes: list[SubsystemCode] = []
     exhausted = True
-    for subspaces, sectors_examined, found in ordered_map(
+    for subspaces, sectors_examined, chunk_codes in ordered_map(
         _sweep_chunk, ctx, _sweep_chunks(spec), workers
     ):
         stats.subspaces += subspaces
         stats.sectors += sectors_examined
-        for rows, pairs in found:
-            stats.candidates += 1
-            cand = SubsystemCode(
-                spec.n,
-                tuple(vec_hermitian(spec.n, v) for v in rows),
-                tuple(
-                    (vec_hermitian(spec.n, gx), vec_hermitian(spec.n, gz))
-                    for gx, gz in pairs
-                ),
-            )
-            # distance validates cand (ValueError if invalid), so the
-            # validated call after it is a cache hit
-            if distance(cand, "coset") >= spec.d_min:
-                codes.append(validated(cand))
+        stats.candidates += len(chunk_codes)
+        codes += chunk_codes
         if progress and stats.subspaces % PROGRESS_EVERY < subspaces:
             stats.elapsed = time.monotonic() - start
             progress(stats)

@@ -9,7 +9,7 @@ virtual qubits into stabilizer / gauge / logical sectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import gf2
 from .pauli import PauliOp, from_vec, multiply, swap_halves, symplectic_inner
@@ -49,15 +49,20 @@ def check_pattern(n: int, rows: Sequence[int]) -> None:
                 raise ValueError(f"x row {i} / z row {j} break the pairing")
 
 
+def check_qubits(n: int, ops: Iterable[PauliOp]) -> None:
+    """Raise ValueError, naming both counts, unless every operator is on n qubits."""
+    for op in ops:
+        if op.n != n:
+            raise ValueError(f"operator is on {op.n} qubits, expected {n}")
+
+
 def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
     """Basis (phase 0) of all Paulis commuting with every generator, mod phase.
 
     Computed as the kernel of the symplectic-product map; the result always
     has 2n - rank(gens) elements.
     """
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator qubit count mismatch")
+    check_qubits(n, gens)
     rows = tuple(swap_halves(g.vec, n) for g in gens)
     kernel = gf2.kernel_basis(gf2.BinMatrix(2 * n, rows))
     return [from_vec(n, v) for v in kernel]
@@ -65,6 +70,7 @@ def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
 
 def in_group_mod_phase(gens: Sequence[PauliOp], p: PauliOp) -> bool:
     """Whether p's (x|z) vector lies in the row space of the generators."""
+    check_qubits(p.n, gens)
     elim = gf2.Eliminator(g.vec for g in gens)
     return elim.contains(p.vec)
 
@@ -76,6 +82,7 @@ def in_group_exact(gens: Sequence[PauliOp], p: PauliOp) -> int | None:
     matching generators in ascending index order and returns d such that
     p == i**d * product; otherwise None.
     """
+    check_qubits(p.n, gens)
     m = gf2.BinMatrix(2 * p.n, tuple(g.vec for g in gens))
     comb = gf2.solve_membership(m, p.vec)
     if comb is None:
@@ -103,8 +110,7 @@ def symplectic_complete(
     z_given, x_given = dict(z_ops or {}), dict(x_ops or {})
     supplied = [("z", j, op) for j, op in sorted(z_given.items())]
     supplied += [("x", j, op) for j, op in sorted(x_given.items())]
-    if any(op.n != n for _, _, op in supplied):
-        raise ValueError("operator qubit count mismatch")
+    check_qubits(n, (op for _, _, op in supplied))
     for kind, j, _ in supplied:
         if not 0 <= j < n:
             raise ValueError(f"slot {j} outside 0..{n - 1}")

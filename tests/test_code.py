@@ -164,6 +164,13 @@ def test_logical_equivalence_predicate():
     assert not logical_equivalent(bs, xbar, zbar)
 
 
+@pytest.mark.parametrize("n", [3, 12])
+def test_logical_equivalence_refuses_operators_on_another_qubit_count(n):
+    x, z = pauli_from_string("X" * n), pauli_from_string("Z" * n)
+    with pytest.raises(ValueError, match=f"operator is on {n} qubits, expected 9"):
+        logical_equivalent(catalog("shor9"), x, z)
+
+
 def test_from_strings_pairing_errors():
     with pytest.raises(ValueError):
         SubsystemCode.from_strings(stabilizer=["ZZ"], gauge_x=["XI"], gauge_z=[])

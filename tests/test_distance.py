@@ -134,6 +134,14 @@ def test_empty_error_set_rejected():
         is_correctable_set(catalog("shor9"), [])
 
 
+@pytest.mark.parametrize(
+    "errors, n", [(["XXX", "ZZZ"], 3), (["IIIIIIIII", "XXXXXXXXXXXX"], 12)]
+)
+def test_correctability_refuses_errors_on_another_qubit_count(errors, n):
+    with pytest.raises(ValueError, match=f"operator is on {n} qubits, expected 9"):
+        is_correctable_set(catalog("shor9"), [pauli_from_string(e) for e in errors])
+
+
 def test_equal_syndrome_weight_one_pairs_are_gauge_equivalent():
     # errors within the correction radius sharing a syndrome differ by gauge
     for name in ("shor9", "bacon-shor-9"):

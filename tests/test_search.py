@@ -15,7 +15,7 @@ from gaugeqec.codefile import serialize_code
 from gaugeqec.distance import Kind, classify, distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import vec_hermitian
+from gaugeqec.pauli import pauli_from_string, vec_hermitian
 from gaugeqec.search import (
     SweepSpec,
     find_gauge_symmetries,
@@ -146,11 +146,35 @@ def test_sweep_symmetry_pruning_preserves_the_verdict():
 
 
 def test_sweep_worker_count_does_not_change_the_result():
-    serial = sweep_nonexistence(SweepSpec(4, 1, 1, 2))
-    parallel = sweep_nonexistence(SweepSpec(4, 1, 1, 2), workers=2)
-    assert serial.codes == parallel.codes
-    assert [hash(c) for c in serial.codes] == [hash(c) for c in parallel.codes]
-    assert serial.exhausted == parallel.exhausted
+    # r = 0 takes the same sector path as r > 0: one empty sector per leaf
+    for spec in (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2)):
+        serial = sweep_nonexistence(spec)
+        parallel = sweep_nonexistence(spec, workers=2)
+        assert serial.codes == parallel.codes
+        assert [hash(c) for c in serial.codes] == [hash(c) for c in parallel.codes]
+        assert serial.exhausted == parallel.exhausted
+        counts = [(res.stats.subspaces, res.stats.sectors, res.stats.candidates)
+                  for res in (serial, parallel)]
+        assert counts[0] == counts[1], spec
+
+
+def test_hyperbolic_split_exists_exactly_for_a_nondegenerate_span():
+    def vecs(*strings):
+        return [pauli_from_string(s).vec for s in strings]
+
+    assert search._hyperbolic_pairs(vecs("XXI", "ZIZ", "YZI", "IZZ"), 3) == ((3, 40), (26, 24))
+    assert search._hyperbolic_pairs([], 3) == ()
+    # no partner for the first vector, then none after one pair is split off
+    assert search._hyperbolic_pairs(vecs("XII", "IXI"), 3) is None
+    assert search._hyperbolic_pairs(vecs("XII", "ZII", "IXI", "IIX"), 3) is None
+
+
+def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(monkeypatch):
+    # a sector covering the witnesses keeps d >= d_min by construction, so a
+    # shortfall is a fault to report, not a candidate to drop
+    monkeypatch.setattr(search, "distance", lambda code, method="coset": 1)
+    with pytest.raises(RuntimeError, match="d >= d_min"):
+        sweep_nonexistence(SweepSpec(4, 1, 1, 2))
 
 
 @pytest.mark.parametrize(

@@ -324,3 +324,10 @@ def test_in_group_exact_examples():
     minus_s1 = pauli_from_string("-XXXXXXIII")
     assert in_group_exact(gens, minus_s1) == 2
     assert in_group_exact(gens, pauli_from_string("XXXXXXXXX")) is None
+
+
+@pytest.mark.parametrize("member", [in_group_mod_phase, in_group_exact])
+@pytest.mark.parametrize("n", [3, 12])
+def test_group_membership_refuses_an_operator_on_another_qubit_count(member, n):
+    with pytest.raises(ValueError, match=f"operator is on 9 qubits, expected {n}"):
+        member(_ops(SHOR_STAB), pauli_from_string("Z" * n))
