@@ -195,10 +195,7 @@ def _cmd_find_gauge(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        spec = SweepSpec(
-            args.n, args.k, args.r, args.distance_min,
-            budget=args.budget, symmetry_pruning=args.symmetry_pruning,
-        )
+        spec = SweepSpec(args.n, args.k, args.r, args.distance_min, budget=args.budget)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
     res = sweep_nonexistence(
@@ -309,7 +306,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--distance-min", type=int, required=True)
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--symmetry-pruning", action="store_true")
     p.add_argument("--verbose", action="store_true")
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo logical error rates")

@@ -15,6 +15,7 @@ from itertools import chain
 from .code import SubsystemCode, validated
 from .distance import Kind, OperatorClass, _tables
 from .pauli import PauliOp, low_weight_vecs, multiply, pauli_to_string, vec_hermitian
+from .tableau import check_qubits
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class DecodingTable:
 def syndrome(code: SubsystemCode, e: PauliOp) -> Syndrome:
     """Commutation pattern of ``e`` against the stabilizer generators."""
     c = validated(code)
-    if e.n != c.n:
-        raise ValueError(f"error is on {e.n} qubits, code has {c.n}")
+    check_qubits(c.n, (e,))
     return Syndrome(c.s, _tables(c).syndrome_bits(e.vec))
 
 
@@ -102,8 +102,7 @@ def recover_and_classify(
     c = validated(code)
     if table.code != c:
         raise ValueError("decoding table was built for a different code")
-    if e.n != c.n:
-        raise ValueError(f"error is on {e.n} qubits, code has {c.n}")
+    check_qubits(c.n, (e,))
     tables = _tables(c)
     rep = table.entries.get(tables.syndrome_bits(e.vec))
     if rep is None:

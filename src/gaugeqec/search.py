@@ -56,7 +56,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from . import gf2
@@ -97,7 +97,6 @@ class SweepSpec:
     r: int
     d_min: int
     budget: int | None = None
-    symmetry_pruning: bool = False
 
     @property
     def s(self) -> int:
@@ -345,10 +344,10 @@ class _ParentRows:
 
 class _SweepContext:
     def __init__(self, spec: SweepSpec):
-        self.spec = spec
         self.n = spec.n
         self.s = spec.s
         self.r = spec.r
+        self.d_min = spec.d_min
         self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
         # Bit i of a mask stands for self.low[i]; ``anti(u)`` masks the
         # low-weight vectors that anticommute with u.
@@ -513,25 +512,6 @@ def _hyperbolic_pairs(basis: list[int], n: int) -> tuple[tuple[int, int], ...] |
     return tuple(pairs)
 
 
-def _permute_vec(v: int, perm: Sequence[int], n: int) -> int:
-    out = 0
-    for j in range(n):
-        if (v >> j) & 1:
-            out |= 1 << perm[j]
-        if (v >> (n + j)) & 1:
-            out |= 1 << (n + perm[j])
-    return out
-
-
-def _perm_minimal(rows: Sequence[int], n: int) -> bool:
-    base = tuple(rows)
-    for perm in permutations(range(n)):
-        permuted = [_permute_vec(v, perm, n) for v in rows]
-        if gf2.rref(gf2.BinMatrix(2 * n, tuple(permuted)))[0].rows < base:
-            return False
-    return True
-
-
 def _sweep_chunk(ctx: _SweepContext, args):
     """Enumerate one (pivot profile, first row) prefix of the isotropic space.
 
@@ -564,7 +544,6 @@ def _sweep_chunk(ctx: _SweepContext, args):
     frees = _free_cols(pivots, ncols)
     free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _combine(row0_bits, [1 << c for c in frees[0]])
-    prune, d_min = ctx.spec.symmetry_pruning, ctx.spec.d_min
     anti_of, dup, stored_dup, cap = ctx.anti, ctx.dup, ctx.dups.get, ctx.class_cap
 
     subspaces = 0
@@ -637,11 +616,9 @@ def _sweep_chunk(ctx: _SweepContext, args):
                 if witnesses is None:
                     continue
                 full_rows = parent.rows + (u,)
-                if prune and not _perm_minimal(full_rows, n):
-                    continue
                 examined, sector_list = ctx.sectors(full_rows, witnesses)
                 sectors_examined += examined
-                codes.extend(_guarded_code(n, full_rows, pairs, d_min) for pairs in sector_list)
+                codes.extend(_guarded_code(n, full_rows, pairs, ctx.d_min) for pairs in sector_list)
 
     # the root holds no rows; row0 is its one child (its one leaf at s = 1)
     rec(0, [([], [0], (1 << len(ctx.low)) - 1, 0, row0, anti_of(row0), [], [])])

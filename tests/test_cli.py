@@ -188,9 +188,14 @@ def test_unknown_subcommand_exits_one():
 
 
 def test_unknown_flag_exits_one():
-    code, _, err = run_cli("params", "--code", "shor9", "--frob")
-    assert code == 1
-    assert "usage" in err
+    # --symmetry-pruning is retired: the sweep has one mode
+    for argv in (
+        ("params", "--code", "shor9", "--frob"),
+        ("sweep", "--n", "3", "--k", "1", "--r", "1", "--distance-min", "2", "--symmetry-pruning"),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code == 1, argv
+        assert "usage" in err and "Traceback" not in err, argv
 
 
 def test_bad_error_operand():

@@ -34,6 +34,16 @@ def test_syndrome_size_mismatch():
         syndrome(catalog("shor9"), identity(5))
 
 
+@pytest.mark.parametrize("n", [5, 12])
+def test_decoder_refuses_errors_on_another_qubit_count(n):
+    code = catalog("shor9")
+    table = build_table(code, 1)
+    with pytest.raises(ValueError, match=f"operator is on {n} qubits, expected 9"):
+        syndrome(code, identity(n))
+    with pytest.raises(ValueError, match=f"operator is on {n} qubits, expected 9"):
+        recover_and_classify(code, table, identity(n))
+
+
 def test_table_shor9_weight_one():
     table = build_table(catalog("shor9"), 1)
     assert len(table) == 22  # identity + 9 X + 3 Z + 9 Y classes

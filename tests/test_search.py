@@ -135,16 +135,6 @@ def test_sweep_small_subsystem_point():
     assert distance(first) >= 2
 
 
-def test_sweep_symmetry_pruning_preserves_the_verdict():
-    plain = sweep_nonexistence(SweepSpec(4, 1, 1, 2))
-    pruned = sweep_nonexistence(SweepSpec(4, 1, 1, 2, symmetry_pruning=True))
-    assert bool(plain.codes) == bool(pruned.codes)
-    assert plain.exhausted == pruned.exhausted
-    # pruned output is a subset consisting of orbit representatives
-    plain_set = set(map(repr, plain.codes))
-    assert all(repr(c) in plain_set for c in pruned.codes)
-
-
 def test_sweep_worker_count_does_not_change_the_result():
     # r = 0 takes the same sector path as r > 0: one empty sector per leaf
     for spec in (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2)):
@@ -183,8 +173,6 @@ def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(mon
         (SweepSpec(3, 1, 1, 2), (63, 945, 0, 0)),  # s = 1: every leaf is a first row
         (SweepSpec(4, 1, 0, 2), (11475, 2268, 2268, 2268)),
         (SweepSpec(4, 2, 0, 2), (5355, 216, 216, 216)),
-        (SweepSpec(4, 1, 1, 2, symmetry_pruning=True), (5355, 9870, 480, 480)),
-        (SweepSpec(4, 1, 0, 2, symmetry_pruning=True), (11475, 138, 138, 138)),
     ],
 )
 def test_sweep_work_counts_are_pinned(spec, counts):
