@@ -7,22 +7,21 @@ and the rest of the slot is padding.  Workers position their generator at
 the first shot of their range, so any partition of the shots reproduces the
 single-worker result bit for bit.
 
-``run`` decodes chunks of shots as arrays: a numpy copy of the byte tables
-of the code's key map (a ``gf2.ParityMap``: syndrome bits, then label bits)
-gives every shot's key, and each distinct key is decoded once.
+``run`` reads the raw Philox words of a chunk of shots at a time: one
+integer compare per draw finds the hits, only the hits are turned into
+letters and keys, and each distinct key is decoded once.
 ``sample_error`` and ``decoder.recover_and_classify`` are the per-shot
 reference path.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from . import gf2
 from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
@@ -42,6 +41,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("depolarizing probability must be in [0, 1]")
+        if self.p == 0.0:  # -0.0 is the same model, reported as 0.0
+            object.__setattr__(self, "p", 0.0)
 
 
 def _blocks_per_shot(n: int) -> int:
@@ -103,9 +104,11 @@ class SimReport:
         return items
 
 
-def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``words``, each with the sum of its ``counts``."""
-    order = np.lexsort(words.T)
+def _merge(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct key rows of the (words, counts) pairs, each with its total count."""
+    words, counts = (np.concatenate(column) for column in zip(*pairs))
+    # equal rows only need to be adjacent; one word sorts 4x faster by argsort
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words, counts = words[order], counts[order]
     first = np.ones(len(words), dtype=bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -113,62 +116,58 @@ def _merge(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return words[starts], np.add.reduceat(counts, starts)
 
 
-def _key_tables(key: gf2.ParityMap) -> np.ndarray:
-    """``key``'s byte tables as little-endian uint64 words, entry [b, v] per byte value v."""
-    nwords = key.width // 64 + 1
-    raw = b"".join(entry.to_bytes(8 * nwords, "little") for table in key.tables for entry in table)
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, 256, nwords)
-
-
 def _run_range(
     ctx: tuple[SubsystemCode, NoiseModel, int], shots: tuple[int, int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shots lo..hi-1: per chunk its distinct keys and counts, then the clean shots.
+    """Shots lo..hi-1 as (key rows, counts) pairs: merged noisy keys, then the clean shots.
 
     ``ctx`` is (code, model, seed) and ``shots`` is (lo, hi).
-    Each chunk draws its slots into one buffer reused for the whole range.
-    One compare marks every hit; OR-ing each shot's Philox blocks, viewed
-    as uint32 words with the padding bytes of the last block masked out,
-    screens out the clean shots.  A noisy shot's X then Z letter bits are
-    packed into bytes, and its key is the XOR of one ``_key_tables`` entry
-    per byte: its syndrome bits, then its label bits above bit s.  The clean
-    shots are counted under key 0, one row after the chunks.
+    Each chunk draws its slots as raw Philox words, the words that
+    ``sample_error`` turns into the doubles (w >> 11)·2^-53.  Such a double
+    is below p exactly when w < ceil(p·2^53)·2^11, so one integer compare on
+    the first n words of each slot marks the hits, a fraction p of the
+    draws.  Only hit words become doubles, to pick X, Y or Z by the rule of
+    ``sample_error``; each (qubit, letter) indexes a table of its 3n keys
+    under the code's key map (syndrome bits, then label bits above bit s),
+    and a noisy shot's key is the XOR of its hits' keys.  Noisy keys are
+    merged into distinct rows whenever ``_CHUNK_SHOTS`` of them are pending,
+    so a range holds at most about two chunks of keys; the clean shots are
+    counted under key 0, one row at the end.
     """
     code, model, seed = ctx
     lo, hi = shots
     n, p = code.n, model.p
-    key_of_byte = _key_tables(_tables(code).key)
+    key = _tables(code).key
+    nwords = key.width // 64 + 1
+    zero = np.zeros((1, nwords), dtype=np.uint64)
+    limit = math.ceil(p * 2.0**53) << 11  # at most 2^64, at p = 1
+    if not limit:  # p = 0 hits nothing
+        return [(zero, np.array([hi - lo]))]
+    last = np.uint64(limit - 1)
+    # row 3j + l: the key of letter l (X, Y, Z) on qubit j, in 64-bit words
+    xyz = [key(v << j) for j in range(n) for v in (1, 1 | 1 << n, 1 << n)]
+    key_of_letter = np.array([[(k >> 64 * w) % 2**64 for w in range(nwords)] for k in xyz], np.uint64)
     width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
-    size = min(_CHUNK_SHOTS, hi - lo)
-    u_buf = np.empty((size, width))
-    hit_buf = np.empty((size, width), dtype=bool)
-    last_block = np.arange(width - 4, width) < n  # which words of the last block are letters
-    last_mask = last_block.view(np.uint32)[0]
-    keys = []
-    clean = 0
-    gen = shot_stream(seed, lo, n)
+    draw = shot_stream(seed, lo, n).bit_generator.random_raw
+    keys: list[tuple[np.ndarray, np.ndarray]] = []
+    pending = clean = 0
     for start in range(lo, hi, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, hi - start)
-        u, hit = u_buf[:count], hit_buf[:count]
-        gen.random(out=u)
-        np.less(u, p, out=hit)
-        blocks = hit.view(np.uint32)  # one word per Philox block, one byte per draw
-        blocks[:, -1] &= last_mask
-        noisy = reduce(np.bitwise_or, blocks.T) != 0
-        clean += count - int(np.count_nonzero(noisy))
-        u, hit = u[noisy, :n], hit[noisy, :n]
-        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 hits nothing
-            scaled = 3.0 * u / p
-        # letter min(int(3u/p), 2) is X, Y or Z: x below 2, z from 1 on
-        bits = np.concatenate((hit & (scaled < 2.0), hit & (scaled >= 1.0)), axis=1)
-        letters = np.packbits(bits, axis=1, bitorder="little")
-        words = key_of_byte[0][letters[:, 0]]
-        for b in range(1, letters.shape[1]):
-            words ^= key_of_byte[b][letters[:, b]]
-        keys.append(_merge(words, np.ones(len(words), dtype=np.int64)))
-    if clean:
-        zero = np.zeros((1, key_of_byte.shape[2]), dtype=key_of_byte.dtype)
-        keys.append((zero, np.array([clean], dtype=np.int64)))
+        raw = draw(count * width).reshape(count, width)
+        shot, qubit = np.divmod(np.flatnonzero(raw[:, :n] <= last), n)
+        u = (raw[shot, qubit] >> np.uint64(11)) * 2.0**-53
+        del raw  # freed before the next chunk's draw, which bounds peak memory
+        # letter min(int(3u/p), 2): X below 1, Y below 2, Z from 2 on
+        scaled = 3.0 * u / p
+        letter = 3 * qubit + (scaled >= 1.0) + (scaled >= 2.0)
+        starts = np.flatnonzero(np.diff(shot, prepend=-1))
+        clean += count - len(starts)
+        noisy = np.bitwise_xor.reduceat(key_of_letter[letter], starts, axis=0)
+        keys.append((noisy, np.ones(len(noisy), dtype=np.int64)))
+        pending += len(noisy)
+        if pending >= _CHUNK_SHOTS:
+            keys, pending = [_merge(keys)], 0
+    keys.append((zero, np.array([clean])))
     return keys
 
 
@@ -201,8 +200,7 @@ def run(
     bounds = [shots * i // workers for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     parts = list(ordered_map(_run_range, (c, model, seed), ranges, workers))
-    chunks = [chunk for part in parts for chunk in part]
-    words, counts = _merge(*(np.concatenate(column) for column in zip(*chunks)))
+    words, counts = _merge([pair for part in parts for pair in part])
 
     tables = _tables(c)
     smask = (1 << c.s) - 1

@@ -139,6 +139,15 @@ def test_simulate_json_matches_plain():
         assert str(parsed[key]) == value
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_signed_zero_p_prints_like_zero(fmt):
+    base = ("simulate", "--code", "shor9", "--shots", "300", "--seed", "2", *fmt)
+    code_a, zero, _ = run_cli(*base, "--p", "0")
+    code_b, negative_zero, _ = run_cli(*base, "--p", "-0.0")
+    assert code_a == code_b == 0
+    assert negative_zero == zero and "-0" not in zero
+
+
 def test_worker_flag_output_identical_simulate():
     base = ("simulate", "--code", "bacon-shor-9", "--p", "0.05", "--shots", "20000",
             "--seed", "9")

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gaugeqec import montecarlo
@@ -27,6 +28,11 @@ def test_noise_model_bounds():
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
         NoiseModel(1.5)
+
+
+def test_signed_zero_probability_is_zero():
+    assert math.copysign(1.0, NoiseModel(-0.0).p) == 1.0
+    assert NoiseModel(-0.0) == NoiseModel(0.0)
 
 
 def test_zero_probability_never_errs():
@@ -166,6 +172,25 @@ def test_largest_seed_is_its_own_key():
     assert not (top == shot_stream(0, 0, 9).random(9)).all()
 
 
+@pytest.mark.parametrize("seed", [0, 41, 20260811, SEED_BOUND - 1])
+@pytest.mark.parametrize("shot, n", [(0, 9), (1, 9), (12_345, 9), (777, 5), (3, 36)])
+def test_philox_doubles_are_raw_words_over_two_to_the_53(seed, shot, n):
+    # ``run`` reads the raw words that ``sample_error``'s doubles come from
+    doubles = shot_stream(seed, shot, n).random(1_000)
+    words = shot_stream(seed, shot, n).bit_generator.random_raw(1_000)
+    assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 1e-300, 0.005, 1 / 3, 0.5, 1 - 2**-53, 1.0])
+def test_raw_word_compare_is_the_double_compare(p):
+    # a draw hits when its double is below p, i.e. when w < ceil(p * 2^53) * 2^11
+    limit = math.ceil(p * 2.0**53) << 11
+    assert 0 <= limit <= 1 << 64
+    words = sorted({w for w in (0, limit - 1, limit, (1 << 64) - 1) if 0 <= w < 1 << 64})
+    doubles = (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    assert [w < limit for w in words] == (doubles < p).tolist()
+
+
 # SimReport counts at seed 20260811, 10^5 shots, t = 1, captured before the
 # batch decoder replaced the per-shot loop in run():
 # (gauge_success, unrecoverable, logical_failures)
@@ -219,7 +244,7 @@ def small_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["shor9", "bacon-shor-9"])
-@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0, 0.5, 1 - 2**-53, 5e-324])
 def test_run_equals_per_shot_path(name, p, small_chunks):
     code = catalog(name)
     table = build_table(code, 1)
@@ -351,3 +376,44 @@ def test_run_equals_per_shot_path_beyond_64_bits(text, p, small_chunks):
     assert expected.gauge_success > 0 and any(len(label) > 2 for label in labels)
     assert run(code, table, model, 1_000, seed=2024) == expected
     assert run(code, table, model, 1_000, seed=2024, workers=2) == expected
+
+
+class _FixedWords:
+    """A stand-in shot stream that hands out chosen raw Philox words in order."""
+
+    def __init__(self, words):
+        self.words = words
+        self.bit_generator = self
+
+    def random_raw(self, k):
+        out, self.words = self.words[:k], self.words[k:]
+        return out
+
+    def random(self, k):  # the doubles numpy makes of the same words
+        return (self.random_raw(k) >> np.uint64(11)) * 2.0**-53
+
+
+@pytest.mark.parametrize("p", [0.02, 1 / 3, 0.5, 1 - 2**-53, 1.0])
+def test_run_cuts_hits_and_letters_exactly_where_the_doubles_do(p, monkeypatch, small_chunks):
+    # words on both sides of the hit limit and of the X/Y and Y/Z letter
+    # edges, which random words almost never reach
+    limit = math.ceil(p * 2.0**53) << 11
+    edges = {0, limit - 1, limit, (1 << 64) - 1}
+    for third in (1, 2):
+        m = int(third * p / 3 * 2.0**53)
+        edges |= {(m + d) << 11 | low for d in range(-2, 3) for low in (0, 0x7FF)}
+    edges = np.array(sorted(w for w in edges if 0 <= w < 1 << 64), dtype=np.uint64)
+    shots, width = 700, 12
+    words = np.random.default_rng(3).choice(edges, size=shots * width)
+
+    def stream(seed, shot, n):
+        return _FixedWords(words[shot * width :])
+
+    # both ``run`` and the per-shot reference read these words
+    monkeypatch.setattr(montecarlo, "shot_stream", stream)
+    monkeypatch.setitem(globals(), "shot_stream", stream)
+    code = catalog("shor9")
+    table = build_table(code, 1)
+    expected = per_shot_report(code, table, NoiseModel(p), shots, seed=0)
+    assert expected.gauge_success < shots
+    assert run(code, table, NoiseModel(p), shots, seed=0) == expected
