@@ -5,24 +5,19 @@ word-parallel XOR/AND/popcount operation, which keeps the enumeration-heavy
 callers (distance, search) fast; ``ParityMap`` is the one parity table.
 
 ``Eliminator`` is the one elimination kernel.  It pivots each row on its
-lowest set bit and keeps the pivots sorted and fully reduced, so its basis
-is the reduced row-echelon form; ``rref``, ``rank`` and ``kernel_basis``
-read it off.  What a caller solves for rides along as tag bits at and
-above column ``ncols``, one per input row (``solve_membership``) or per
-right-hand side.  A tag bit sits above every column, so it never decides a
-reduction and turns into a pivot only when a row's columns all cancel: a
-dependent row (which ``solve_membership`` skips) or the contradiction 0 = 1.
+lowest set bit and keeps the pivots sorted and fully reduced, so ``pivots``
+is the reduced row-echelon form and ``kernel(range(ncols))`` the null space.
+What a caller solves for rides along as tag bits at and above column
+``ncols``: one per right-hand side, or bit ncols + i on row i, inserted only
+if columns remain after ``reduce``, so reducing v leaves v's combination of
+the independent rows.  A tag bit never decides a reduction and turns into a
+pivot only when a row's columns all cancel: a dependent row or 0 = 1.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-def parity(v: int) -> int:
-    return v.bit_count() & 1
 
 
 def parities(v: int, rows: Iterable[int]) -> int:
@@ -66,60 +61,6 @@ def gray_walk(start: int, rows: Sequence[int]):
     for i in range(1, 1 << len(rows)):
         v ^= rows[(i & -i).bit_length() - 1]
         yield v
-
-
-@dataclass(frozen=True)
-class BinMatrix:
-    """GF(2) matrix; ``rows[i]`` packs row i with bit j = column j."""
-
-    ncols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        mask = (1 << self.ncols) - 1
-        for i, row in enumerate(self.rows):
-            if row < 0 or row & ~mask:
-                raise ValueError(f"row {i} has bits outside {self.ncols} columns")
-
-
-def rref(m: BinMatrix) -> tuple[BinMatrix, int, tuple[int, ...]]:
-    """Reduced row-echelon form: (reduced, rank, pivot columns).
-
-    Pivot columns are strictly increasing and the result is canonical for a
-    given row space.  Zero rows are dropped from the reduced matrix.
-    """
-    pivots = Eliminator(m.rows).pivots
-    reduced = BinMatrix(m.ncols, tuple(row for _, row in pivots))
-    return reduced, len(pivots), tuple(p for p, _ in pivots)
-
-
-def rank(m: BinMatrix) -> int:
-    return Eliminator(m.rows).rank
-
-
-def solve_membership(m: BinMatrix, v: int) -> int | None:
-    """Combination c (bit i = row i of ``m``) with c . m == v, or None.
-
-    Only rows independent of the rows before them take part, so c is
-    unique.  Returns 0 for v == 0 (the empty combination).
-    """
-    ncols = m.ncols
-    mask = (1 << ncols) - 1
-    if v < 0 or v & ~mask:
-        raise ValueError(f"vector has bits outside {ncols} columns")
-    elim = Eliminator()
-    for i, row in enumerate(m.rows):
-        tagged = elim.reduce(row | 1 << (ncols + i))
-        if tagged & mask:
-            elim.insert(tagged)
-    rest = elim.reduce(v)
-    return None if rest & mask else rest >> ncols
-
-
-def kernel_basis(m: BinMatrix) -> list[int]:
-    """Basis of {v : parity(row & v) == 0 for every row}, canonically ordered."""
-    return Eliminator(m.rows).kernel(range(m.ncols))
 
 
 class Eliminator:

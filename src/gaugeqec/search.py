@@ -440,7 +440,7 @@ class _SweepContext:
         columns = (1 << ncols) - 1
         coords = gf2.Eliminator(rows)
         qbasis = []
-        for v in gf2.kernel_basis(gf2.BinMatrix(ncols, tuple(swap_halves(g, n) for g in rows))):
+        for v in gf2.Eliminator(swap_halves(g, n) for g in rows).kernel(range(ncols)):
             tagged = coords.reduce(v | 1 << (ncols + len(qbasis)))
             if tagged & columns:  # v is independent of S and qbasis
                 coords.insert(tagged)

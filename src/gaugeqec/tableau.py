@@ -59,12 +59,12 @@ def check_qubits(n: int, ops: Iterable[PauliOp]) -> None:
 def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
     """Basis (phase 0) of all Paulis commuting with every generator, mod phase.
 
-    Computed as the kernel of the symplectic-product map; the result always
-    has 2n - rank(gens) elements.
+    The null space of the swapped generator rows, read off their
+    ``gf2.Eliminator`` one vector per free column, so it always has
+    2n - rank(gens) elements.
     """
     check_qubits(n, gens)
-    rows = tuple(swap_halves(g.vec, n) for g in gens)
-    kernel = gf2.kernel_basis(gf2.BinMatrix(2 * n, rows))
+    kernel = gf2.Eliminator(swap_halves(g.vec, n) for g in gens).kernel(range(2 * n))
     return [from_vec(n, v) for v in kernel]
 
 
@@ -80,16 +80,24 @@ def in_group_exact(gens: Sequence[PauliOp], p: PauliOp) -> int | None:
 
     If p's vector is in the generator row space, rebuilds the product of the
     matching generators in ascending index order and returns d such that
-    p == i**d * product; otherwise None.
+    p == i**d * product; otherwise None.  Generator i rides as tag bit
+    2n + i and joins only if it is independent of the ones before it, so the
+    matching combination is unique.
     """
     check_qubits(p.n, gens)
-    m = gf2.BinMatrix(2 * p.n, tuple(g.vec for g in gens))
-    comb = gf2.solve_membership(m, p.vec)
-    if comb is None:
+    ncols = 2 * p.n
+    mask = (1 << ncols) - 1
+    system = gf2.Eliminator()
+    for i, g in enumerate(gens):
+        tagged = system.reduce(g.vec | 1 << (ncols + i))
+        if tagged & mask:
+            system.insert(tagged)
+    comb = system.reduce(p.vec)
+    if comb & mask:
         return None
     prod = PauliOp(p.n, 0, 0, 0)
     for i, g in enumerate(gens):
-        if (comb >> i) & 1:
+        if (comb >> (ncols + i)) & 1:
             prod = multiply(prod, g)
     return (p.phase_exp - prod.phase_exp) % 4
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import naive_ops
-from gaugeqec import gf2
 from gaugeqec.catalog import catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
@@ -294,20 +293,38 @@ def test_rank_bound_matches_a_from_scratch_count(monkeypatch, spec):
             assert {_letters(w, n) for w in witnesses} <= set(commuting)
 
 
+def _bit_list(v, ncols):
+    return [(v >> j) & 1 for j in range(ncols)]
+
+
+def _from_bit_list(bits):
+    return sum(b << j for j, b in enumerate(bits))
+
+
 def _plain_sectors(ctx, rows, witnesses):
-    """Sector enumeration re-derived one RREF basis at a time."""
+    """Sector enumeration re-derived one RREF basis at a time.
+
+    Every rank, kernel and membership question goes to the 0/1-list
+    reference, not to the elimination kernel that ``sectors`` uses.
+    """
     n, r = ctx.n, ctx.r
-    swapped = [search.swap_halves(v, n) for v in rows]
-    elim = gf2.Eliminator(rows)
-    qbasis = [v for v in gf2.kernel_basis(gf2.BinMatrix(2 * n, tuple(swapped))) if elim.add(v)]
+    kept = [_bit_list(v, 2 * n) for v in rows]
+    qbasis = []
+    swapped = [_bit_list(search.swap_halves(v, n), 2 * n) for v in rows]
+    for b in naive_ops.kernel_lists(swapped, 2 * n):
+        if naive_ops.rank(kept + [b]) > len(kept):
+            kept.append(b)
+            qbasis.append(_from_bit_list(b))
     q = len(qbasis)
-    coords = gf2.BinMatrix(2 * n, tuple(qbasis) + tuple(rows))
-    wcoords = [gf2.solve_membership(coords, w) & ((1 << q) - 1) for w in witnesses]
+    coords = kept[len(rows) :] + kept[: len(rows)]
+    wcoords = [
+        naive_ops.membership_combination(coords, _bit_list(w, 2 * n))[:q] for w in witnesses
+    ]
     examined, sectors = 0, []
     for coord_rows in search._rref_bases(q, 2 * r):
         examined += 1
-        span = gf2.Eliminator(coord_rows)
-        if not all(span.contains(wc) for wc in wcoords):
+        span = [_bit_list(cr, q) for cr in coord_rows]
+        if not all(naive_ops.in_span(span, wc) for wc in wcoords):
             continue
         lifted = []
         for cr in coord_rows:
@@ -316,14 +333,8 @@ def _plain_sectors(ctx, rows, witnesses):
                 if (cr >> i) & 1:
                     v ^= qbasis[i]
             lifted.append(v)
-        gram = [
-            sum(
-                ((a & search.swap_halves(b, n)).bit_count() & 1) << j
-                for j, b in enumerate(lifted)
-            )
-            for a in lifted
-        ]
-        if gf2.Eliminator(gram).rank == 2 * r:
+        gram = [[(a & search.swap_halves(b, n)).bit_count() & 1 for b in lifted] for a in lifted]
+        if naive_ops.rank(gram) == 2 * r:
             sectors.append(tuple(search._hyperbolic_pairs(lifted, n)))
     return examined, sectors
 

@@ -48,3 +48,17 @@ def test_the_oracle_imports_no_symplectic_machinery():
             names = [alias.name for alias in node.names]
             imported |= {(name, "") for name in names if name.split(".")[0] == "gaugeqec"}
     assert imported == {("code", "SubsystemCode"), ("code", "validated"), ("pauli", "PauliOp")}
+
+
+def test_gf2_has_one_elimination_kernel():
+    # every GF(2) row-space question goes through ``Eliminator``; no second
+    # matrix API wraps it
+    path = Path(gaugeqec.__file__).parent / "gf2.py"
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert names == {"parities", "ParityMap", "gray_walk", "Eliminator"}

@@ -7,7 +7,7 @@ import pytest
 
 from gaugeqec import gf2
 from gaugeqec.catalog import catalog
-from gaugeqec.gf2 import Eliminator, parity
+from gaugeqec.gf2 import Eliminator
 from gaugeqec.pauli import (
     commutes,
     from_vec,
@@ -25,7 +25,15 @@ from gaugeqec.tableau import (
     in_group_mod_phase,
     symplectic_complete,
 )
-from naive_ops import affine_particular, anticommute, in_span, kernel_lists, to_bits
+from naive_ops import (
+    affine_particular,
+    anticommute,
+    in_span,
+    kernel_lists,
+    membership_combination,
+    to_bits,
+)
+from naive_ops import mul as naive_mul
 from naive_ops import rank as naive_rank
 
 SHOR_STAB = [
@@ -73,9 +81,7 @@ def test_centralizer_elements_commute_with_generators():
 
             gens.append(hermitian(n, x, z))
         basis = centralizer_basis(n, gens)
-        from gaugeqec.gf2 import BinMatrix, rank
-
-        expected = 2 * n - rank(BinMatrix(2 * n, tuple(g.vec for g in gens)))
+        expected = 2 * n - Eliminator(g.vec for g in gens).rank
         assert len(basis) == expected
         for b in basis:
             assert all(commutes(b, g) for g in gens)
@@ -155,8 +161,8 @@ def _random_frame(rng, n):
     for _ in range(2 * n):
         h = rng.randrange(1, 1 << (2 * n))
         h_sw = swap_halves(h, n)
-        xs = [v ^ h if parity(v & h_sw) else v for v in xs]
-        zs = [v ^ h if parity(v & h_sw) else v for v in zs]
+        xs = [v ^ h if (v & h_sw).bit_count() & 1 else v for v in xs]
+        zs = [v ^ h if (v & h_sw).bit_count() & 1 else v for v in zs]
     return xs, zs
 
 
@@ -324,6 +330,57 @@ def test_in_group_exact_examples():
     minus_s1 = pauli_from_string("-XXXXXXIII")
     assert in_group_exact(gens, minus_s1) == 2
     assert in_group_exact(gens, pauli_from_string("XXXXXXXXX")) is None
+
+
+def _phased(k, letters):
+    return pauli_from_string(("", "+i", "-", "-i")[k] + letters)
+
+
+def test_in_group_exact_matches_string_arithmetic_with_dependent_generators():
+    # generators are (k, letters) for i**k * letters; dependent rows include
+    # products of earlier generators and sign-flipped duplicates g, -g, so
+    # the phase depends on which rows the combination skips
+    rng = random.Random(2026)
+    members = dependent = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randrange(8)):
+            kind = rng.random()
+            if kind < 0.2 and gens:
+                k, letters = rng.choice(gens)
+                gens.append(((k + 2) % 4, letters))
+            elif kind < 0.4 and len(gens) >= 2:
+                (ka, a), (kb, b) = rng.sample(gens, 2)
+                ph, letters = naive_mul(a, b)
+                gens.append(((ka + kb + ph + 2 * rng.randrange(2)) % 4, letters))
+            else:
+                gens.append((rng.randrange(4), "".join(rng.choice("IXYZ") for _ in range(n))))
+        if rng.random() < 0.6:
+            k, letters = rng.randrange(4), "I" * n
+            for kg, g in gens:
+                if rng.random() < 0.5:
+                    ph, letters = naive_mul(letters, g)
+                    k += kg + ph
+            target = (k % 4, letters)
+        else:
+            target = (rng.randrange(4), "".join(rng.choice("IXYZ") for _ in range(n)))
+        comb = membership_combination([to_bits(g) for _, g in gens], to_bits(target[1]))
+        if comb is None:
+            expected = None
+        else:
+            k, letters = 0, "I" * n
+            for (kg, g), c in zip(gens, comb):
+                if c:
+                    ph, letters = naive_mul(letters, g)
+                    k += kg + ph
+            assert letters == target[1]
+            expected = (target[0] - k) % 4
+            members += 1
+            dependent += naive_rank([to_bits(g) for _, g in gens]) < len(gens)
+        got = in_group_exact([_phased(k, g) for k, g in gens], _phased(*target))
+        assert got == expected, (gens, target)
+    assert members > 500 and dependent > 200
 
 
 @pytest.mark.parametrize("member", [in_group_mod_phase, in_group_exact])
