@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .pauli import PauliOp, from_vec, hermitian, multiply, pauli_from_string, swap_halves
 from .tableau import PartialFrame, check_qubits, in_group_mod_phase
@@ -112,38 +112,29 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
-    """Check every structural invariant and complete the frame on success.
+def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, derive_gauge: int = 0,
+               signs: Sequence[int] = ()) -> tuple[list[str], list[int] | None]:
+    """The checks of ``validate`` on (x|z) rows: (violations, the frame rows or None).
 
-    Violations are collected, not raised.  ``derive_gauge`` says how many of
-    the pairs derived by frame completion (when s + r + k < n) become gauge
-    pairs; the rest become logical pairs.
+    ``sector`` holds the r gauge pairs, then the logical pairs, x row first;
+    ``signs`` holds the stabilizer sign exponents.  Valid rows complete to a
+    frame x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and
+    sector pair j fills slot s + j.
     """
-    report = ValidationReport()
-    bad = report.violations.append
-    n = code.n
-    sector = code.gauge_ops() + code.logical_ops()
-    for op in code.stabilizer + tuple(sector):
-        if op.n != n:
-            bad(f"operator {op} is on {op.n} qubits, code has {n}")
-            return report
-
-    s, r, k = code.s, code.r, code.k
-    free = n - s - r - k
+    violations: list[str] = []
+    bad = violations.append
+    s, free = len(stab), n - len(stab) - len(sector) // 2
     if free < 0:
-        bad(f"too many generators: s + r + k = {s + r + k} > n = {n}")
+        bad(f"too many generators: s + r + k = {n - free} > n = {n}")
     if not 0 <= derive_gauge <= max(free, 0):
         bad(f"derive_gauge = {derive_gauge} exceeds the {free} free slots")
+    for i, e in enumerate(signs):
+        if e:
+            bad(f"stabilizer generator {i} has sign i^{e}; "
+                "the group would not fix the code space (contains -1)")
 
-    # checks on (x|z) vectors: u, v anticommute iff u AND swap(v) has odd weight
-    for i, g in enumerate(code.stabilizer):
-        if g.sign_exponent != 0:
-            bad(
-                f"stabilizer generator {i} has sign i^{g.sign_exponent}; "
-                "the group would not fix the code space (contains -1)"
-            )
-    stab, vecs = [g.vec for g in code.stabilizer], [op.vec for op in sector]
-    stab_sw, vecs_sw = [swap_halves(v, n) for v in stab], [swap_halves(v, n) for v in vecs]
+    # u, v anticommute iff u AND swap(v) has odd weight
+    stab_sw, sector_sw = [swap_halves(v, n) for v in stab], [swap_halves(v, n) for v in sector]
     for i in range(s):
         for j in range(i + 1, s):
             if (stab[i] & stab_sw[j]).bit_count() & 1:
@@ -157,39 +148,57 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
         kind = "xz"[a % 2]
         return f"gauge {kind}{a // 2}" if a < 2 * r else f"logical {kind}{a // 2 - r}"
 
-    for a, v in enumerate(vecs):
+    for a, v in enumerate(sector):
         for i, g in enumerate(stab_sw):
             if (v & g).bit_count() & 1:
                 bad(f"{name(a)} anticommutes with stabilizer generator {i}")
-    for a, v in enumerate(vecs):
-        for b in range(a + 1, len(vecs)):
+    for a, v in enumerate(sector):
+        for b in range(a + 1, len(sector)):
             # partners inside one pair anticommute; everything else commutes
             expected = b == a + 1 and a % 2 == 0
-            if (v & vecs_sw[b]).bit_count() & 1 != expected:
+            if (v & sector_sw[b]).bit_count() & 1 != expected:
                 verb = "must anticommute" if expected else "must commute"
                 bad(f"{name(a)} and {name(b)} {verb}")
-    for a, v in enumerate(vecs):
+    for a, v in enumerate(sector):
         if not frame.add(s + a // 2 + n * (a % 2), v):
             bad(f"{name(a)} depends on earlier generators")
-
-    if report.violations:
-        return report
+    if violations:
+        return violations, None
 
     # the supplied rows passed the checks above; completion checks the whole frame
     try:
-        rows = frame.complete()
+        return violations, frame.complete()
     except ValueError as exc:
-        bad(f"frame completion failed: {exc}")
-        return report
+        return [f"frame completion failed: {exc}"], None
 
-    derived = [(from_vec(n, rows[j]), from_vec(n, rows[n + j])) for j in range(s + r + k, n)]
-    report.completed = SubsystemCode(
-        n,
-        code.stabilizer,
-        code.gauge_pairs + tuple(derived[:derive_gauge]),
-        code.logical_pairs + tuple(derived[derive_gauge:]),
-    )
-    return report
+
+def completed_code(n: int, stabilizer, gauge_pairs, logical_pairs, rows, derive_gauge: int = 0):
+    """The tuples plus a pair of frame ``rows`` per free slot, the first ``derive_gauge`` gauge."""
+    first = len(stabilizer) + len(gauge_pairs) + len(logical_pairs)
+    derived = tuple([(from_vec(n, rows[j]), from_vec(n, rows[n + j])) for j in range(first, n)])
+    return SubsystemCode(n, stabilizer, gauge_pairs + derived[:derive_gauge],
+                         logical_pairs + derived[derive_gauge:])
+
+
+def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
+    """Check every structural invariant and complete the frame on success.
+
+    Violations are collected, not raised.  ``derive_gauge`` says how many of
+    the pairs derived by frame completion (when s + r + k < n) become gauge
+    pairs; the rest become logical pairs.  Qubit counts and signs are read
+    here, and ``frame_rows`` checks the rows.
+    """
+    n, stab = code.n, code.stabilizer
+    sector = code.gauge_ops() + code.logical_ops()
+    for op in stab + tuple(sector):
+        if op.n != n:
+            return ValidationReport([f"operator {op} is on {op.n} qubits, code has {n}"])
+    violations, rows = frame_rows(n, [g.vec for g in stab], [op.vec for op in sector], code.r,
+                                  derive_gauge, [g.sign_exponent for g in stab])
+    if rows is None:
+        return ValidationReport(violations)
+    completed = completed_code(n, stab, code.gauge_pairs, code.logical_pairs, rows, derive_gauge)
+    return ValidationReport(violations, completed)
 
 
 @lru_cache(maxsize=256)

@@ -103,49 +103,58 @@ def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
     return _tables(c).classify_vec(p.vec)
 
 
-def distance(
-    code: SubsystemCode,
-    method: str = "coset",
-    budget: int = DEFAULT_BUDGET,
-) -> int:
+def coset_distance(n: int, gauge_rows: Sequence[int], logical_rows: Sequence[int]) -> int:
+    """Minimum weight over the gauge cosets of every nontrivial logical class.
+
+    The classes, shifted by the span of the first gauge rows, are listed (at
+    most 2^8 vectors while the classes fit); each coset of the span of the
+    other gauge rows is that list XORed with one Gray-code offset.
+    """
+    low, best = (1 << n) - 1, 2 * n  # above any weight
+    listed = list(gf2.gray_walk(0, logical_rows))[1:]  # the nontrivial classes
+    head = max(8 - len(logical_rows), 0)
+    for row in gauge_rows[:head]:
+        listed += [v ^ row for v in listed]
+    for offset in gf2.gray_walk(0, gauge_rows[head:]):
+        coset = [v ^ offset for v in listed] if offset else listed
+        best = min(best, min([((v | v >> n) & low).bit_count() for v in coset], default=best))
+        if best == 1:
+            break
+    return best
+
+
+def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_BUDGET) -> int:
     """Minimum weight of a normalizer element outside the gauge group.
 
-    ``exhaustive`` walks the whole centralizer row space; ``coset`` walks the
-    gauge-group cosets of each nontrivial logical class.  Both enumerations
-    use a Gray-code order so every step is one XOR plus a popcount.
+    ``exhaustive`` walks the whole centralizer row space in a Gray-code
+    order, one XOR plus a popcount per step; ``coset`` is ``coset_distance``
+    on the gauge-group and logical generators.
     """
     c = validated(code)
     if c.k == 0:
         raise ValueError("distance is undefined for a code with no logical qubits")
     n, low = c.n, (1 << c.n) - 1
-    if method == "exhaustive":
-        rows = [op.vec for op in centralizer_basis(n, c.stabilizer)]
-        if 1 << len(rows) > budget:
-            raise BudgetExceededError(
-                f"2^{len(rows)} centralizer elements exceed the budget {budget}"
-            )
-        # centralizer elements have no syndrome: gauge iff the key is 0
-        offsets, logical = [0], _tables(c).key
-    elif method == "coset":
+    if method == "coset":
         rows = [op.vec for op in c.group_generators()]
-        logical_rows = [op.vec for op in c.logical_ops()]
-        classes = (1 << len(logical_rows)) - 1
+        classes = (1 << 2 * c.k) - 1
         if classes * (1 << len(rows)) > budget:
             raise BudgetExceededError(
                 f"{classes} classes x 2^{len(rows)} gauge elements exceed the budget {budget}"
             )
-        # one offset per nontrivial logical class, each coset wholly logical
-        offsets, logical = list(gf2.gray_walk(0, logical_rows))[1:], bool
-    else:
+        return coset_distance(n, rows, [op.vec for op in c.logical_ops()])
+    if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
-    best = 2 * n  # above any weight
-    for offset in offsets:
-        for v in gf2.gray_walk(offset, rows):
-            w = ((v | v >> n) & low).bit_count()
-            if w < best and logical(v):
-                best = w
-                if best == 1:
-                    return best
+    rows = [op.vec for op in centralizer_basis(n, c.stabilizer)]
+    if 1 << len(rows) > budget:
+        raise BudgetExceededError(f"2^{len(rows)} centralizer elements exceed the budget {budget}")
+    # centralizer elements have no syndrome: gauge iff the key is 0
+    best, key = 2 * n, _tables(c).key
+    for v in gf2.gray_walk(0, rows):
+        w = ((v | v >> n) & low).bit_count()
+        if w < best and key(v):
+            best = w
+            if best == 1:
+                break
     return best
 
 

@@ -90,11 +90,12 @@ class Eliminator:
 
     def insert(self, v: int) -> None:
         """Insert a nonzero v that ``reduce`` already returned."""
-        p = (v & -v).bit_length() - 1
-        self.pivots = [
-            (q, row ^ v) if (row >> p) & 1 else (q, row) for q, row in self.pivots
-        ]
-        insort(self.pivots, (p, v))
+        low = v & -v
+        pivots = self.pivots
+        for i, (q, row) in enumerate(pivots):
+            if row & low:
+                pivots[i] = q, row ^ v
+        insort(pivots, (low.bit_length() - 1, v))
 
     def solution(self, tag: int) -> int:
         """The pivots whose rows carry bit ``tag``.

@@ -21,30 +21,18 @@ solving needs no search.
 The sweep prunes by a necessary rank bound: any operator of weight below
 the distance target that commutes with the candidate stabilizer must end up
 inside the gauge group, so their span modulo the stabilizer cannot exceed
-2r; no candidate is lost.  The bound runs at every leaf of the depth-first
-enumeration, so the work its siblings share is done once, in their parent.
-A node solves its rows' commutation constraints on the next level once, in
-full coordinates restricted to that level's free columns, and each child
-refines that solve by its own constraint row, reduced with one XOR per step
-of the children's Gray-code walk.  Which low-weight Paulis commute with a
-subspace is a bitmask over those Paulis: the mask anticommuting with a row
-is a ``gf2.ParityMap`` of the row, linear in it, so each level ANDs in one
-row's complement, and the Gray-code walk updates it with one XOR per step.
-With S = S′ + ⟨u⟩, the leaves' walk counts classes: the low-weight vectors
-of one class mod S′ commute with u together, and a passing leaf has at most
-2^(2r+1) − 1 nonzero such classes, so one AND of the leaf's mask with the
-parent's commuting class representatives (carried down with the span of S′)
-and a popcount reject most leaves; nothing else runs for them, and the
-walk runs in the loop that takes each leaf-parent from its parent, with no
-call of its own.  The rest are rejected once rank({u} ∪ L) − 1 passes 2r,
-where L is those representatives reduced modulo S′ by its RREF rows, once
-per parent, with a basis that stops at 2r + 2 rows.  A surviving leaf has no
-gauge sector when the dimension of its witness span plus that of the span's
-radical exceeds 2r; the others read their sectors off a table of coordinate
-bases with their span masks, built once per shape.  A covering sector puts
-every commuting Pauli of weight below d_min into the gauge group, so each
-nondegenerate one is a code with d >= d_min, built in the job that finds it;
-its distance is only a guard.
+2r; no candidate is lost.  The depth-first enumeration (``_sweep_chunk``)
+solves a node's commutation constraints on the next level once and hands
+the solve, the span and the mask of commuting low-weight Paulis to its
+children, each refined with one XOR per step of their Gray-code walk.  With
+S = S′ + ⟨u⟩, most leaves are rejected in the walk that makes them by
+counting their commuting low-weight classes mod S′ against 2^(2r+1) − 1; the
+rest by the rank loop of ``check_subspace``.  A surviving leaf reads its
+gauge sectors off a table of coordinate bases built once per shape.  A
+covering sector puts every commuting Pauli of weight below d_min into the
+gauge group, so each nondegenerate one is a code with d >= d_min.  The job
+that finds it checks its integer rows and completes them to a frame once;
+the distance walk on the frame rows is only a guard.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -60,8 +48,8 @@ from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from . import gf2
-from .code import SubsystemCode, singleton_check, validated
-from .distance import _tables, distance
+from .code import SubsystemCode, completed_code, frame_rows, singleton_check, validated
+from .distance import _tables, coset_distance
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves, vec_hermitian
 
@@ -257,20 +245,23 @@ def _solve_gauge_partners(
 
 
 def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> SubsystemCode:
-    """The validated code of (x|z) stabilizer rows and gauge (x, z) row pairs.
+    """``validated`` of (x|z) stabilizer rows, gauge (x, z) row pairs and logical pairs.
 
-    Both searches build only codes that keep d >= d_min by construction, so
-    the distance is a guard: a code below d_min raises RuntimeError.
+    Assembled once from the frame that ``frame_rows`` completes; invalid rows
+    raise the ValueError of ``validated``.  Both searches build only codes that
+    keep d >= d_min, so ``coset_distance`` on the frame rows is a guard: a code
+    below d_min raises RuntimeError.
     """
-    cand = SubsystemCode(
-        n,
-        tuple(vec_hermitian(n, v) for v in stab),
-        tuple((vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs),
-        logical_pairs,
-    )
-    if distance(cand, "coset") < d_min:
+    sector = [v for pair in pairs for v in pair] + [op.vec for pair in logical_pairs for op in pair]
+    violations, rows = frame_rows(n, stab, sector, len(pairs))
+    if rows is None:
+        raise ValueError("invalid code: " + "; ".join(violations))
+    s, g = len(stab), len(stab) + len(pairs)  # the gauge pairs fill slots s..g-1
+    if coset_distance(n, rows[n : n + g] + rows[s:g], rows[g:n] + rows[n + g :]) < d_min:
         raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
-    return validated(cand)  # cached by distance
+    stabilizer = tuple([vec_hermitian(n, v) for v in stab])
+    gauge = tuple([(vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs])
+    return completed_code(n, stabilizer, gauge, tuple(logical_pairs), rows)
 
 
 def find_gauge_symmetries(
@@ -643,7 +634,7 @@ def sweep_nonexistence(
 
     A sector covering the stabilizer's witnesses holds every commuting Pauli
     of weight below d_min, so its code keeps d >= d_min; the distance, taken
-    in the job with validation, is only a guard.  ``candidates`` == ``len(codes)``.
+    in the job that builds it, is only a guard.  ``candidates`` == ``len(codes)``.
 
     Parameter points already excluded by the Singleton bound short-circuit to
     an exhausted empty result.  ``exhausted`` is False whenever the budget

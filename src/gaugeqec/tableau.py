@@ -41,9 +41,9 @@ def check_pattern(n: int, rows: Sequence[int]) -> None:
     for i in range(n):
         xi, zi = rows[i], rows[n + i]
         for j in range(n):
-            if (xi & swapped[j]).bit_count() & 1:
+            if j > i and (xi & swapped[j]).bit_count() & 1:  # same kind: once per pair
                 raise ValueError(f"x rows {i},{j} anticommute")
-            if (zi & swapped[n + j]).bit_count() & 1:
+            if j > i and (zi & swapped[n + j]).bit_count() & 1:
                 raise ValueError(f"z rows {i},{j} anticommute")
             if (xi & swapped[n + j]).bit_count() & 1 != (i == j):
                 raise ValueError(f"x row {i} / z row {j} break the pairing")

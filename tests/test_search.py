@@ -11,7 +11,7 @@ import naive_ops
 from gaugeqec.catalog import catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
-from gaugeqec.distance import Kind, classify, distance
+from gaugeqec.distance import Kind, classify, coset_distance, distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
 from gaugeqec.pauli import pauli_from_string, vec_hermitian
@@ -161,7 +161,7 @@ def test_hyperbolic_split_exists_exactly_for_a_nondegenerate_span():
 def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(monkeypatch):
     # a sector covering the witnesses keeps d >= d_min by construction, so a
     # shortfall is a fault to report, not a candidate to drop
-    monkeypatch.setattr(search, "distance", lambda code, method="coset": 1)
+    monkeypatch.setattr(search, "coset_distance", lambda n, gauge_rows, logical_rows: 1)
     with pytest.raises(RuntimeError, match="d >= d_min"):
         sweep_nonexistence(SweepSpec(4, 1, 1, 2))
 
@@ -399,6 +399,134 @@ def test_sweep_visit_order_and_code_lists_are_pinned(monkeypatch, sweep_5103):
     assert _codes_sha256(sweep_5103.codes) == (
         "b4a2ef5941b9a5e636906385a814f3fcfd4c7e5a951310bef65eb3e4199e150f"
     )
+
+
+# sha256 of code lists whose codes are assembled from their rows, captured
+# from the sweep that built a candidate code and then validated it
+CODE_LIST_GOLDENS = [
+    (SweepSpec(4, 1, 1, 2), 4320,
+     "295cbd5ee90060141357eea1a8e2414dca405d1250f56e26e2060abdeebe5abc"),
+    (SweepSpec(5, 2, 1, 2, budget=20_000), 512,
+     "6cf36535a03998a059d0e9b872b85c7af7b8f0c23ece89cf13ade2ec06505e13"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_assembled_code_lists_are_pinned(workers):
+    for spec, count, sha in CODE_LIST_GOLDENS:
+        res = sweep_nonexistence(spec, workers=workers)
+        assert (len(res.codes), _codes_sha256(res.codes)) == (count, sha), spec
+
+
+def _assembled(monkeypatch, run):
+    """(arguments, guard distance, code) of every ``_guarded_code`` call of ``run``."""
+    calls, walked = [], []
+    guarded, walk = search._guarded_code, search.coset_distance
+
+    def record(*args):
+        code = guarded(*args)
+        calls.append((args, walked[-1], code))
+        return code
+
+    def record_walk(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(search, "coset_distance", record_walk)
+    monkeypatch.setattr(search, "_guarded_code", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        (SweepSpec(4, 1, 1, 2), 4320),
+        (SweepSpec(4, 1, 0, 2), 2268),
+        (SweepSpec(4, 2, 0, 2), 216),
+        (None, 1),  # find-gauge's restructured shor9, with its logical pairs supplied
+    ],
+)
+def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, count):
+    if spec is None:
+        calls = _assembled(monkeypatch, lambda: find_gauge_symmetries(catalog("shor9"), 3))
+    else:
+        calls = _assembled(monkeypatch, lambda: sweep_nonexistence(spec))
+    assert len(calls) == count
+    for (n, stab, pairs, d_min, *logical), guard_distance, code in calls:
+        candidate = SubsystemCode(
+            n,
+            tuple(vec_hermitian(n, v) for v in stab),
+            tuple((vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs),
+            *logical,
+        )
+        expected = validated(candidate)
+        assert code == expected and hash(code) == hash(expected)
+        if logical:  # the supplied logical operators are kept as they are
+            assert all(a is b for pa, pb in zip(code.logical_pairs, logical[0])
+                       for a, b in zip(pa, pb))
+        # the guard's walk on the frame rows, and the same walk on the code's generators
+        walked = coset_distance(
+            n, [op.vec for op in code.group_generators()], [op.vec for op in code.logical_ops()]
+        )
+        assert guard_distance == walked == distance(code, "exhaustive") >= d_min
+
+
+def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
+    # random stabilizer codes with their first r logical pairs made gauge
+    # pairs, the other logical pairs supplied or left for the frame to derive
+    for seed in range(80):
+        base = validated(_random_stabilizer_code(seed))
+        rng = random.Random(seed)
+        r = rng.randrange(base.k)
+        logical = base.logical_pairs[r:] if rng.random() < 0.5 else ()
+        n, stab = base.n, [g.vec for g in base.stabilizer]
+        pairs = [(x.vec, z.vec) for x, z in base.logical_pairs[:r]]
+        [(_, guard_distance, code)] = _assembled(
+            monkeypatch, lambda: search._guarded_code(n, stab, pairs, 1, logical)
+        )
+        candidate = SubsystemCode(n, base.stabilizer, tuple(
+            (vec_hermitian(n, x), vec_hermitian(n, z)) for x, z in pairs), logical)
+        assert code == validated(candidate) and code.r == r
+        assert guard_distance == distance(code, "exhaustive"), seed
+
+
+def test_the_sweep_builds_one_code_object_per_code(monkeypatch):
+    built = []
+    post_init = SubsystemCode.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SubsystemCode, "__post_init__", counting)
+    res = sweep_nonexistence(SweepSpec(4, 2, 0, 2))
+    assert len(res.codes) == 216
+    assert [id(c) for c in built] == [id(c) for c in res.codes]
+
+
+@pytest.mark.parametrize(
+    "n, stab, pairs, logical, violation",
+    [
+        (4, ["ZZII"], [("IIXI", "IIXX")], [], "gauge x0 and gauge z0 must anticommute"),
+        (4, ["ZZII", "IIZZ", "ZZZZ"], [], [],
+         "stabilizer generator 2 depends on earlier generators"),
+        (2, ["ZZ"], [("XX", "ZI")], [("YY", "IZ")], "s + r + k = 3 > n = 2"),
+    ],
+)
+def test_invalid_rows_raise_the_validation_error(n, stab, pairs, logical, violation):
+    stab_ops = tuple(map(pauli_from_string, stab))
+    pair_ops, logical_ops = (
+        tuple((pauli_from_string(x), pauli_from_string(z)) for x, z in ps) for ps in (pairs, logical)
+    )
+    with pytest.raises(ValueError) as from_rows:
+        rows = [g.vec for g in stab_ops]
+        search._guarded_code(n, rows, [(x.vec, z.vec) for x, z in pair_ops], 1, logical_ops)
+    with pytest.raises(ValueError) as from_ops:
+        validated(SubsystemCode(n, stab_ops, pair_ops, logical_ops))
+    assert str(from_rows.value) == str(from_ops.value)
+    assert str(from_rows.value).startswith("invalid code: ") and violation in str(from_rows.value)
 
 
 def test_sweep_budget_is_inconclusive():
