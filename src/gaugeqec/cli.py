@@ -66,7 +66,7 @@ def _load_code(ref: str) -> SubsystemCode:
         )
     try:
         return parse_code_file(path.read_text())
-    except (CodeFileError, OSError) as exc:
+    except (CodeFileError, OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"{ref}: {exc}") from None
 
 
@@ -194,12 +194,8 @@ def _cmd_find_gauge(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec(args.n, args.k, args.r, args.distance_min, budget=args.budget)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
     res = sweep_nonexistence(
-        spec,
+        SweepSpec(args.n, args.k, args.r, args.distance_min, budget=args.budget),
         workers=args.workers,
         progress=_progress_printer("sweep", True) if args.verbose else None,
     )

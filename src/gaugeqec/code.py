@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .pauli import PauliOp, from_vec, hermitian, multiply, pauli_from_string, swap_halves
-from .tableau import PartialFrame, check_qubits, in_group_mod_phase
+from .pauli import PauliOp, from_vec, hermitian, pauli_from_string, swap_halves
+from .tableau import PartialFrame, check_qubits
 
 Pair = tuple[PauliOp, PauliOp]
 
@@ -202,18 +202,14 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
 
 
 @lru_cache(maxsize=256)
-def _validated(code: SubsystemCode, derive_gauge: int) -> SubsystemCode:
+def validated(code: SubsystemCode, derive_gauge: int = 0) -> SubsystemCode:
+    """The completed code, raising ValueError when validation fails."""
     report = validate(code, derive_gauge)
     if not report.ok:
         raise ValueError("invalid code: " + "; ".join(report.violations))
     if report.completed is None:
         raise RuntimeError("validation passed without completing the code")
     return report.completed
-
-
-def validated(code: SubsystemCode, derive_gauge: int = 0) -> SubsystemCode:
-    """The completed code, raising ValueError when validation fails."""
-    return _validated(code, derive_gauge)
 
 
 def parameters(code: SubsystemCode) -> CodeParams:
@@ -242,8 +238,13 @@ def singleton_check(n: int, k: int, d: int) -> bool:
 
 
 def logical_equivalent(code: SubsystemCode, p: PauliOp, q: PauliOp) -> bool:
-    """Whether p and q act identically on the encoded qubits (p*q in the gauge group)."""
+    """Whether p and q act identically on the encoded qubits (p*q in the gauge group).
+
+    p*q is in the gauge group exactly when it has no syndrome and no logical
+    label, a key of 0 under the code's key map.
+    """
+    from .distance import _tables  # deferred: distance imports this module
+
     c = validated(code)
     check_qubits(c.n, (p, q))
-    prod = multiply(p, q)
-    return in_group_mod_phase(c.group_generators(), prod)
+    return not _tables(c).key(p.vec ^ q.vec)

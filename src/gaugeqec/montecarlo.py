@@ -26,7 +26,7 @@ from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
 from .parallel import ordered_map
-from .pauli import PauliOp, hermitian, identity
+from .pauli import PauliOp, hermitian, identity, low_weight_vecs
 
 _CHUNK_SHOTS = 1 << 13
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
@@ -145,7 +145,7 @@ def _run_range(
         return [(zero, np.array([hi - lo]))]
     last = np.uint64(limit - 1)
     # row 3j + l: the key of letter l (X, Y, Z) on qubit j, in 64-bit words
-    xyz = [key(v << j) for j in range(n) for v in (1, 1 | 1 << n, 1 << n)]
+    xyz = map(key, low_weight_vecs(n, 1))
     key_of_letter = np.array([[(k >> 64 * w) % 2**64 for w in range(nwords)] for k in xyz], np.uint64)
     width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
     draw = shot_stream(seed, lo, n).bit_generator.random_raw

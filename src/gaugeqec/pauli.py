@@ -38,9 +38,9 @@ class PauliOp:
     z: int
 
     def __post_init__(self) -> None:
-        mask = (1 << self.n) - 1
         if self.n < 0:
             raise ValueError("negative qubit count")
+        mask = (1 << self.n) - 1
         if not 0 <= self.phase_exp <= 3:
             raise ValueError("phase exponent must be in 0..3")
         if self.x < 0 or self.x & ~mask or self.z < 0 or self.z & ~mask:

@@ -2,11 +2,11 @@
 
 Two searches live here.  ``find_gauge_symmetries`` looks for gauge structure
 hiding inside an existing stabilizer code: it enumerates subgroups of the
-stabilizer, keeps the dropped generators as gauge z operators, and solves for
-commuting x partners.  ``sweep_nonexistence`` enumerates every isotropic
-stabilizer subspace at a target parameter point together with every
-hyperbolic gauge sector, to prove codes with those parameters do or do not
-exist.
+stabilizer, keeps the dropped generators as gauge z operators, and reads
+their x partners off one completed symplectic frame.  ``sweep_nonexistence``
+enumerates every isotropic stabilizer subspace at a target parameter point
+together with every hyperbolic gauge sector, to prove codes with those
+parameters do or do not exist.
 
 The gauge search needs no bound.  Keeping a subgroup S′ of the stabilizer S
 and the logical operators L fixes the gauge group: G = S + ⟨gx⟩ lies in
@@ -14,9 +14,9 @@ C(S′) ∩ C(L), and for a stabilizer input both have dimension s + r, so
 they are equal.  The restructured code keeps d >= d_min exactly when no
 Pauli of weight below d_min whose syndrome lies in K = S′^⊥ anticommutes
 with a logical operator; those syndromes are one bitmask per code, and K
-is walked depth-first, pruning a node whose new coset hits the mask.  The
-commutation constraints fix each gauge x partner modulo S, so partner
-solving needs no search.
+is walked depth-first, pruning a node whose new coset hits the mask.  Each
+gauge x partner is a row of the symplectic frame that the kept z operators,
+S′ and L complete to, fixed modulo S, so partners need no search.
 
 The sweep prunes by a necessary rank bound: any operator of weight below
 the distance target that commutes with the candidate stabilizer must end up
@@ -52,6 +52,7 @@ from .code import SubsystemCode, completed_code, frame_rows, singleton_check, va
 from .distance import _tables, coset_distance
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves, vec_hermitian
+from .tableau import PartialFrame
 
 ProgressFn = Callable[["SearchStats"], None]
 
@@ -210,38 +211,27 @@ def _solve_gauge_partners(
 ) -> SubsystemCode:
     """The restructured code of one stabilizer subgroup, one x partner per gauge slot.
 
-    The z generators are the original stabilizer generators outside the
-    subgroup's pivot set.  The x partner gx_j must commute with the subgroup,
-    the logical operators and the partners before it, and anticommute with
-    gz_j alone.  Its solutions all lie in one coset of S, the whole
-    stabilizer: any two differ by an operator commuting with S and with the
-    logical operators, and in a stabilizer code only S itself does.  The
-    gauge group S + ⟨gx⟩ only depends on each gx_j modulo S, so the
-    particular solution is the one candidate per slot.  The subgroup must
-    have passed the syndrome filter, so a distance below d_min is an error.
+    The z generators gz are the stabilizer generators outside the subgroup's
+    pivot set.  In one ``PartialFrame`` they fill the first z slots, S′ the
+    next ones and the logical pairs the last, so ``complete`` fills the x row
+    of slot i first: gx_i commutes with S′, the logical operators, the other
+    gz and the partners before it, and anticommutes with gz_i alone.  Such
+    rows form one coset of S, because in a stabilizer code only S commutes
+    with S and the logical operators, and S + ⟨gx⟩ depends on each gx_i
+    modulo S only.  The subgroup must have passed the syndrome filter, so a
+    distance below d_min is an error.
     """
-    n = code.n
+    n, s = code.n, code.s
     svecs = [g.vec for g in code.stabilizer]
     sprime = [_combine(c, svecs) for c in coeff_rows]
     pivot_set = {(c & -c).bit_length() - 1 for c in coeff_rows}
-    gz_idx = [j for j in range(code.s) if j not in pivot_set]
-    # One linear system serves every slot: the constraint rows in swapped
-    # form with gz_i tagged by bit 2n + i, so slot i's right-hand side is tag
-    # bit i and its particular solution is read off the pivot rows; each
-    # chosen partner joins as one more row with right-hand side 0.
-    ncols = 2 * n
-    rows = sprime + [op.vec for op in code.logical_ops()]
-    system = gf2.Eliminator(swap_halves(v, n) for v in rows)
-    for i, j in enumerate(gz_idx):
-        system.add(swap_halves(svecs[j], n) | 1 << (ncols + i))
-    gauge_pairs = []
-    for i, j in enumerate(gz_idx):
-        if system.pivots[-1][0] >= ncols:  # some row reduced to 0 = 1
-            raise RuntimeError("independent commutation constraints must be consistent")
-        gx = system.solution(ncols + i)
-        system.add(swap_halves(gx, n))
-        gauge_pairs.append((gx, svecs[j]))
-    return _guarded_code(n, sprime, gauge_pairs, d_min, code.logical_pairs)
+    gz = [v for j, v in enumerate(svecs) if j not in pivot_set]
+    logical = [(i, op.vec) for j, pair in enumerate(code.logical_pairs, s) for i, op in zip((j, n + j), pair)]
+    frame = PartialFrame(n)
+    for i, v in [*enumerate(gz + sprime, n), *logical]:
+        if not frame.add(i, v):
+            raise RuntimeError("a stabilizer code's frame rows must be independent")
+    return _guarded_code(n, sprime, list(zip(frame.complete(), gz)), d_min, code.logical_pairs)
 
 
 def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> SubsystemCode:

@@ -245,6 +245,14 @@ def test_code_reference_naming_a_directory_exits_one(tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_code_file_that_is_not_utf8_is_named_in_the_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"n: 1\n[stabilizer]\nZ\xff\n")
+    code, out, err = run_cli("params", "--code", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+
+
 def test_verify_five_qubit():
     code, out, _ = run_cli("verify", "--code", "five-qubit")
     assert code == 0

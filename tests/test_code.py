@@ -17,8 +17,8 @@ from gaugeqec.code import (
     validated,
 )
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import from_vec, hermitian, multiply, pauli_from_string
-from gaugeqec.tableau import centralizer_basis
+from gaugeqec.pauli import from_vec, hermitian, multiply, pauli_from_string, single
+from gaugeqec.tableau import centralizer_basis, in_group_mod_phase
 
 
 def test_catalog_names():
@@ -155,6 +155,14 @@ def test_generators_live_in_centralizer_span():
             assert span.contains(op.vec)
 
 
+def _product(ops, bits, n):
+    p = from_vec(n, 0)
+    for i, op in enumerate(ops):
+        if bits >> i & 1:
+            p = multiply(p, op)
+    return p
+
+
 def test_logical_equivalence_predicate():
     bs = catalog("bacon-shor-9")
     xbar = bs.logical_pairs[0][0]
@@ -162,6 +170,23 @@ def test_logical_equivalence_predicate():
     alt = multiply(bs.stabilizer[0], multiply(bs.gauge_pairs[0][0], xbar))
     assert logical_equivalent(bs, xbar, alt)
     assert not logical_equivalent(bs, xbar, zbar)
+    # against elimination over the gauge generators, on every pair of Paulis
+    # of weight at most 1 and on seeded normalizer elements, half of them
+    # shifted by a random gauge group element
+    rng = random.Random(24)
+    for name in CATALOG_NAMES:
+        c = validated(catalog(name))
+        n, group, normalizer = c.n, c.group_generators(), c.normalizer_generators()
+        ops = [from_vec(n, 0)] + [single(n, q, letter) for q in range(n) for letter in "XYZ"]
+        pairs = [(p, q) for p in ops for q in ops]
+        for _ in range(200):
+            p = _product(normalizer, rng.getrandbits(len(normalizer)), n)
+            shift = _product(group, rng.getrandbits(len(group)), n)
+            other = _product(normalizer, rng.getrandbits(len(normalizer)), n)
+            pairs += [(p, multiply(p, shift)), (p, other)]
+        verdicts = [logical_equivalent(c, p, q) for p, q in pairs]
+        assert verdicts == [in_group_mod_phase(group, multiply(p, q)) for p, q in pairs], name
+        assert 200 <= sum(verdicts) < len(pairs)
 
 
 @pytest.mark.parametrize("n", [3, 12])

@@ -175,6 +175,8 @@ def test_hermitian_constructor_is_positive():
 
 
 def test_pauliop_field_validation():
+    with pytest.raises(ValueError, match="negative qubit count"):
+        PauliOp(-1, 0, 0, 0)
     with pytest.raises(ValueError):
         PauliOp(2, 4, 0, 0)
     with pytest.raises(ValueError):

@@ -675,6 +675,43 @@ def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(
     assert {d_min: len(rows) for d_min, rows in verdicts.items()} == kept
 
 
+@pytest.mark.parametrize("name, subgroups", [("five-qubit", 65), ("steane7", 2823)])
+def test_gauge_partners_are_the_free_columns_zero_solutions(name, subgroups):
+    # partner i solves: commute with S′, the logical operators, the other gz
+    # and the partners before it, anticommute with gz_i; the frame row must be
+    # the solution with every free column 0, here from strings and 0/1 lists
+    code = validated(catalog(name))
+    n = code.n
+    stab = [_letters(g.vec, n) for g in code.stabilizer]
+    logical = [_letters(op.vec, n) for op in code.logical_ops()]
+    checked = 0
+    for m in range(1, code.s):
+        for pivots in combinations(range(code.s), m):
+            for rows in _subgroups(code.s, pivots):
+                sprime = []
+                for row in rows:
+                    g = "I" * n
+                    for i, h in enumerate(stab):
+                        if (row >> i) & 1:
+                            g = naive_ops.mul(g, h)[1]
+                    sprime.append(g)
+                gz = [g for i, g in enumerate(stab) if i not in pivots]
+                partners = []
+                for i in range(len(gz)):
+                    system = []
+                    for j, c in enumerate(sprime + logical + gz + partners):
+                        bits = naive_ops.to_bits(c)
+                        target = j == len(sprime) + len(logical) + i
+                        system.append((bits[n:] + bits[:n], int(target)))
+                    u = naive_ops.affine_particular(system, 2 * n)
+                    partners.append("".join("IXZY"[u[q] + 2 * u[n + q]] for q in range(n)))
+                got = search._solve_gauge_partners(code, 1, rows)
+                assert [_letters(gz.vec, n) for _, gz in got.gauge_pairs] == gz
+                assert [_letters(gx.vec, n) for gx, _ in got.gauge_pairs] == partners, rows
+                checked += 1
+    assert checked == subgroups
+
+
 def test_partner_solving_refuses_a_code_below_the_distance_target(monkeypatch):
     # with no syndrome marked bad the first subgroup survives the filter;
     # its code has d < 3, which the guard must report, not return
