@@ -164,7 +164,7 @@ def _logical_actions(code: SubsystemCode) -> tuple[np.ndarray, np.ndarray]:
     return _blocks(code_projector(code).basis, code.logical_ops())
 
 
-def verify_subsystem_structure(code: SubsystemCode, tol: float = TOL) -> OracleReport:
+def verify_subsystem_structure(code: SubsystemCode) -> OracleReport:
     """Check that gauge and logical actions factorize over the code space.
 
     Every compressed gauge action must commute with every logical action and
@@ -181,7 +181,7 @@ def verify_subsystem_structure(code: SubsystemCode, tol: float = TOL) -> OracleR
         ("logical", "gauge", _comm_norm(logical[0], *gauge)),
     ):
         report.max_residual = max(report.max_residual, float(resid.max(initial=0.0)))
-        for i, j in zip(*np.nonzero(resid > tol)):
+        for i, j in zip(*np.nonzero(resid > TOL)):
             report.ok = False
             report.failures.append(
                 f"{first} op {i} does not commute with {second} op {j} on the code space"
@@ -190,15 +190,13 @@ def verify_subsystem_structure(code: SubsystemCode, tol: float = TOL) -> OracleR
         anti = _apply(lx, _apply(lz, v)) + _apply(lz, _apply(lx, v))
         resid = float(np.linalg.norm(v.conj().T @ anti))
         report.max_residual = max(report.max_residual, resid)
-        if resid > tol:
+        if resid > TOL:
             report.ok = False
             report.failures.append(f"logical pair {j} fails to anticommute on the code space")
     return report
 
 
-def verify_correctability(
-    code: SubsystemCode, errors: list[PauliOp], tol: float = TOL
-) -> OracleReport:
+def verify_correctability(code: SubsystemCode, errors: list[PauliOp]) -> OracleReport:
     """Check the compressed pair products against the logical algebra.
 
     For every pair the operator P Ea' Eb P must commute with every logical
@@ -226,7 +224,7 @@ def verify_correctability(
             lo = max(a, start)
             gram = ea @ wide[:, (lo - start) * m :]
             resid = _comm_norm(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
-            bad = np.flatnonzero(resid > tol)[:1]
+            bad = np.flatnonzero(resid > TOL)[:1]
             # residuals come in scan order (b, then logical op); stop at a witness
             seen = resid[: bad[0] + 1] if bad.size else resid
             report.max_residual = max(report.max_residual, float(seen.max(initial=0.0)))
@@ -238,18 +236,18 @@ def verify_correctability(
     return report
 
 
-def acts_as_gauge(code: SubsystemCode, p: PauliOp, tol: float = TOL) -> bool:
+def acts_as_gauge(code: SubsystemCode, p: PauliOp) -> bool:
     """Dense test: nonzero on the code space and in the logical commutant."""
     c = validated(code)
     v = code_projector(c).basis
     _, compressed = _action(v, p)
-    if float(np.linalg.norm(compressed)) <= tol:
+    if float(np.linalg.norm(compressed)) <= TOL:
         return False
-    return bool(np.all(_comm_norm(compressed, *_logical_actions(c)) <= tol))
+    return bool(np.all(_comm_norm(compressed, *_logical_actions(c)) <= TOL))
 
 
-def vanishes_on_code_space(code: SubsystemCode, p: PauliOp, tol: float = TOL) -> bool:
+def vanishes_on_code_space(code: SubsystemCode, p: PauliOp) -> bool:
     c = validated(code)
     v = code_projector(c).basis
     _, compressed = _action(v, p)
-    return float(np.linalg.norm(compressed)) <= tol
+    return float(np.linalg.norm(compressed)) <= TOL

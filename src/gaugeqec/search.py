@@ -23,7 +23,7 @@ the distance target that commutes with the candidate stabilizer must end up
 inside the gauge group, so their span modulo the stabilizer cannot exceed
 2r; no candidate is lost.  The depth-first enumeration (``_sweep_chunk``)
 solves a node's commutation constraints on the next level once and hands
-the solve, the span and the mask of commuting low-weight Paulis to its
+the solve, the span and one mask of commuting low-weight classes to its
 children, each refined with one XOR per step of their Gray-code walk.  With
 S = S′ + ⟨u⟩, most leaves are rejected in the walk that makes them by
 counting their commuting low-weight classes mod S′ against 2^(2r+1) − 1; the
@@ -261,14 +261,15 @@ def find_gauge_symmetries(
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> GaugeSymmetryResult:
-    """Largest r such that the code restructures into r gauge qubits.
+    """Largest r <= s − 1 such that the code restructures into r gauge qubits.
 
-    Scans r from high to low, one pivot profile of corank-r stabilizer
-    subgroups at a time, and assembles the canonically first subgroup that
-    passes the syndrome filter; ``stats.candidates`` counts the codes
-    assembled, 0 or 1.  The budget is checked against ``stats.subspaces``
-    after each profile with no survivor.  A conclusive r = 0 requires the
-    whole space to have been exhausted.
+    Scans r from s − 1 down to 1, one pivot profile of corank-r stabilizer
+    subgroups at a time, so at least one stabilizer generator always stays
+    (at d_min = 1 ``steane7`` gives r = 5 and ``shor9`` r = 7).  Assembles
+    the canonically first subgroup that passes the syndrome filter;
+    ``stats.candidates`` counts the codes assembled, 0 or 1.  The budget is
+    checked against ``stats.subspaces`` after each profile with no survivor.
+    A conclusive r = 0 requires the whole space to have been exhausted.
     """
     start = time.monotonic()
     c = validated(code)
@@ -506,22 +507,27 @@ def _sweep_chunk(ctx: _SweepContext, args):
     reduced against that solve to r, which is linear in the child and so
     follows its Gray-code walk with one XOR per step.  r = 0 keeps the
     node's solutions; the tag bit alone (0 = 1) drops the child; otherwise
-    r's lowest bit p becomes a pivot, the start gains t·k_p for r's tag t
-    and each other k_f gains r_f·k_p: the RREF solution of the child's rows.
-    Anticommuting masks are linear too and follow the same rule.  Carried
-    down, one step per level: the mask of low-weight vectors commuting with
-    every row so far (one AND), the span of the rows, and the OR of ``dup``
-    over that span, whose complement picks one low-weight vector per class.
-    A leaf-parent holds s − 1 rows, S′, and no span; ``rec`` walks its leaves
-    in the loop that takes it from ``children``, or at s = 1 from the chunk.
-    A leaf with more commuting classes than ``class_cap`` costs one AND and
+    r's lowest bit p becomes a pivot, and every k_f gains r_f·k_p, the start
+    as the k of the tag column: the RREF solution of the child's rows.
+
+    Each of those vectors v is held as v | anti(v) << 2n.  ``anti`` is
+    linear, so the same XOR moves both parts and x & ``cols`` reads v.  A
+    node is (rows, span, classes, u, steps): its rows, their span (None at
+    a leaf-parent, which holds s − 1 rows S′), the class mask, its
+    children's start u and their Gray-walk steps; ``rows`` is shared.  Bit i
+    of ``classes`` is set when low[i] commutes with every row and is the
+    first low-weight vector of its nonzero class mod the span; a child that
+    adds v clears anti(v) and ``dup`` of every new span element.  ``rec``
+    walks a leaf-parent's leaves in the loop that takes it from
+    ``children``, or at s = 1 from the chunk: a leaf keeps reps = classes &
+    ~anti(u).  A leaf with more reps than ``class_cap`` costs one AND and
     one popcount; the first other leaf builds its parent's ``_ParentRows``.
     Returns (subspaces, sectors examined, the codes of the kept sectors).
     """
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
     ncols = 2 * n
-    tag = 1 << ncols
+    tag, cols = 1 << ncols, (1 << ncols) - 1
     frees = _free_cols(pivots, ncols)
     free_masks = [sum(1 << c for c in free) for free in frees]
     row0 = (1 << pivots[0]) | _combine(row0_bits, [1 << c for c in frees[0]])
@@ -532,77 +538,71 @@ def _sweep_chunk(ctx: _SweepContext, args):
     codes: list[SubsystemCode] = []
 
     def constraint(level: int, v: int) -> int:
-        sw = swap_halves(v, n)
+        sw = swap_halves(v & cols, n)
         return sw & free_masks[level] | ((sw >> pivots[level]) & 1) << ncols
 
-    def children(level, rows, span, commuting, dups, u, anti, steps, antis):
-        """The children of a node holding ``level`` rows, as nodes for ``rec``.
-
-        A node is (rows, span or None at a leaf-parent, commuting mask, OR of
-        ``dup``, its children's start, steps and their masks); ``rows`` is shared.
-        """
+    def children(level, rows, span, classes, u, steps):
+        """The children of a node holding ``level`` rows, as nodes for ``rec``."""
         elim = gf2.Eliminator(constraint(level + 1, v) for v in rows)
         if elim.pivots and elim.pivots[-1][0] == ncols:
             return  # the rows' constraints on the next level are 0 = 1
+        # k_f holds the pivots below its free column f, which is its top bit;
+        # the start rides last, as the k of the tag column
+        kernel = {k.bit_length() - 1: k | anti_of(k) << ncols for k in elim.kernel(frees[level + 1])}
         start = 1 << pivots[level + 1] | elim.solution(ncols)
-        # k_f holds the pivots below its free column f, which is its top bit
-        kernel = {k.bit_length() - 1: (k, anti_of(k)) for k in elim.kernel(frees[level + 1])}
-        kept = (start, anti_of(start), [k for k, _ in kernel.values()], [a for _, a in kernel.values()])
+        kernel[ncols] = start | anti_of(start) << ncols
+        kept = list(kernel.values())
         carry = level + 2 < s  # the children are not leaf-parents
         r = elim.reduce(constraint(level + 1, u))
         r_steps = [elim.reduce(constraint(level + 1, v)) for v in steps]
         for b in _gray_order(len(steps)):
             if b is not None:
                 u ^= steps[b]
-                anti ^= antis[b]
                 r ^= r_steps[b]
             if r == tag:
                 continue  # the child's constraints reduce to 0 = 1
             child = kept
             if r:
                 p = (r & -r).bit_length() - 1
-                kp, ap = kernel[p]
-                t = r >> ncols
-                child = (start ^ kp if t else start, kept[1] ^ ap if t else kept[1],
-                         [k ^ kp if r >> f & 1 else k for f, (k, _) in kernel.items() if f != p],
-                         [a ^ ap if r >> f & 1 else a for f, (_, a) in kernel.items() if f != p])
-            child_dups = dups
+                kp = kernel[p]
+                child = [k ^ kp if r >> f & 1 else k for f, k in kernel.items() if f != p]
+            v = u & cols
+            cleared = u >> ncols
             for g in span:
-                m = stored_dup(g ^ u)
-                child_dups |= dup(g ^ u) if m is None else m
-            rows.append(u)
-            yield rows, span + [g ^ u for g in span] if carry else None, commuting & ~anti, child_dups, *child
+                m = stored_dup(g ^ v)
+                cleared |= dup(g ^ v) if m is None else m
+            rows.append(v)
+            yield rows, span + [g ^ v for g in span] if carry else None, classes & ~cleared, child[-1], child[:-1]
             rows.pop()
 
     def rec(level, nodes) -> None:
         """Descend into ``nodes``, which hold ``level`` rows; walk the leaves of leaf-parents."""
         nonlocal subspaces, sectors_examined
-        for rows, span, commuting, dups, u, anti, steps, antis in nodes:
+        for rows, span, classes, u, steps in nodes:
             if level < s - 1:
-                rec(level + 1, children(level, rows, span, commuting, dups, u, anti, steps, antis))
+                rec(level + 1, children(level, rows, span, classes, u, steps))
                 continue
-            classes = commuting & ~dups
             subspaces += 1 << len(steps)
             parent = None
             for b in _gray_order(len(steps)):
                 if b is not None:
                     u ^= steps[b]
-                    anti ^= antis[b]
-                reps = classes & ~anti
+                reps = classes & ~(u >> ncols)
                 if reps.bit_count() > cap:
                     continue
                 if parent is None:
                     parent = _ParentRows(rows, pivots, len(ctx.low))
-                witnesses = ctx.check_subspace(parent, u, reps)
+                v = u & cols
+                witnesses = ctx.check_subspace(parent, v, reps)
                 if witnesses is None:
                     continue
-                full_rows = parent.rows + (u,)
+                full_rows = parent.rows + (v,)
                 examined, sector_list = ctx.sectors(full_rows, witnesses)
                 sectors_examined += examined
                 codes.extend(_guarded_code(n, full_rows, pairs, ctx.d_min) for pairs in sector_list)
 
     # the root holds no rows; row0 is its one child (its one leaf at s = 1)
-    rec(0, [([], [0], (1 << len(ctx.low)) - 1, 0, row0, anti_of(row0), [], [])])
+    rec(0, [([], [0], (1 << len(ctx.low)) - 1, row0 | anti_of(row0) << ncols, [])])
     return subspaces, sectors_examined, codes
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -58,6 +59,13 @@ def test_restructured_code_keeps_the_encoded_operations(shor9_gauge_search):
     for op, label in zip(shor.logical_ops(), ((1, 0), (0, 1))):
         cls = classify(code, op)
         assert cls.kind is Kind.LOGICAL and cls.label == label
+
+
+def test_find_gauge_keeps_at_least_one_stabilizer_generator():
+    # at d_min = 1 every subgroup passes, so the scan stops at its first r, s − 1
+    for name, r in (("steane7", 5), ("shor9", 7)):
+        res = find_gauge_symmetries(catalog(name), 1)
+        assert (res.r_found, res.restructured.s, res.exhausted) == (r, 1, True), name
 
 
 def test_find_gauge_rejects_subsystem_input():
@@ -399,6 +407,46 @@ def test_sweep_visit_order_and_code_lists_are_pinned(monkeypatch, sweep_5103):
     assert _codes_sha256(sweep_5103.codes) == (
         "b4a2ef5941b9a5e636906385a814f3fcfd4c7e5a951310bef65eb3e4199e150f"
     )
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _, _ in LEAF_ORDER_GOLDENS])
+def test_class_mask_holds_the_first_commuting_vector_of_each_class(monkeypatch, spec):
+    """``reps`` at every leaf, against its definition in string arithmetic.
+
+    Bit i is set exactly when low[i] commutes with S′ + u, lies outside
+    span S′, and no earlier low vector w has low[i] ⊕ w in span S′.
+    """
+    calls = []
+    check = search._SweepContext.check_subspace
+
+    def record(self, parent, u, reps):
+        calls.append((parent.rows, u, reps))
+        return check(self, parent, u, reps)
+
+    monkeypatch.setattr(search._SweepContext, "check_subspace", record)
+    res, _ = _recorded_leaves(monkeypatch, spec)
+    assert len(calls) == res.stats.subspaces
+    n = spec.n
+    low = [_letters(v, n) for v in search._SweepContext(spec).low]
+    assert sorted(low) == sorted(
+        naive_ops.all_paulis_up_to_weight(n, spec.d_min - 1, include_identity=False)
+    )
+    anticommute = functools.cache(naive_ops.anticommute)
+    firsts = {}  # S′ -> the i with low[i] first in its nonzero class, commuting with S′
+    for rows, u, reps in calls:
+        if rows not in firsts:
+            strings = [_letters(g, n) for g in rows]
+            span = {"I" * n}
+            for g in strings:
+                span |= {naive_ops.mul(g, h)[1] for h in span}
+            seen, firsts[rows] = {"I" * n}, []
+            for i, v in enumerate(low):
+                coset = {naive_ops.mul(v, g)[1] for g in span}
+                if seen.isdisjoint(coset) and not any(anticommute(v, g) for g in strings):
+                    firsts[rows].append(i)
+                seen.add(v)
+        u_str = _letters(u, n)
+        assert reps == sum(1 << i for i in firsts[rows] if not anticommute(low[i], u_str)), (rows, u)
 
 
 # sha256 of code lists whose codes are assembled from their rows, captured
