@@ -23,7 +23,7 @@ from .search import (
     find_gauge_symmetries,
     sweep_nonexistence,
 )
-from .tableau import SymplecticFrame, centralizer_basis, in_group_exact, in_group_mod_phase, symplectic_complete
+from .tableau import centralizer_basis
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "SubsystemCode",
     "SweepResult",
     "SweepSpec",
-    "SymplecticFrame",
     "Syndrome",
     "build_table",
     "catalog",
@@ -51,8 +50,6 @@ __all__ = [
     "distance",
     "find_gauge_symmetries",
     "gauge_fix",
-    "in_group_exact",
-    "in_group_mod_phase",
     "is_correctable_set",
     "logical_equivalent",
     "multiply",
@@ -66,7 +63,6 @@ __all__ = [
     "serialize_code",
     "singleton_check",
     "sweep_nonexistence",
-    "symplectic_complete",
     "syndrome",
     "validate",
     "validated",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .pauli import PauliOp, from_vec, hermitian, pauli_from_string, swap_halves
+from .pauli import PauliOp, hermitian, pauli_from_string, swap_halves, vec_hermitian
 from .tableau import PartialFrame, check_qubits
 
 Pair = tuple[PauliOp, PauliOp]
@@ -94,12 +94,11 @@ class SubsystemCode:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """The [[n, k, r, d]] parameter tuple; d stays None until computed."""
+    """The [[n, k, r]] parameters of a validated code."""
 
     n: int
     k: int
     r: int
-    d: int | None = None
 
 
 @dataclass
@@ -173,9 +172,12 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
 
 
 def completed_code(n: int, stabilizer, gauge_pairs, logical_pairs, rows, derive_gauge: int = 0):
-    """The tuples plus a pair of frame ``rows`` per free slot, the first ``derive_gauge`` gauge."""
+    """The tuples plus a pair of frame ``rows`` per free slot, the first ``derive_gauge`` gauge.
+
+    Each derived row becomes the +1-signed Hermitian Pauli with its bits.
+    """
     first = len(stabilizer) + len(gauge_pairs) + len(logical_pairs)
-    derived = tuple([(from_vec(n, rows[j]), from_vec(n, rows[n + j])) for j in range(first, n)])
+    derived = tuple([(vec_hermitian(n, rows[j]), vec_hermitian(n, rows[n + j])) for j in range(first, n)])
     return SubsystemCode(n, stabilizer, gauge_pairs + derived[:derive_gauge],
                          logical_pairs + derived[derive_gauge:])
 

@@ -73,11 +73,6 @@ def hermitian(n: int, x: int, z: int) -> PauliOp:
     return PauliOp(n, (x & z).bit_count() % 4, x, z)
 
 
-def from_vec(n: int, vec: int, phase_exp: int = 0) -> PauliOp:
-    mask = (1 << n) - 1
-    return PauliOp(n, phase_exp, vec & mask, vec >> n)
-
-
 def single(n: int, qubit: int, letter: str) -> PauliOp:
     """One-qubit X, Y or Z embedded at ``qubit`` (0-based), positive sign."""
     xb, zb, ph = _LETTER_BITS[letter]
@@ -123,14 +118,11 @@ def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
     return PauliOp(p.n, phase, p.x ^ q.x, p.z ^ q.z)
 
 
-def symplectic_inner(p: PauliOp, q: PauliOp) -> int:
+def commutes(p: PauliOp, q: PauliOp) -> bool:
+    """Whether p and q commute: their symplectic product is 0."""
     if p.n != q.n:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
-
-
-def commutes(p: PauliOp, q: PauliOp) -> bool:
-    return symplectic_inner(p, q) == 0
+    return not ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
 
 
 def weight(p: PauliOp) -> int:

@@ -1,4 +1,4 @@
-"""Symplectic frames over the Pauli group: centralizers, completion, membership.
+"""Symplectic frames over the Pauli group: centralizers and completion.
 
 A frame is a choice of 2n operators behaving like single-qubit X and Z on n
 virtual qubits: same-kind rows commute, and the x row of slot i anticommutes
@@ -8,27 +8,10 @@ virtual qubits into stabilizer / gauge / logical sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import PauliOp, from_vec, multiply, swap_halves, symplectic_inner
-
-
-@dataclass(frozen=True)
-class SymplecticFrame:
-    """Full set of n (x, z) operator pairs generating the Pauli group mod phase."""
-
-    n: int
-    x_ops: tuple[PauliOp, ...]
-    z_ops: tuple[PauliOp, ...]
-
-    def check(self) -> None:
-        """Verify the single-qubit commutation pattern (``check_pattern``)."""
-        n, ops = self.n, self.x_ops + self.z_ops
-        if len(self.x_ops) != n or len(self.z_ops) != n or any(op.n != n for op in ops):
-            raise ValueError("frame must hold exactly n x-rows and n z-rows on n qubits")
-        check_pattern(n, [op.vec for op in ops])
+from .pauli import PauliOp, swap_halves, vec_hermitian
 
 
 def check_pattern(n: int, rows: Sequence[int]) -> None:
@@ -57,85 +40,15 @@ def check_qubits(n: int, ops: Iterable[PauliOp]) -> None:
 
 
 def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
-    """Basis (phase 0) of all Paulis commuting with every generator, mod phase.
+    """Basis of all Paulis commuting with every generator, mod phase.
 
     The null space of the swapped generator rows, read off their
     ``gf2.Eliminator`` one vector per free column, so it always has
-    2n - rank(gens) elements.
+    2n - rank(gens) elements, each the +1-signed Hermitian Pauli.
     """
     check_qubits(n, gens)
     kernel = gf2.Eliminator(swap_halves(g.vec, n) for g in gens).kernel(range(2 * n))
-    return [from_vec(n, v) for v in kernel]
-
-
-def in_group_mod_phase(gens: Sequence[PauliOp], p: PauliOp) -> bool:
-    """Whether p's (x|z) vector lies in the row space of the generators."""
-    check_qubits(p.n, gens)
-    elim = gf2.Eliminator(g.vec for g in gens)
-    return elim.contains(p.vec)
-
-
-def in_group_exact(gens: Sequence[PauliOp], p: PauliOp) -> int | None:
-    """Phase offset of p against the reconstructed generator product.
-
-    If p's vector is in the generator row space, rebuilds the product of the
-    matching generators in ascending index order and returns d such that
-    p == i**d * product; otherwise None.  Generator i rides as tag bit
-    2n + i and joins only if it is independent of the ones before it, so the
-    matching combination is unique.
-    """
-    check_qubits(p.n, gens)
-    ncols = 2 * p.n
-    mask = (1 << ncols) - 1
-    system = gf2.Eliminator()
-    for i, g in enumerate(gens):
-        tagged = system.reduce(g.vec | 1 << (ncols + i))
-        if tagged & mask:
-            system.insert(tagged)
-    comb = system.reduce(p.vec)
-    if comb & mask:
-        return None
-    prod = PauliOp(p.n, 0, 0, 0)
-    for i, g in enumerate(gens):
-        if (comb >> (ncols + i)) & 1:
-            prod = multiply(prod, g)
-    return (p.phase_exp - prod.phase_exp) % 4
-
-
-def symplectic_complete(
-    n: int,
-    z_ops: Mapping[int, PauliOp] | None = None,
-    x_ops: Mapping[int, PauliOp] | None = None,
-) -> SymplecticFrame:
-    """Extend a partial slot assignment to a full symplectic frame.
-
-    ``z_ops`` / ``x_ops`` map 0-based slot indices to supplied operators,
-    which must be GF(2)-independent and satisfy the commutation pattern of
-    their slots.  The missing rows come from ``PartialFrame.complete``: a
-    symplectic Gram-Schmidt sweep taking a canonical admissible vector at
-    every step.
-    """
-    z_given, x_given = dict(z_ops or {}), dict(x_ops or {})
-    supplied = [("z", j, op) for j, op in sorted(z_given.items())]
-    supplied += [("x", j, op) for j, op in sorted(x_given.items())]
-    check_qubits(n, (op for _, _, op in supplied))
-    for kind, j, _ in supplied:
-        if not 0 <= j < n:
-            raise ValueError(f"slot {j} outside 0..{n - 1}")
-    for a, (ka, ja, opa) in enumerate(supplied):
-        for kb, jb, opb in supplied[a + 1 :]:
-            if symplectic_inner(opa, opb) != (ja == jb and ka != kb):
-                raise ValueError(f"supplied {ka}'{ja} and {kb}'{jb} violate the slot pattern")
-    frame = PartialFrame(n)
-    for kind, j, op in supplied:
-        if not frame.add(j if kind == "x" else n + j, op.vec):
-            raise ValueError("supplied operators are GF(2)-dependent")
-    rows = frame.complete()
-    return SymplecticFrame(
-        n,
-        tuple(x_given[j] if j in x_given else from_vec(n, rows[j]) for j in range(n)),
-        tuple(z_given[j] if j in z_given else from_vec(n, rows[n + j]) for j in range(n)),
-    )
+    return [vec_hermitian(n, v) for v in kernel]
 
 
 class PartialFrame:

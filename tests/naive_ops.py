@@ -28,6 +28,15 @@ def mul(a: str, b: str) -> tuple[int, str]:
     return phase, "".join(letters)
 
 
+_SIGNS = {"": 0, "+": 0, "+i": 1, "-": 2, "-i": 3}
+
+
+def split_sign(s: str) -> tuple[int, str]:
+    """A signed Pauli string such as '-iYIXZ' as (phase exponent of i, letters)."""
+    letters = s.lstrip("+-i")
+    return _SIGNS[s[: len(s) - len(letters)]], letters
+
+
 def anticommute(a: str, b: str) -> bool:
     count = 0
     for ca, cb in zip(a, b):

@@ -401,11 +401,11 @@ def test_sweep_visit_order_and_code_lists_are_pinned(monkeypatch, sweep_5103):
         assert (len(seen), _sha256(json.dumps(seen))) == (count, sha), spec
         if spec == SweepSpec(4, 1, 0, 2):
             assert _codes_sha256(res.codes) == (
-                "820d69acf3d06f1528d3b19cb3b7959e77b7c3aaf5857664ebd46262c0461f5c"
+                "1eb7474f74a169d87c796881d625f715a707c45bae3f1c612f2aae111726ade1"
             )
     assert len(sweep_5103.codes) == 2592
     assert _codes_sha256(sweep_5103.codes) == (
-        "b4a2ef5941b9a5e636906385a814f3fcfd4c7e5a951310bef65eb3e4199e150f"
+        "4e2412bf57f091f3535bb8448e8b7a05d5e7bac61bed8362754e659e8a7dfdf6"
     )
 
 
@@ -450,12 +450,13 @@ def test_class_mask_holds_the_first_commuting_vector_of_each_class(monkeypatch, 
 
 
 # sha256 of code lists whose codes are assembled from their rows, captured
-# from the sweep that built a candidate code and then validated it
+# from the sweep that built a candidate code and then validated it; re-pinned
+# when derived rows became +1-signed Hermitian, which dropped sign prefixes only
 CODE_LIST_GOLDENS = [
     (SweepSpec(4, 1, 1, 2), 4320,
-     "295cbd5ee90060141357eea1a8e2414dca405d1250f56e26e2060abdeebe5abc"),
+     "eaf46407f841f50a6117c4dbdd5a03d04745dae528ac72a7d9e073c0b89f7966"),
     (SweepSpec(5, 2, 1, 2, budget=20_000), 512,
-     "6cf36535a03998a059d0e9b872b85c7af7b8f0c23ece89cf13ade2ec06505e13"),
+     "671fd6b7ba665d02d07890831b291c97920de583327899b68bf4d30902f72b4a"),
 ]
 
 
@@ -814,16 +815,26 @@ def _random_stabilizer_code(seed):
 
 # [seed, d_min, r, exhausted, subspaces, sha256 prefix of the restructured
 # code file], captured with the partner search that enumerated every slot
-# modulo the subgroup and gz_j only, before it became one candidate per slot
+# modulo the subgroup and gz_j only, before it became one candidate per slot;
+# four prefixes re-pinned when derived rows became +1-signed Hermitian
 RANDOM_CODE_GOLDENS = json.loads(
     (Path(__file__).parent / "data" / "find_gauge_random_codes.json").read_text()
 )
 
 
+@functools.cache
+def _random_code_searches():
+    return [
+        find_gauge_symmetries(_random_stabilizer_code(seed), d_min)
+        for seed, d_min, *_ in RANDOM_CODE_GOLDENS
+    ]
+
+
 def test_gauge_search_on_random_codes_matches_goldens():
     assert sum(1 for g in RANDOM_CODE_GOLDENS if g[2] > 0) >= 40
-    for seed, d_min, r, exhausted, subspaces, sha in RANDOM_CODE_GOLDENS:
-        res = find_gauge_symmetries(_random_stabilizer_code(seed), d_min)
+    for (seed, d_min, r, exhausted, subspaces, sha), res in zip(
+        RANDOM_CODE_GOLDENS, _random_code_searches()
+    ):
         got = (
             hashlib.sha256(serialize_code(res.restructured).encode()).hexdigest()[:16]
             if res.restructured is not None
@@ -832,3 +843,25 @@ def test_gauge_search_on_random_codes_matches_goldens():
         assert (res.r_found, res.exhausted, res.stats.subspaces, got) == (
             r, exhausted, subspaces, sha
         ), (seed, d_min)
+
+
+def test_every_found_operator_is_a_plus_signed_hermitian_pauli(sweep_5103):
+    # read off the code files with string arithmetic: i**k P squares to
+    # i**(2k) P P, so an operator squares to +I and is +1-signed exactly when
+    # its line has no sign prefix (a phase-0 Y row prints as e.g. -iYIXZ)
+    specs = (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(5, 2, 1, 2, budget=20_000))
+    lists = {spec: sweep_nonexistence(spec).codes for spec in specs}
+    lists["sweep_5103"] = sweep_5103.codes
+    lists["find-gauge"] = [res.restructured for res in _random_code_searches() if res.restructured]
+    assert [len(codes) for codes in lists.values()] == [4320, 2268, 512, 2592, 42]
+    for name, codes in lists.items():
+        lines = [line for c in codes for line in serialize_code(c).splitlines()[1:]]
+        signed = squares_to_minus = 0
+        for line in lines:
+            if line and not line.startswith("["):
+                k, letters = naive_ops.split_sign(line)
+                phase, square = naive_ops.mul(letters, letters)
+                assert square == "I" * len(letters)
+                signed += k != 0
+                squares_to_minus += (2 * k + phase) % 4 != 0
+        assert (name, signed, squares_to_minus) == (name, 0, 0)

@@ -50,10 +50,9 @@ def test_the_oracle_imports_no_symplectic_machinery():
     assert imported == {("code", "SubsystemCode"), ("code", "validated"), ("pauli", "PauliOp")}
 
 
-def test_gf2_has_one_elimination_kernel():
-    # every GF(2) row-space question goes through ``Eliminator``; no second
-    # matrix API wraps it
-    path = Path(gaugeqec.__file__).parent / "gf2.py"
+def _module_names(module):
+    """The functions, classes and variables a library module defines at top level."""
+    path = Path(gaugeqec.__file__).parent / module
     names = set()
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,4 +60,24 @@ def test_gf2_has_one_elimination_kernel():
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    assert names == {"parities", "ParityMap", "gray_walk", "Eliminator"}
+    return names
+
+
+def test_gf2_has_one_elimination_kernel():
+    # every GF(2) row-space question goes through ``Eliminator``; no second
+    # matrix API wraps it
+    assert _module_names("gf2.py") == {"parities", "ParityMap", "gray_walk", "Eliminator"}
+
+
+def test_frame_rows_become_operators_one_way():
+    # frames are completed by ``PartialFrame`` alone, and a row becomes an
+    # operator only through ``vec_hermitian``: no phase-0 constructor is left
+    assert _module_names("tableau.py") == {
+        "check_pattern", "check_qubits", "centralizer_basis", "PartialFrame"
+    }
+    assert "from_vec" not in _module_names("pauli.py")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in gaugeqec.__all__ if not hasattr(gaugeqec, name)]
+    assert missing == []

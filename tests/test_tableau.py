@@ -8,32 +8,9 @@ import pytest
 from gaugeqec import gf2
 from gaugeqec.catalog import catalog
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import (
-    commutes,
-    from_vec,
-    identity,
-    multiply,
-    pauli_from_string,
-    pauli_to_string,
-    single,
-    swap_halves,
-)
-from gaugeqec.tableau import (
-    SymplecticFrame,
-    centralizer_basis,
-    in_group_exact,
-    in_group_mod_phase,
-    symplectic_complete,
-)
-from naive_ops import (
-    affine_particular,
-    anticommute,
-    in_span,
-    kernel_lists,
-    membership_combination,
-    to_bits,
-)
-from naive_ops import mul as naive_mul
+from gaugeqec.pauli import PauliOp, commutes, multiply, pauli_from_string, single, swap_halves
+from gaugeqec.tableau import PartialFrame, centralizer_basis, check_pattern
+from naive_ops import affine_particular, anticommute, in_span, kernel_lists, to_bits
 from naive_ops import rank as naive_rank
 
 SHOR_STAB = [
@@ -85,73 +62,74 @@ def test_centralizer_elements_commute_with_generators():
         assert len(basis) == expected
         for b in basis:
             assert all(commutes(b, g) for g in gens)
+            assert b.sign_exponent == 0  # the +1-signed Hermitian Pauli
+
+
+def _complete(n, rows):
+    """``PartialFrame`` completion around known rows {index: (x|z) vector}."""
+    frame = PartialFrame(n)
+    for i, v in rows.items():
+        assert frame.add(i, v)
+    return frame.complete()
 
 
 def test_symplectic_complete_single_qubit_default_frame():
-    frame = symplectic_complete(1)
-    assert frame.x_ops[0] == single(1, 0, "X")
-    assert frame.z_ops[0] == single(1, 0, "Z")
+    assert _complete(1, {}) == [single(1, 0, "X").vec, single(1, 0, "Z").vec]
 
 
 def test_symplectic_complete_table_one():
     gens = _ops(SHOR_STAB)
-    frame = symplectic_complete(9, z_ops=dict(enumerate(gens)))
-    frame.check()
-    for i, g in enumerate(gens):
-        assert frame.z_ops[i] == g
+    rows = _complete(9, {9 + i: g.vec for i, g in enumerate(gens)})
+    check_pattern(9, rows)
+    assert rows[9:17] == [g.vec for g in gens]
     # the leftover pair spans the centralizer together with the stabilizer
-    derived = [frame.z_ops[8], frame.x_ops[8]]
+    derived = [rows[17], rows[8]]
     span = Eliminator(g.vec for g in gens)
-    for op in derived:
-        assert span.add(op.vec)
+    for v in derived:
+        assert span.add(v)
     cent = Eliminator(p.vec for p in centralizer_basis(9, gens))
     assert cent.rank == 10
-    for op in list(gens) + derived:
-        assert cent.contains(op.vec)
+    for v in [g.vec for g in gens] + derived:
+        assert cent.contains(v)
 
 
 def test_symplectic_complete_table_two_spans_centralizer():
     bs = catalog("bacon-shor-9")
     gens = list(bs.stabilizer)
-    frame = symplectic_complete(9, z_ops=dict(enumerate(gens)))
-    frame.check()
+    rows = _complete(9, {9 + i: g.vec for i, g in enumerate(gens)})
+    check_pattern(9, rows)
     cent = Eliminator(p.vec for p in centralizer_basis(9, gens))
-    completion = [frame.z_ops[j] for j in range(4, 9)] + [
-        frame.x_ops[j] for j in range(4, 9)
-    ]
-    assert all(cent.contains(op.vec) for op in completion)
-    span = Eliminator(op.vec for op in list(gens) + completion)
+    completion = rows[13:18] + rows[4:9]
+    assert all(cent.contains(v) for v in completion)
+    span = Eliminator([g.vec for g in gens] + completion)
     assert span.rank == 14 == cent.rank
 
 
 def test_symplectic_complete_keeps_supplied_pairs():
     bs = catalog("bacon-shor-9")
-    z_slots = {i: g for i, g in enumerate(bs.stabilizer)}
-    x_slots = {}
+    known = {9 + i: g.vec for i, g in enumerate(bs.stabilizer)}
     for i, (gx, gz) in enumerate(bs.gauge_pairs):
-        z_slots[4 + i] = gz
-        x_slots[4 + i] = gx
-    frame = symplectic_complete(9, z_slots, x_slots)
-    frame.check()
-    for i, (gx, gz) in enumerate(bs.gauge_pairs):
-        assert frame.x_ops[4 + i] == gx
-        assert frame.z_ops[4 + i] == gz
+        known[4 + i], known[13 + i] = gx.vec, gz.vec
+    rows = _complete(9, known)
+    check_pattern(9, rows)
+    assert all(rows[i] == v for i, v in known.items())
 
 
 def test_symplectic_complete_rejects_dependent_input():
     s3 = pauli_from_string("ZZIIIIIII")
     s4 = pauli_from_string("IZZIIIIII")
-    dependent = multiply(s3, s4)
-    with pytest.raises(ValueError):
-        symplectic_complete(9, z_ops={0: s3, 1: s4, 2: dependent})
+    frame = PartialFrame(9)
+    assert frame.add(9, s3.vec) and frame.add(10, s4.vec)
+    assert not frame.add(11, multiply(s3, s4).vec)
+    assert sorted(frame.rows) == [9, 10]
 
 
 def test_symplectic_complete_rejects_pattern_violation():
     # two z rows that anticommute cannot share the z side of a frame
+    frame = PartialFrame(2)
+    assert frame.add(2, pauli_from_string("XI").vec) and frame.add(3, pauli_from_string("ZI").vec)
     with pytest.raises(ValueError):
-        symplectic_complete(
-            2, z_ops={0: pauli_from_string("XI"), 1: pauli_from_string("ZI")}
-        )
+        frame.complete()
 
 
 def _random_frame(rng, n):
@@ -166,6 +144,10 @@ def _random_frame(rng, n):
     return xs, zs
 
 
+def _op(n, vec, phase=0):
+    return PauliOp(n, phase, vec & ((1 << n) - 1), vec >> n)
+
+
 def _partial_assignment(rng):
     """Rows of a random frame with random phases, sometimes with one slot broken."""
     n = rng.randint(1, 6)
@@ -174,35 +156,46 @@ def _partial_assignment(rng):
     for _ in range(rng.randint(0, 2 * n)):
         side, rows = rng.choice(((z_ops, zs), (x_ops, xs)))
         j = rng.randrange(n)
-        side[j] = from_vec(n, rows[j], rng.randrange(4))
+        side[j] = _op(n, rows[j], rng.randrange(4))
     kind = rng.choice(("none", "none", "slot", "row", "dependent"))
     side = rng.choice((z_ops, x_ops))
     if kind == "slot":  # out of range
-        side[n] = from_vec(n, rng.randrange(1 << (2 * n)))
+        side[n] = _op(n, rng.randrange(1 << (2 * n)))
     elif kind == "row":  # usually breaks the commutation pattern
-        side[rng.randrange(n)] = from_vec(n, rng.randrange(1 << (2 * n)), rng.randrange(4))
+        side[rng.randrange(n)] = _op(n, rng.randrange(1 << (2 * n)), rng.randrange(4))
     elif kind == "dependent" and len(side) >= 2:
         a, b = rng.sample(sorted(side), 2)
-        side[rng.randrange(n)] = from_vec(n, side[a].vec ^ side[b].vec)
+        side[rng.randrange(n)] = _op(n, side[a].vec ^ side[b].vec)
     return n, z_ops, x_ops
 
 
 def test_symplectic_complete_golden():
-    # 3,000 seeded partial frames: about 60% complete, the rest raise for an
-    # out-of-range slot, a pattern violation or dependent rows
+    # 3,000 seeded partial frames: about 60% complete, the rest have an
+    # out-of-range slot or dependent rows, or fail completion on a pattern
+    # violation; the phases of the supplied operators never reach the rows
     rng = random.Random(2005)
     outcomes = []
     for _ in range(3000):
         n, z_ops, x_ops = _partial_assignment(rng)
+        if max([*z_ops, *x_ops], default=0) >= n:
+            outcomes.append("slot out of range")
+            continue
+        supplied = {n + j: op.vec for j, op in sorted(z_ops.items())}
+        supplied |= {j: op.vec for j, op in sorted(x_ops.items())}
+        frame = PartialFrame(n)
+        if not all(frame.add(i, v) for i, v in supplied.items()):
+            outcomes.append("dependent")
+            continue
         try:
-            frame = symplectic_complete(n, z_ops, x_ops)
+            rows = frame.complete()
         except ValueError as exc:
             outcomes.append(str(exc))
         else:
-            outcomes.append([pauli_to_string(op) for op in frame.x_ops + frame.z_ops])
+            assert all(rows[i] == v for i, v in supplied.items())
+            outcomes.append(rows)
     assert sum(isinstance(o, list) for o in outcomes) == 1875
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "6e1dd04aa18bd9c9c768ae8f2df51998d9630f4361ea488851d7f90442431e0c"
+    assert digest == "b9461458a99a1ff4cab9430883c7d226bcb611ab4549617a837e327e1de0082c"
 
 
 def _bits(v, width):
@@ -227,10 +220,11 @@ def test_filled_rows_match_an_independent_gram_schmidt():
         given = rng.sample(sorted(rows), rng.randint(0, 2 * n))
         side = {"x": {}, "z": {}}
         for kind, j in given:
-            side[kind][j] = from_vec(n, rows[kind, j], rng.randrange(4))
-        frame = symplectic_complete(n, side["z"], side["x"])
-        out = {("x", j): op.vec for j, op in enumerate(frame.x_ops)}
-        out |= {("z", j): op.vec for j, op in enumerate(frame.z_ops)}
+            side[kind][j] = _op(n, rows[kind, j], rng.randrange(4))
+        supplied = {n + j: op.vec for j, op in sorted(side["z"].items())}
+        supplied |= {j: op.vec for j, op in sorted(side["x"].items())}
+        frame = _complete(n, supplied)
+        out = {("x", j): frame[j] for j in range(n)} | {("z", j): frame[n + j] for j in range(n)}
         known = {key: out[key] for key in given}
         for slot in range(n):
             for kind, other in (("x", "z"), ("z", "x")):
@@ -257,8 +251,7 @@ def test_filled_rows_match_an_independent_gram_schmidt():
 def test_frame_check_accepts_exactly_the_standard_gram_matrix(n, frames):
     # every assignment of 2n rows: the pattern check alone passes exactly when
     # the Gram matrix is the standard form, and those rows have full rank
-    ops = [from_vec(n, v) for v in range(1 << 2 * n)]
-    letters = ["".join("IXZY"[op.x >> j & 1 | (op.z >> j & 1) << 1] for j in range(n)) for op in ops]
+    letters = ["".join("IXZY"[v >> j & 1 | (v >> n + j & 1) << 1] for j in range(n)) for v in range(1 << 2 * n)]
     anti = [[anticommute(a, b) for b in letters] for a in letters]
     passed = 0
     for rows in product(range(1 << 2 * n), repeat=2 * n):
@@ -267,9 +260,8 @@ def test_frame_check_accepts_exactly_the_standard_gram_matrix(n, frames):
             for i in range(2 * n)
             for j in range(2 * n)
         )
-        frame = SymplecticFrame(n, tuple(ops[v] for v in rows[:n]), tuple(ops[v] for v in rows[n:]))
         try:
-            frame.check()
+            check_pattern(n, rows)
         except ValueError:
             assert not standard
             continue
@@ -290,8 +282,8 @@ def test_completion_builds_one_elimination(name, monkeypatch):
             super().__init__(rows)
 
     monkeypatch.setattr(gf2, "Eliminator", Counting)
-    frame = symplectic_complete(9, z_ops=dict(enumerate(stabilizer)))
-    assert frame.z_ops[: len(stabilizer)] == stabilizer
+    rows = _complete(9, {9 + i: g.vec for i, g in enumerate(stabilizer)})
+    assert rows[9 : 9 + len(stabilizer)] == [g.vec for g in stabilizer]
     assert len(built) == 1
 
 
@@ -310,81 +302,6 @@ def test_completion_takes_kernel_shifts_only_for_rows_inside_the_span(name, monk
         return kernel(self, ncols)
 
     monkeypatch.setattr(gf2.Eliminator, "kernel", counting)
-    frame = symplectic_complete(9, z_ops=dict(enumerate(stabilizer)))
-    assert frame.z_ops[: len(stabilizer)] == stabilizer
+    rows = _complete(9, {9 + i: g.vec for i, g in enumerate(stabilizer)})
+    assert rows[9 : 9 + len(stabilizer)] == [g.vec for g in stabilizer]
     assert len(calls) == 9 - len(stabilizer)
-
-
-def test_in_group_mod_phase():
-    gens = _ops(SHOR_STAB)
-    assert in_group_mod_phase(gens, identity(9))
-    assert in_group_mod_phase(gens, pauli_from_string("ZZIIIIIII"))
-    assert not in_group_mod_phase(gens, pauli_from_string("ZZZZZZZZZ"))
-
-
-def test_in_group_exact_examples():
-    gens = _ops(SHOR_STAB)
-    s3s4 = multiply(gens[2], gens[3])
-    assert s3s4 == pauli_from_string("ZIZIIIIII")
-    assert in_group_exact(gens, s3s4) == 0
-    minus_s1 = pauli_from_string("-XXXXXXIII")
-    assert in_group_exact(gens, minus_s1) == 2
-    assert in_group_exact(gens, pauli_from_string("XXXXXXXXX")) is None
-
-
-def _phased(k, letters):
-    return pauli_from_string(("", "+i", "-", "-i")[k] + letters)
-
-
-def test_in_group_exact_matches_string_arithmetic_with_dependent_generators():
-    # generators are (k, letters) for i**k * letters; dependent rows include
-    # products of earlier generators and sign-flipped duplicates g, -g, so
-    # the phase depends on which rows the combination skips
-    rng = random.Random(2026)
-    members = dependent = 0
-    for _ in range(1500):
-        n = rng.randint(1, 6)
-        gens = []
-        for _ in range(rng.randrange(8)):
-            kind = rng.random()
-            if kind < 0.2 and gens:
-                k, letters = rng.choice(gens)
-                gens.append(((k + 2) % 4, letters))
-            elif kind < 0.4 and len(gens) >= 2:
-                (ka, a), (kb, b) = rng.sample(gens, 2)
-                ph, letters = naive_mul(a, b)
-                gens.append(((ka + kb + ph + 2 * rng.randrange(2)) % 4, letters))
-            else:
-                gens.append((rng.randrange(4), "".join(rng.choice("IXYZ") for _ in range(n))))
-        if rng.random() < 0.6:
-            k, letters = rng.randrange(4), "I" * n
-            for kg, g in gens:
-                if rng.random() < 0.5:
-                    ph, letters = naive_mul(letters, g)
-                    k += kg + ph
-            target = (k % 4, letters)
-        else:
-            target = (rng.randrange(4), "".join(rng.choice("IXYZ") for _ in range(n)))
-        comb = membership_combination([to_bits(g) for _, g in gens], to_bits(target[1]))
-        if comb is None:
-            expected = None
-        else:
-            k, letters = 0, "I" * n
-            for (kg, g), c in zip(gens, comb):
-                if c:
-                    ph, letters = naive_mul(letters, g)
-                    k += kg + ph
-            assert letters == target[1]
-            expected = (target[0] - k) % 4
-            members += 1
-            dependent += naive_rank([to_bits(g) for _, g in gens]) < len(gens)
-        got = in_group_exact([_phased(k, g) for k, g in gens], _phased(*target))
-        assert got == expected, (gens, target)
-    assert members > 500 and dependent > 200
-
-
-@pytest.mark.parametrize("member", [in_group_mod_phase, in_group_exact])
-@pytest.mark.parametrize("n", [3, 12])
-def test_group_membership_refuses_an_operator_on_another_qubit_count(member, n):
-    with pytest.raises(ValueError, match=f"operator is on 9 qubits, expected {n}"):
-        member(_ops(SHOR_STAB), pauli_from_string("Z" * n))
