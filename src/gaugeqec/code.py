@@ -1,9 +1,14 @@
 """Subsystem stabilizer codes: validation, parameters, gauge fixing.
 
-A code is stored as its generating sets: s stabilizer generators, r gauge
-pairs (x-type, z-type) and k logical pairs.  Validation checks the group
-structure, completes the symplectic frame, and derives any missing pairs so
-that s + r + k == n afterwards.
+A code is stored as the (x|z) integer rows of its generating sets: s
+stabilizer generators, then r gauge pairs and k logical pairs, x row first
+in each pair.  Each row carries a sign exponent e, the operator being i^e
+times the +1-signed Hermitian Pauli on its bits; e is 0 for every row the
+library derives or searches.  Equality, hashing and pickling read only
+these ints.  The ``PauliOp`` tuples are built on first access and kept; a
+code built from operators keeps those.  Validation checks the group
+structure on the rows, completes the symplectic frame, and derives any
+missing pairs so that s + r + k == n afterwards.
 """
 
 from __future__ import annotations
@@ -12,32 +17,120 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .pauli import PauliOp, hermitian, pauli_from_string, swap_halves, vec_hermitian
+from .pauli import PauliOp, pauli_from_string, swap_halves
 from .tableau import PartialFrame, check_qubits
 
 Pair = tuple[PauliOp, PauliOp]
 
+_ZERO_SIGNS: dict[int, tuple[int, ...]] = {}  # one all-zero signs tuple per row count
 
-@dataclass(frozen=True)
+
 class SubsystemCode:
-    """n qubits with stabilizer, gauge-pair and logical-pair generators."""
+    """n qubits with stabilizer, gauge-pair and logical-pair generators.
 
-    n: int
-    stabilizer: tuple[PauliOp, ...] = ()
-    gauge_pairs: tuple[Pair, ...] = ()
-    logical_pairs: tuple[Pair, ...] = ()
+    Stored as ``n``, ``s``, ``r``, ``rows``, ``signs`` and ``widths``, which
+    is () unless an operator it was built from is on another qubit count
+    than n; then it holds each row's count, so ``validate`` can name the
+    operator and equality tells such a code from a valid one.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stabilizer", tuple(self.stabilizer))
-        object.__setattr__(self, "gauge_pairs", tuple(tuple(p) for p in self.gauge_pairs))
-        object.__setattr__(self, "logical_pairs", tuple(tuple(p) for p in self.logical_pairs))
-        # hashed once for the caches keyed on codes; only ints go in, so the
-        # value survives pickling to another process
-        fields = (self.n, self.stabilizer, self.gauge_pairs, self.logical_pairs)
-        object.__setattr__(self, "_hash", hash(fields))
+    __slots__ = ("n", "s", "r", "rows", "signs", "widths", "_hash", "_ops")
+
+    def __init__(
+        self,
+        n: int,
+        stabilizer: Iterable[PauliOp] = (),
+        gauge_pairs: Iterable[Pair] = (),
+        logical_pairs: Iterable[Pair] = (),
+    ) -> None:
+        stabilizer = tuple(stabilizer)
+        gauge_pairs = tuple(tuple(p) for p in gauge_pairs)
+        logical_pairs = tuple(tuple(p) for p in logical_pairs)
+        ops = stabilizer + tuple(op for pair in gauge_pairs + logical_pairs for op in pair)
+        widths = tuple(op.n for op in ops)
+        self._store(n, len(stabilizer), len(gauge_pairs), tuple(op.vec for op in ops),
+                    tuple(op.sign_exponent for op in ops),
+                    widths if any(w != n for w in widths) else (),
+                    (stabilizer, gauge_pairs, logical_pairs))
+
+    @classmethod
+    def from_rows(cls, n: int, s: int, r: int, rows: Sequence[int],
+                  signs: Sequence[int] = ()) -> "SubsystemCode":
+        """The code of (x|z) ``rows``: s stabilizer rows, then r gauge and the logical pairs.
+
+        ``signs`` holds the sign exponents of the first rows; the others are
+        0.  Nothing is checked here; ``validate`` checks.
+        """
+        code = cls.__new__(cls)
+        code._store(n, s, r, tuple(rows), tuple(signs))
+        return code
+
+    def _store(self, n, s, r, rows, signs, widths=(), ops=None) -> None:
+        """Set every field: the one place a code's state is made."""
+        if any(signs):
+            signs += (0,) * (len(rows) - len(signs))
+        else:
+            signs = _ZERO_SIGNS.setdefault(len(rows), (0,) * len(rows))
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "s", s)
+        put(self, "r", r)
+        put(self, "rows", rows)
+        put(self, "signs", signs)
+        put(self, "widths", widths)
+        # hashed once for the caches keyed on codes
+        put(self, "_hash", hash((n, s, r, rows, signs, widths)))
+        put(self, "_ops", ops)
+
+    def __getstate__(self) -> tuple:
+        return self.n, self.s, self.r, self.rows, self.signs, self.widths
+
+    def __setstate__(self, state: tuple) -> None:
+        self._store(*state)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SubsystemCode")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable SubsystemCode")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubsystemCode):
+            return NotImplemented
+        return self._hash == other._hash and self.__getstate__() == other.__getstate__()
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"SubsystemCode(n={self.n}, stabilizer={self.stabilizer!r}, "
+                f"gauge_pairs={self.gauge_pairs!r}, logical_pairs={self.logical_pairs!r})")
+
+    def _operators(self) -> tuple[tuple[PauliOp, ...], tuple[Pair, ...], tuple[Pair, ...]]:
+        """(stabilizer, gauge_pairs, logical_pairs), built from the rows on first use."""
+        ops = self._ops
+        if ops is None:
+            flat = []
+            for v, e, w in zip(self.rows, self.signs, self.widths or (self.n,) * len(self.rows)):
+                x, z = v & ((1 << w) - 1), v >> w
+                flat.append(PauliOp(w, (e + (x & z).bit_count()) % 4, x, z))
+            s, r = self.s, self.r
+            pairs = tuple(zip(flat[s::2], flat[s + 1 :: 2]))
+            ops = tuple(flat[:s]), pairs[:r], pairs[r:]
+            object.__setattr__(self, "_ops", ops)
+        return ops
+
+    @property
+    def stabilizer(self) -> tuple[PauliOp, ...]:
+        return self._operators()[0]
+
+    @property
+    def gauge_pairs(self) -> tuple[Pair, ...]:
+        return self._operators()[1]
+
+    @property
+    def logical_pairs(self) -> tuple[Pair, ...]:
+        return self._operators()[2]
 
     @classmethod
     def from_strings(
@@ -66,16 +159,8 @@ class SubsystemCode:
         return cls(n, stab, tuple(zip(gx, gz)), tuple(zip(lx, lz)))
 
     @property
-    def s(self) -> int:
-        return len(self.stabilizer)
-
-    @property
-    def r(self) -> int:
-        return len(self.gauge_pairs)
-
-    @property
     def k(self) -> int:
-        return len(self.logical_pairs)
+        return (len(self.rows) - self.s) // 2 - self.r
 
     def gauge_ops(self) -> list[PauliOp]:
         """All gauge generators, x then z within each pair."""
@@ -116,9 +201,10 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
     """The checks of ``validate`` on (x|z) rows: (violations, the frame rows or None).
 
     ``sector`` holds the r gauge pairs, then the logical pairs, x row first;
-    ``signs`` holds the stabilizer sign exponents.  Valid rows complete to a
-    frame x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and
-    sector pair j fills slot s + j.
+    ``signs`` holds the sign exponents of the stabilizer rows, then of the
+    sector rows (0 past its end).  Valid rows complete to a frame
+    x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and sector
+    pair j fills slot s + j.
     """
     violations: list[str] = []
     bad = violations.append
@@ -127,10 +213,18 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
         bad(f"too many generators: s + r + k = {n - free} > n = {n}")
     if not 0 <= derive_gauge <= max(free, 0):
         bad(f"derive_gauge = {derive_gauge} exceeds the {free} free slots")
-    for i, e in enumerate(signs):
+
+    def name(a: int) -> str:
+        kind = "xz"[a % 2]
+        return f"gauge {kind}{a // 2}" if a < 2 * r else f"logical {kind}{a // 2 - r}"
+
+    for i, e in enumerate(signs[:s]):
         if e:
             bad(f"stabilizer generator {i} has sign i^{e}; "
                 "the group would not fix the code space (contains -1)")
+    for a, e in enumerate(signs[s:]):
+        if e & 1:
+            bad(f"{name(a)} has sign i^{e}; it is not Hermitian")
 
     # u, v anticommute iff u AND swap(v) has odd weight
     stab_sw, sector_sw = [swap_halves(v, n) for v in stab], [swap_halves(v, n) for v in sector]
@@ -142,11 +236,6 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
     for i, v in enumerate(stab):
         if not frame.add(n + i, v):
             bad(f"stabilizer generator {i} depends on earlier generators")
-
-    def name(a: int) -> str:
-        kind = "xz"[a % 2]
-        return f"gauge {kind}{a // 2}" if a < 2 * r else f"logical {kind}{a // 2 - r}"
-
     for a, v in enumerate(sector):
         for i, g in enumerate(stab_sw):
             if (v & g).bit_count() & 1:
@@ -171,15 +260,22 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
         return [f"frame completion failed: {exc}"], None
 
 
-def completed_code(n: int, stabilizer, gauge_pairs, logical_pairs, rows, derive_gauge: int = 0):
-    """The tuples plus a pair of frame ``rows`` per free slot, the first ``derive_gauge`` gauge.
+def completed_code(n: int, s: int, r: int, k: int, frame: Sequence[int],
+                   signs: tuple[int, ...] = (), derive_gauge: int = 0) -> SubsystemCode:
+    """The code read off a completed ``frame`` whose first s + r + k slots were supplied.
 
-    Each derived row becomes the +1-signed Hermitian Pauli with its bits.
+    Stabilizer row i is z_i and supplied pair j is slot s + j.  The first
+    ``derive_gauge`` free slots follow the r gauge pairs, the others the k
+    logical pairs.  ``signs`` holds the supplied rows' sign exponents; a
+    derived row's is 0.
     """
-    first = len(stabilizer) + len(gauge_pairs) + len(logical_pairs)
-    derived = tuple([(vec_hermitian(n, rows[j]), vec_hermitian(n, rows[n + j])) for j in range(first, n)])
-    return SubsystemCode(n, stabilizer, gauge_pairs + derived[:derive_gauge],
-                         logical_pairs + derived[derive_gauge:])
+    first = s + r + k
+    slots = (*range(s, s + r), *range(first, first + derive_gauge), *range(s + r, first),
+             *range(first + derive_gauge, n))
+    rows = (*frame[n : n + s], *[v for j in slots for v in (frame[j], frame[n + j])])
+    if derive_gauge and any(signs):
+        signs = signs[: s + 2 * r] + (0,) * (2 * derive_gauge) + signs[s + 2 * r :]
+    return SubsystemCode.from_rows(n, s, r + derive_gauge, rows, signs)
 
 
 def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
@@ -187,19 +283,17 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
 
     Violations are collected, not raised.  ``derive_gauge`` says how many of
     the pairs derived by frame completion (when s + r + k < n) become gauge
-    pairs; the rest become logical pairs.  Qubit counts and signs are read
-    here, and ``frame_rows`` checks the rows.
+    pairs; the rest become logical pairs.  Qubit counts are read here, and
+    ``frame_rows`` checks the rows and their signs.
     """
-    n, stab = code.n, code.stabilizer
-    sector = code.gauge_ops() + code.logical_ops()
-    for op in stab + tuple(sector):
-        if op.n != n:
-            return ValidationReport([f"operator {op} is on {op.n} qubits, code has {n}"])
-    violations, rows = frame_rows(n, [g.vec for g in stab], [op.vec for op in sector], code.r,
-                                  derive_gauge, [g.sign_exponent for g in stab])
-    if rows is None:
+    n, s, r = code.n, code.s, code.r
+    if code.widths:
+        op = next(op for op in code.normalizer_generators() if op.n != n)
+        return ValidationReport([f"operator {op} is on {op.n} qubits, code has {n}"])
+    violations, frame = frame_rows(n, code.rows[:s], code.rows[s:], r, derive_gauge, code.signs)
+    if frame is None:
         return ValidationReport(violations)
-    completed = completed_code(n, stab, code.gauge_pairs, code.logical_pairs, rows, derive_gauge)
+    completed = completed_code(n, s, r, code.k, frame, code.signs, derive_gauge)
     return ValidationReport(violations, completed)
 
 
@@ -227,9 +321,10 @@ def gauge_fix(code: SubsystemCode) -> SubsystemCode:
     pairs are untouched.
     """
     c = validated(code)
-    promoted = tuple(hermitian(c.n, gz.x, gz.z) for _, gz in c.gauge_pairs)
-    fixed = SubsystemCode(c.n, c.stabilizer + promoted, (), c.logical_pairs)
-    return validated(fixed)
+    g = c.s + 2 * c.r
+    rows = c.rows[: c.s] + c.rows[c.s + 1 : g : 2] + c.rows[g:]
+    signs = c.signs[: c.s] + (0,) * c.r + c.signs[g:]
+    return validated(SubsystemCode.from_rows(c.n, c.s + c.r, 0, rows, signs))
 
 
 def singleton_check(n: int, k: int, d: int) -> bool:

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import gf2
 from .code import SubsystemCode, validated
 from .pauli import PauliOp, swap_halves
-from .tableau import centralizer_basis, check_qubits
+from .tableau import check_qubits
 
 DEFAULT_BUDGET = 1 << 30
 
@@ -70,10 +70,11 @@ class _Tables:
     __slots__ = ("key", "s")
 
     def __init__(self, code: SubsystemCode):
-        rows = [g.vec for g in code.stabilizer]
-        rows += [op.vec for lx, lz in code.logical_pairs for op in (lz, lx)]
+        s, g = code.s, code.s + 2 * code.r
+        lx, lz = code.rows[g::2], code.rows[g + 1 :: 2]
+        rows = [*code.rows[:s], *[v for pair in zip(lz, lx) for v in pair]]
         self.key = gf2.ParityMap((swap_halves(v, code.n) for v in rows), 2 * code.n)
-        self.s = code.s
+        self.s = s
 
     def syndrome_bits(self, vec: int) -> int:
         return self.key(vec) & ((1 << self.s) - 1)
@@ -134,17 +135,17 @@ def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_B
     if c.k == 0:
         raise ValueError("distance is undefined for a code with no logical qubits")
     n, low = c.n, (1 << c.n) - 1
+    g = c.s + 2 * c.r  # the stabilizer and gauge rows come first
     if method == "coset":
-        rows = [op.vec for op in c.group_generators()]
         classes = (1 << 2 * c.k) - 1
-        if classes * (1 << len(rows)) > budget:
+        if classes * (1 << g) > budget:
             raise BudgetExceededError(
-                f"{classes} classes x 2^{len(rows)} gauge elements exceed the budget {budget}"
+                f"{classes} classes x 2^{g} gauge elements exceed the budget {budget}"
             )
-        return coset_distance(n, rows, [op.vec for op in c.logical_ops()])
+        return coset_distance(n, c.rows[:g], c.rows[g:])
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
-    rows = [op.vec for op in centralizer_basis(n, c.stabilizer)]
+    rows = gf2.Eliminator(swap_halves(v, n) for v in c.rows[: c.s]).kernel(range(2 * n))
     if 1 << len(rows) > budget:
         raise BudgetExceededError(f"2^{len(rows)} centralizer elements exceed the budget {budget}")
     # centralizer elements have no syndrome: gauge iff the key is 0

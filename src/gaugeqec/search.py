@@ -31,8 +31,9 @@ rest by the rank loop of ``check_subspace``.  A surviving leaf reads its
 gauge sectors off a table of coordinate bases built once per shape.  A
 covering sector puts every commuting Pauli of weight below d_min into the
 gauge group, so each nondegenerate one is a code with d >= d_min.  The job
-that finds it checks its integer rows and completes them to a frame once;
-the distance walk on the frame rows is only a guard.
+that finds it checks its integer rows and completes them to a frame once,
+and the code is read off the frame rows; the distance walk on those rows is
+only a guard.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -51,7 +52,7 @@ from . import gf2
 from .code import SubsystemCode, completed_code, frame_rows, singleton_check, validated
 from .distance import _tables, coset_distance
 from .parallel import ordered_map
-from .pauli import low_weight_vecs, swap_halves, vec_hermitian
+from .pauli import low_weight_vecs, swap_halves
 from .tableau import PartialFrame
 
 ProgressFn = Callable[["SearchStats"], None]
@@ -222,11 +223,12 @@ def _solve_gauge_partners(
     distance below d_min is an error.
     """
     n, s = code.n, code.s
-    svecs = [g.vec for g in code.stabilizer]
+    svecs = code.rows[:s]
     sprime = [_combine(c, svecs) for c in coeff_rows]
     pivot_set = {(c & -c).bit_length() - 1 for c in coeff_rows}
     gz = [v for j, v in enumerate(svecs) if j not in pivot_set]
-    logical = [(i, op.vec) for j, pair in enumerate(code.logical_pairs, s) for i, op in zip((j, n + j), pair)]
+    # logical row a of a stabilizer code fills slot s + a // 2, x row first
+    logical = [(s + a // 2 + n * (a % 2), v) for a, v in enumerate(code.rows[s:])]
     frame = PartialFrame(n)
     for i, v in [*enumerate(gz + sprime, n), *logical]:
         if not frame.add(i, v):
@@ -237,21 +239,23 @@ def _solve_gauge_partners(
 def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> SubsystemCode:
     """``validated`` of (x|z) stabilizer rows, gauge (x, z) row pairs and logical pairs.
 
-    Assembled once from the frame that ``frame_rows`` completes; invalid rows
-    raise the ValueError of ``validated``.  Both searches build only codes that
-    keep d >= d_min, so ``coset_distance`` on the frame rows is a guard: a code
-    below d_min raises RuntimeError.
+    Read straight off the frame that ``frame_rows`` checks and completes;
+    invalid rows raise the ValueError of ``validated``.  Both searches build
+    only codes that keep d >= d_min, so ``coset_distance`` on the frame rows
+    is a guard: a code below d_min raises RuntimeError.  Only the supplied
+    logical operators may carry a sign.
     """
-    sector = [v for pair in pairs for v in pair] + [op.vec for pair in logical_pairs for op in pair]
-    violations, rows = frame_rows(n, stab, sector, len(pairs))
+    logical = [op for pair in logical_pairs for op in pair]
+    s, r = len(stab), len(pairs)
+    sector = [v for pair in pairs for v in pair] + [op.vec for op in logical]
+    signs = (0,) * (s + 2 * r) + tuple(op.sign_exponent for op in logical) if logical else ()
+    violations, rows = frame_rows(n, stab, sector, r, signs=signs)
     if rows is None:
         raise ValueError("invalid code: " + "; ".join(violations))
-    s, g = len(stab), len(stab) + len(pairs)  # the gauge pairs fill slots s..g-1
+    g = s + r  # the gauge pairs fill slots s..g-1
     if coset_distance(n, rows[n : n + g] + rows[s:g], rows[g:n] + rows[n + g :]) < d_min:
         raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
-    stabilizer = tuple([vec_hermitian(n, v) for v in stab])
-    gauge = tuple([(vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs])
-    return completed_code(n, stabilizer, gauge, tuple(logical_pairs), rows)
+    return completed_code(n, s, r, len(logical_pairs), rows, signs)
 
 
 def find_gauge_symmetries(
@@ -288,7 +292,8 @@ def find_gauge_symmetries(
     profiles = [pivots for m in range(1, c.s) for pivots in combinations(range(c.s), m)]
     found: SubsystemCode | None = None
     exhausted = True
-    for examined, rows in ordered_map(_gauge_filter_chunk, ctx, profiles, workers):
+    batches = ordered_map(_gauge_filter_chunk, ctx, profiles, workers, budget is not None)
+    for examined, rows in batches:
         stats.subspaces += examined
         if progress and stats.subspaces % PROGRESS_EVERY < examined:
             stats.elapsed = time.monotonic() - start
@@ -643,7 +648,7 @@ def sweep_nonexistence(
     codes: list[SubsystemCode] = []
     exhausted = True
     for subspaces, sectors_examined, chunk_codes in ordered_map(
-        _sweep_chunk, ctx, _sweep_chunks(spec), workers
+        _sweep_chunk, ctx, _sweep_chunks(spec), workers, spec.budget is not None
     ):
         stats.subspaces += subspaces
         stats.sectors += sectors_examined

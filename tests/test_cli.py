@@ -261,6 +261,16 @@ def test_verify_five_qubit():
     assert "agreement: pass" in out
 
 
+def test_verify_refuses_a_logical_operator_that_is_not_hermitian(tmp_path):
+    text = serialize_code(catalog("five-qubit"))
+    lx = text.split("[logical_x]\n")[1].split("\n")[0]
+    path = tmp_path / "anti_hermitian.txt"
+    path.write_text(text.replace(f"[logical_x]\n{lx}\n", f"[logical_x]\n+i{lx}\n"))
+    code, out, err = run_cli("verify", "--code", str(path))
+    assert code == 1 and out == ""
+    assert "logical x0 has sign i^1; it is not Hermitian" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_budget_is_rejected(value):
     for argv in (

@@ -26,7 +26,7 @@ from gaugeqec.pauli import (
     single,
 )
 from gaugeqec.tableau import centralizer_basis
-from naive_ops import in_span, split_sign, to_bits
+from naive_ops import in_span, mul, split_sign, to_bits
 
 
 def test_catalog_names():
@@ -278,7 +278,8 @@ def _seeded_code(rng):
 def test_validate_golden():
     # 4,000 seeded codes from random frames, most broken by one random row, a
     # stabilizer sign, a dependent generator, extra generators or a qubit
-    # count: every violation message in order, and every completed code
+    # count, and with random sector signs, half of them not Hermitian: every
+    # violation message in order, and every completed code
     rng = random.Random(1411)
     outcomes = []
     for _ in range(4000):
@@ -289,9 +290,36 @@ def test_validate_golden():
             outcomes.append([f"{c.s} {c.r} {c.k}"] + [str(op) for op in c.normalizer_generators()])
         else:
             outcomes.append(["invalid"] + report.violations)
-    assert sum(o[0] != "invalid" for o in outcomes) == 981
+    assert sum(o[0] != "invalid" for o in outcomes) == 514
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "a500919c992ac1f293b7be103a7814c0599f406ab271e5d08c9619c15c79fa15"
+    assert digest == "3889b74a6b38990cbb36fbc80e232197962a2a7178ef609e7f5a7e44b91e923f"
+
+
+def test_validate_refuses_exactly_the_sector_generators_that_square_to_minus_one():
+    # string arithmetic: i**k P squares to i**(2k) P P = (-1)**k I, so the
+    # supplied gauge and logical generators that square to -I are the ones
+    # refused as not Hermitian
+    rng = random.Random(1411)
+    refused = 0
+    for _ in range(4000):
+        code, derive_gauge = _seeded_code(rng)
+        if code.widths:  # the qubit count is reported alone
+            continue
+        named = {v.split(" has sign")[0] for v in validate(code, derive_gauge).violations
+                 if v.endswith("it is not Hermitian")}
+        sector = [(f"{kind} {xz}{j}", op) for kind, pairs in (("gauge", code.gauge_pairs),
+                                                               ("logical", code.logical_pairs))
+                  for j, pair in enumerate(pairs) for xz, op in zip("xz", pair)]
+        squares_to_minus = set()
+        for name, op in sector:
+            k, letters = split_sign(str(op))
+            phase, square = mul(letters, letters)
+            assert square == "I" * len(letters)
+            if (2 * k + phase) % 4:
+                squares_to_minus.add(name)
+        assert named == squares_to_minus
+        refused += bool(named)
+    assert refused > 1000
 
 
 def test_equal_codes_hash_equal_and_survive_pickling():
@@ -305,8 +333,22 @@ def test_equal_codes_hash_equal_and_survive_pickling():
             logical_z=[str(lz) for _, lz in code.logical_pairs],
         )
         assert rebuilt == code and hash(rebuilt) == hash(code)
-        assert hash(code) == hash((code.n, code.stabilizer, code.gauge_pairs, code.logical_pairs))
+        assert hash(code) == hash((code.n, code.s, code.r, code.rows, code.signs, ()))
         copy = pickle.loads(pickle.dumps(code))
         assert copy == code and hash(copy) == hash(code)
         assert validated(copy) is validated(code)  # one cache entry for both
     assert SubsystemCode(2) != SubsystemCode(3)
+
+
+def test_a_code_with_an_operator_on_another_qubit_count_is_told_apart():
+    # the same bits on n + 1 qubits give the same row, but not an equal code
+    n = 3
+    valid = SubsystemCode(n, [PauliOp(n, 0, 0b011, 0)])
+    wide = SubsystemCode(n, [PauliOp(n + 1, 0, 0b011, 0)])
+    assert wide.rows == valid.rows
+    assert wide != valid and pickle.loads(pickle.dumps(wide)) == wide != valid
+    assert validated(valid).s == 1
+    with pytest.raises(ValueError, match=r"invalid code: operator XXII is on 4 qubits, code has 3"):
+        validated(wide)
+    copy = pickle.loads(pickle.dumps(wide))
+    assert copy.stabilizer == wide.stabilizer and copy.widths == (n + 1,)

@@ -48,9 +48,16 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_signs_round_trip():
-    text = "n: 2\n[gauge_x]\n-iYI\n[gauge_z]\nZI\n[logical_x]\nIX\n[logical_z]\nIZ\n"
+    text = "n: 2\n[gauge_x]\n-YI\n[gauge_z]\nZI\n[logical_x]\nIX\n[logical_z]\n-IZ\n"
     code = parse_code_file(text)
-    assert serialize_code(code).count("-iYI") == 1
+    assert serialize_code(code).count("-YI") == 1 and serialize_code(code).count("-IZ") == 1
+    assert parse_code_file(serialize_code(code)) == code
+
+
+def test_a_generator_that_is_not_hermitian_is_refused():
+    text = "n: 2\n[gauge_x]\n-iYI\n[gauge_z]\nZI\n[logical_x]\nIX\n[logical_z]\nIZ\n"
+    with pytest.raises(CodeFileError, match="gauge x0 has sign i\\^3; it is not Hermitian"):
+        parse_code_file(text)
 
 
 def test_bad_character_position():

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import pickle
 import random
 import time
 from itertools import combinations, product
@@ -15,7 +16,7 @@ from gaugeqec.codefile import serialize_code
 from gaugeqec.distance import Kind, classify, coset_distance, distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import pauli_from_string, vec_hermitian
+from gaugeqec.pauli import PauliOp, pauli_from_string, vec_hermitian
 from gaugeqec.search import (
     SweepSpec,
     find_gauge_symmetries,
@@ -512,9 +513,10 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
         )
         expected = validated(candidate)
         assert code == expected and hash(code) == hash(expected)
-        if logical:  # the supplied logical operators are kept as they are
-            assert all(a is b for pa, pb in zip(code.logical_pairs, logical[0])
-                       for a, b in zip(pa, pb))
+        if logical:  # the supplied logical operators come back with their signs
+            assert code.logical_pairs == logical[0]
+            assert [op.sign_exponent for op in code.logical_ops()] == [
+                op.sign_exponent for pair in logical[0] for op in pair]
         # the guard's walk on the frame rows, and the same walk on the code's generators
         walked = coset_distance(
             n, [op.vec for op in code.group_generators()], [op.vec for op in code.logical_ops()]
@@ -542,17 +544,45 @@ def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
 
 
 def test_the_sweep_builds_one_code_object_per_code(monkeypatch):
+    # every code object's fields are set by ``_store``, and only there
     built = []
-    post_init = SubsystemCode.__post_init__
+    store = SubsystemCode._store
+
+    def counting(self, *args):
+        built.append(self)
+        store(self, *args)
+
+    monkeypatch.setattr(SubsystemCode, "_store", counting)
+    res = sweep_nonexistence(SweepSpec(4, 2, 0, 2))
+    assert len(res.codes) == 216
+    assert [id(c) for c in built] == [id(c) for c in res.codes]
+
+
+def test_the_sweep_builds_no_operator_objects(monkeypatch):
+    built = []
+    post_init = PauliOp.__post_init__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(SubsystemCode, "__post_init__", counting)
-    res = sweep_nonexistence(SweepSpec(4, 2, 0, 2))
-    assert len(res.codes) == 216
-    assert [id(c) for c in built] == [id(c) for c in res.codes]
+    monkeypatch.setattr(PauliOp, "__post_init__", counting)
+    res = sweep_nonexistence(SweepSpec(4, 1, 1, 2))
+    assert len(res.codes) == 4320 and built == []
+
+
+def test_sweep_codes_are_their_rows():
+    # a sweep code equals the code built from its operators, hashes alike,
+    # and pickles as ints alone
+    n = 4
+    for code in sweep_nonexistence(SweepSpec(n, 1, 1, 2)).codes:
+        rebuilt = SubsystemCode(n, code.stabilizer, code.gauge_pairs, code.logical_pairs)
+        dumped = pickle.dumps(code)  # after its operators were built
+        assert b"PauliOp" not in dumped
+        copy = pickle.loads(dumped)
+        assert rebuilt == code == copy
+        assert hash(rebuilt) == hash(code) == hash(copy)
+        assert (copy.rows, copy.signs) == (code.rows, code.signs)
 
 
 @pytest.mark.parametrize(
@@ -581,6 +611,33 @@ def test_invalid_rows_raise_the_validation_error(n, stab, pairs, logical, violat
 def test_sweep_budget_is_inconclusive():
     res = sweep_nonexistence(SweepSpec(4, 1, 1, 2, budget=50))
     assert not res.exhausted
+
+
+def test_budgeted_searches_take_one_job_per_batch(monkeypatch):
+    # a search that may stop at its budget reads each result as it is made,
+    # so a pool stops near the budget; the result is the same for any workers
+    asked = []
+
+    def recording(fn, ctx, jobs, workers, single=False):
+        asked.append((fn.__name__, single))
+        return ordered_map(fn, ctx, jobs, workers, single)
+
+    ordered_map = search.ordered_map
+    monkeypatch.setattr(search, "ordered_map", recording)
+    results = {}
+    for workers in (1, 2):
+        for budget in (None, 20_000):
+            res = sweep_nonexistence(SweepSpec(5, 1, 0, 3, budget=budget), workers=workers)
+            found = find_gauge_symmetries(catalog("steane7"), 3, budget=budget and 40, workers=workers)
+            results[workers, budget] = (
+                res.exhausted, res.stats.subspaces, res.stats.sectors, _codes_sha256(res.codes),
+                found.exhausted, found.r_found, found.stats.subspaces,
+            )
+    assert asked == [("_sweep_chunk", False), ("_gauge_filter_chunk", False),
+                     ("_sweep_chunk", True), ("_gauge_filter_chunk", True)] * 2
+    for budget in (None, 20_000):
+        assert results[1, budget] == results[2, budget]
+    assert results[1, 20_000][:2] == (False, 20480) and results[1, 20_000][4] is False
 
 
 def test_better_than_perfect_does_not_exist(sweep_5113):
