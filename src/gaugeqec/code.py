@@ -6,9 +6,11 @@ in each pair.  Each row carries a sign exponent e, the operator being i^e
 times the +1-signed Hermitian Pauli on its bits; e is 0 for every row the
 library derives or searches.  Equality, hashing and pickling read only
 these ints.  The ``PauliOp`` tuples are built on first access and kept; a
-code built from operators keeps those.  Validation checks the group
-structure on the rows, completes the symplectic frame, and derives any
-missing pairs so that s + r + k == n afterwards.
+code built from operators keeps those.  Validation completes the
+symplectic frame around the rows, deriving any missing pairs so that
+s + r + k == n afterwards; the completed frame's pattern check is the
+verdict, and only refused rows are checked item by item to name each
+violation.
 """
 
 from __future__ import annotations
@@ -205,7 +207,30 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
     sector rows (0 past its end).  Valid rows complete to a frame
     x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and sector
     pair j fills slot s + j.
+
+    The completed frame is the verdict: past the count and sign checks each
+    row joins a ``PartialFrame`` in its slot, a dependent row failing there,
+    and ``complete`` checks every commutation between supplied rows, which
+    it leaves in place.  Only rows that fail this pass meet the itemised
+    checks, which name each violation.
     """
+    s, free = len(stab), n - len(stab) - len(sector) // 2
+    failure = None
+    if 0 <= derive_gauge <= free and not any(signs[:s]) and not any(e & 1 for e in signs[s:]):
+        frame = PartialFrame(n)
+        if all(map(frame.add, range(n, n + s), stab)) and all(
+                frame.add(s + a // 2 + n * (a % 2), v) for a, v in enumerate(sector)):
+            try:
+                return [], frame.complete()
+            except ValueError as exc:
+                failure = f"frame completion failed: {exc}"
+    # rows that pass every itemised check yet fail completion name the failure
+    return _violations(n, stab, sector, r, derive_gauge, signs) or [failure], None
+
+
+def _violations(n: int, stab: Sequence[int], sector: Sequence[int], r: int, derive_gauge: int,
+                signs: Sequence[int]) -> list[str]:
+    """Every violation of the rows ``frame_rows`` refused, in check order."""
     violations: list[str] = []
     bad = violations.append
     s, free = len(stab), n - len(stab) - len(sector) // 2
@@ -250,14 +275,7 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
     for a, v in enumerate(sector):
         if not frame.add(s + a // 2 + n * (a % 2), v):
             bad(f"{name(a)} depends on earlier generators")
-    if violations:
-        return violations, None
-
-    # the supplied rows passed the checks above; completion checks the whole frame
-    try:
-        return violations, frame.complete()
-    except ValueError as exc:
-        return [f"frame completion failed: {exc}"], None
+    return violations
 
 
 def completed_code(n: int, s: int, r: int, k: int, frame: Sequence[int],

@@ -245,10 +245,12 @@ def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> Subsyste
     is a guard: a code below d_min raises RuntimeError.  Only the supplied
     logical operators may carry a sign.
     """
-    logical = [op for pair in logical_pairs for op in pair]
     s, r = len(stab), len(pairs)
-    sector = [v for pair in pairs for v in pair] + [op.vec for op in logical]
-    signs = (0,) * (s + 2 * r) + tuple(op.sign_exponent for op in logical) if logical else ()
+    sector, signs = [v for pair in pairs for v in pair], ()
+    if logical_pairs:  # find-gauge; a sweep code has no supplied logical pair
+        logical = [op for pair in logical_pairs for op in pair]
+        sector += [op.vec for op in logical]
+        signs = (0,) * (s + 2 * r) + tuple(op.sign_exponent for op in logical)
     violations, rows = frame_rows(n, stab, sector, r, signs=signs)
     if rows is None:
         raise ValueError("invalid code: " + "; ".join(violations))

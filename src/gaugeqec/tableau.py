@@ -20,7 +20,8 @@ def check_pattern(n: int, rows: Sequence[int]) -> None:
     x_i and z_j anticommute exactly when i == j and all other pairs commute;
     such rows have the nonsingular standard Gram matrix, so are independent.
     """
-    swapped = [swap_halves(v, n) for v in rows]
+    mask = (1 << n) - 1
+    swapped = [(v & mask) << n | v >> n for v in rows]  # swap_halves, inline
     for i in range(n):
         xi, zi = rows[i], rows[n + i]
         for j in range(n):
@@ -67,7 +68,10 @@ class PartialFrame:
     def add(self, i: int, vec: int) -> bool:
         """Make ``vec`` row i; False, leaving it out, if it depends on the known rows."""
         n = self.n
-        tagged = self.system.reduce(swap_halves(vec, n) | 1 << (2 * n + i))
+        tagged = (vec & ((1 << n) - 1)) << n | vec >> n | 1 << (2 * n + i)  # swap_halves, inline
+        for p, row in self.system.pivots:  # Eliminator.reduce, inline
+            if tagged >> p & 1:
+                tagged ^= row
         if not tagged & ((1 << 2 * n) - 1):
             return False
         self.system.insert(tagged)
@@ -75,30 +79,37 @@ class PartialFrame:
         return True
 
     def complete(self) -> list[int]:
-        """All 2n rows of a frame around the known rows.
+        """All 2n rows of a frame around the known rows, which it leaves in place.
 
-        The known rows must keep the frame pattern among themselves; the
-        finished frame passes ``check_pattern``.
+        Raises ValueError when the known rows do not keep the frame pattern
+        among themselves: the finished frame must pass ``check_pattern``.
         """
         # A slot's missing x row, then z row, commutes with every known row
         # but its partner.  The particular solution is read off the partner's
         # tag: with the partner known it anticommutes with it, which no row of
         # the span does.  Otherwise it is 0 and the first kernel vector outside
         # the span is taken; if none is, every solution lies in the span.
-        n, system = self.n, self.system
-        ncols, mask = 2 * n, (1 << 2 * n) - 1
+        n, system, rows = self.n, self.system, self.rows
+        ncols, mask, low = 2 * n, (1 << 2 * n) - 1, (1 << n) - 1
+        pivots = system.pivots
         for slot in range(n):
             for i, partner in ((slot, n + slot), (n + slot, slot)):
-                if i in self.rows:
+                if i in rows:
                     continue
                 vec = system.solution(ncols + partner)
                 if not vec:
-                    kernel = system.kernel(range(ncols))
-                    vec = next((k for k in kernel if system.reduce(swap_halves(k, n)) & mask), 0)
-                if not vec:
-                    raise ValueError("no admissible completion vector")
-                system.add(swap_halves(vec, n) | 1 << (ncols + i))
-                self.rows[i] = vec
-        frame = [self.rows[i] for i in range(ncols)]
+                    for k in system.kernel(range(ncols)):
+                        if system.reduce(swap_halves(k, n)) & mask:
+                            vec = k
+                            break
+                    else:
+                        raise ValueError("no admissible completion vector")
+                tagged = (vec & low) << n | vec >> n | 1 << (ncols + i)  # swap_halves, inline
+                for p, row in pivots:  # Eliminator.reduce, inline
+                    if tagged >> p & 1:
+                        tagged ^= row
+                system.insert(tagged)
+                rows[i] = vec
+        frame = [rows[i] for i in range(ncols)]
         check_pattern(n, frame)
         return frame

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from gaugeqec.pauli import (
     single,
 )
 from gaugeqec.tableau import centralizer_basis
-from naive_ops import in_span, mul, split_sign, to_bits
+from naive_ops import anticommute, in_span, mul, rank, split_sign, to_bits
 
 
 def test_catalog_names():
@@ -293,6 +294,40 @@ def test_validate_golden():
     assert sum(o[0] != "invalid" for o in outcomes) == 514
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == "3889b74a6b38990cbb36fbc80e232197962a2a7178ef609e7f5a7e44b91e923f"
+
+
+def _reference_ok(code, derive_gauge):
+    """Validity from definitions on signed strings: counts, signs, slot pattern, rank."""
+    n, s = code.n, len(code.stabilizer)
+    sector = [op for pair in code.gauge_pairs + code.logical_pairs for op in pair]
+    gens = [split_sign(str(op)) for op in code.stabilizer + tuple(sector)]
+    letters = [word for _, word in gens]
+    if any(len(word) != n for word in letters):
+        return False
+    if not 0 <= derive_gauge <= n - s - len(sector) // 2:
+        return False
+    if any(k for k, _ in gens[:s]):  # -1 or ±i in the stabilizer group
+        return False
+    if any((2 * k + mul(word, word)[0]) % 4 for k, word in gens[s:]):  # squares to -I
+        return False
+    for a, b in combinations(range(len(gens)), 2):
+        partners = a >= s and (a - s) % 2 == 0 and b == a + 1
+        if anticommute(letters[a], letters[b]) != partners:
+            return False
+    return rank([to_bits(word) for word in letters]) == len(letters)
+
+
+def test_validate_agrees_with_a_string_reference():
+    # the completed frame decides validity; a reference that never builds a
+    # frame must reach the same verdict on every seeded code
+    rng = random.Random(1411)
+    verdicts = []
+    for _ in range(4000):
+        code, derive_gauge = _seeded_code(rng)
+        ok = _reference_ok(code, derive_gauge)
+        assert validate(code, derive_gauge).ok == ok, (code, derive_gauge)
+        verdicts.append(ok)
+    assert sum(verdicts) == 514
 
 
 def test_validate_refuses_exactly_the_sector_generators_that_square_to_minus_one():

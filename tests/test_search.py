@@ -592,6 +592,11 @@ def test_sweep_codes_are_their_rows():
         (4, ["ZZII", "IIZZ", "ZZZZ"], [], [],
          "stabilizer generator 2 depends on earlier generators"),
         (2, ["ZZ"], [("XX", "ZI")], [("YY", "IZ")], "s + r + k = 3 > n = 2"),
+        # independent rows that break the frame pattern: only completion refuses them
+        (4, ["ZZII"], [("XIII", "ZIII")], [],
+         "gauge x0 anticommutes with stabilizer generator 0"),
+        (4, ["ZZII"], [], [("XXII", "IIZI")], "logical x0 and logical z0 must anticommute"),
+        (4, ["ZZII", "XIII"], [], [], "stabilizer generators 0 and 1 anticommute"),
     ],
 )
 def test_invalid_rows_raise_the_validation_error(n, stab, pairs, logical, violation):
