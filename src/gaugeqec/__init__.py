@@ -23,7 +23,6 @@ from .search import (
     find_gauge_symmetries,
     sweep_nonexistence,
 )
-from .tableau import centralizer_basis
 
 __version__ = "0.1.0"
 
@@ -44,7 +43,6 @@ __all__ = [
     "Syndrome",
     "build_table",
     "catalog",
-    "centralizer_basis",
     "classify",
     "commutes",
     "distance",

@@ -5,12 +5,13 @@ stabilizer generators, then r gauge pairs and k logical pairs, x row first
 in each pair.  Each row carries a sign exponent e, the operator being i^e
 times the +1-signed Hermitian Pauli on its bits; e is 0 for every row the
 library derives or searches.  Equality, hashing and pickling read only
-these ints.  The ``PauliOp`` tuples are built on first access and kept; a
-code built from operators keeps those.  Validation completes the
-symplectic frame around the rows, deriving any missing pairs so that
-s + r + k == n afterwards; the completed frame's pattern check is the
-verdict, and only refused rows are checked item by item to name each
-violation.
+these ints.  A code built from operators keeps only their rows and signs,
+refusing an operator on another qubit count; the ``PauliOp`` tuples are
+built from the rows on first access.  ``frame_rows`` is the one way from
+rows to a valid code: it completes the symplectic frame around the rows,
+deriving any missing pairs so that s + r + k == n afterwards, and reads
+the code off the completed frame, whose pattern check is the verdict; only
+refused rows are checked item by item to name each violation.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ _ZERO_SIGNS: dict[int, tuple[int, ...]] = {}  # one all-zero signs tuple per row
 class SubsystemCode:
     """n qubits with stabilizer, gauge-pair and logical-pair generators.
 
-    Stored as ``n``, ``s``, ``r``, ``rows``, ``signs`` and ``widths``, which
-    is () unless an operator it was built from is on another qubit count
-    than n; then it holds each row's count, so ``validate`` can name the
-    operator and equality tells such a code from a valid one.
+    Stored as ``n``, ``s``, ``r``, ``rows`` and ``signs``; every operator it
+    is built from must be on n qubits.
     """
 
-    __slots__ = ("n", "s", "r", "rows", "signs", "widths", "_hash", "_ops")
+    __slots__ = ("n", "s", "r", "rows", "signs", "_hash", "_ops")
 
     def __init__(
         self,
@@ -45,15 +44,13 @@ class SubsystemCode:
         gauge_pairs: Iterable[Pair] = (),
         logical_pairs: Iterable[Pair] = (),
     ) -> None:
-        stabilizer = tuple(stabilizer)
-        gauge_pairs = tuple(tuple(p) for p in gauge_pairs)
-        logical_pairs = tuple(tuple(p) for p in logical_pairs)
-        ops = stabilizer + tuple(op for pair in gauge_pairs + logical_pairs for op in pair)
-        widths = tuple(op.n for op in ops)
+        stabilizer, gauge_pairs = tuple(stabilizer), tuple(gauge_pairs)
+        ops = stabilizer + tuple(op for pair in gauge_pairs + tuple(logical_pairs) for op in pair)
+        for op in ops:
+            if op.n != n:
+                raise ValueError(f"operator {op} is on {op.n} qubits, code has {n}")
         self._store(n, len(stabilizer), len(gauge_pairs), tuple(op.vec for op in ops),
-                    tuple(op.sign_exponent for op in ops),
-                    widths if any(w != n for w in widths) else (),
-                    (stabilizer, gauge_pairs, logical_pairs))
+                    tuple(op.sign_exponent for op in ops))
 
     @classmethod
     def from_rows(cls, n: int, s: int, r: int, rows: Sequence[int],
@@ -61,13 +58,13 @@ class SubsystemCode:
         """The code of (x|z) ``rows``: s stabilizer rows, then r gauge and the logical pairs.
 
         ``signs`` holds the sign exponents of the first rows; the others are
-        0.  Nothing is checked here; ``validate`` checks.
+        0.  Nothing is checked here; ``frame_rows`` checks.
         """
         code = cls.__new__(cls)
         code._store(n, s, r, tuple(rows), tuple(signs))
         return code
 
-    def _store(self, n, s, r, rows, signs, widths=(), ops=None) -> None:
+    def _store(self, n, s, r, rows, signs) -> None:
         """Set every field: the one place a code's state is made."""
         if any(signs):
             signs += (0,) * (len(rows) - len(signs))
@@ -79,13 +76,12 @@ class SubsystemCode:
         put(self, "r", r)
         put(self, "rows", rows)
         put(self, "signs", signs)
-        put(self, "widths", widths)
         # hashed once for the caches keyed on codes
-        put(self, "_hash", hash((n, s, r, rows, signs, widths)))
-        put(self, "_ops", ops)
+        put(self, "_hash", hash((n, s, r, rows, signs)))
+        put(self, "_ops", None)
 
     def __getstate__(self) -> tuple:
-        return self.n, self.s, self.r, self.rows, self.signs, self.widths
+        return self.n, self.s, self.r, self.rows, self.signs
 
     def __setstate__(self, state: tuple) -> None:
         self._store(*state)
@@ -112,10 +108,10 @@ class SubsystemCode:
         """(stabilizer, gauge_pairs, logical_pairs), built from the rows on first use."""
         ops = self._ops
         if ops is None:
-            flat = []
-            for v, e, w in zip(self.rows, self.signs, self.widths or (self.n,) * len(self.rows)):
-                x, z = v & ((1 << w) - 1), v >> w
-                flat.append(PauliOp(w, (e + (x & z).bit_count()) % 4, x, z))
+            n, flat = self.n, []
+            for v, e in zip(self.rows, self.signs):
+                x, z = v & ((1 << n) - 1), v >> n
+                flat.append(PauliOp(n, (e + (x & z).bit_count()) % 4, x, z))
             s, r = self.s, self.r
             pairs = tuple(zip(flat[s::2], flat[s + 1 :: 2]))
             ops = tuple(flat[:s]), pairs[:r], pairs[r:]
@@ -142,7 +138,6 @@ class SubsystemCode:
         gauge_z: Iterable[str] = (),
         logical_x: Iterable[str] = (),
         logical_z: Iterable[str] = (),
-        n: int | None = None,
     ) -> "SubsystemCode":
         stab = tuple(pauli_from_string(s) for s in stabilizer)
         gx = tuple(pauli_from_string(s) for s in gauge_x)
@@ -154,11 +149,9 @@ class SubsystemCode:
         if len(lx) != len(lz):
             raise ValueError("logical_x and logical_z must pair up one-to-one")
         ops = stab + gx + gz + lx + lz
-        if n is None:
-            if not ops:
-                raise ValueError("cannot infer qubit count from an empty code")
-            n = ops[0].n
-        return cls(n, stab, tuple(zip(gx, gz)), tuple(zip(lx, lz)))
+        if not ops:
+            raise ValueError("cannot infer qubit count from an empty code")
+        return cls(ops[0].n, stab, tuple(zip(gx, gz)), tuple(zip(lx, lz)))
 
     @property
     def k(self) -> int:
@@ -199,14 +192,16 @@ class ValidationReport:
 
 
 def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, derive_gauge: int = 0,
-               signs: Sequence[int] = ()) -> tuple[list[str], list[int] | None]:
-    """The checks of ``validate`` on (x|z) rows: (violations, the frame rows or None).
+               signs: tuple[int, ...] = ()) -> tuple[list[str], SubsystemCode | None]:
+    """The checks of ``validate`` on (x|z) rows: (violations, the completed code or None).
 
     ``sector`` holds the r gauge pairs, then the logical pairs, x row first;
     ``signs`` holds the sign exponents of the stabilizer rows, then of the
     sector rows (0 past its end).  Valid rows complete to a frame
     x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and sector
-    pair j fills slot s + j.
+    pair j fills slot s + j.  The code is read off that frame: the first
+    ``derive_gauge`` derived pairs join the gauge pairs, the others the
+    logical pairs, each with sign exponent 0.
 
     The completed frame is the verdict: past the count and sign checks each
     row joins a ``PartialFrame`` in its slot, a dependent row failing there,
@@ -221,9 +216,17 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
         if all(map(frame.add, range(n, n + s), stab)) and all(
                 frame.add(s + a // 2 + n * (a % 2), v) for a, v in enumerate(sector)):
             try:
-                return [], frame.complete()
+                done = frame.complete()
             except ValueError as exc:
                 failure = f"frame completion failed: {exc}"
+            else:
+                first = n - free  # the first derived slot
+                slots = (*range(s, s + r), *range(first, first + derive_gauge),
+                         *range(s + r, first), *range(first + derive_gauge, n))
+                rows = (*done[n : n + s], *[v for j in slots for v in (done[j], done[n + j])])
+                if derive_gauge and any(signs):
+                    signs = signs[: s + 2 * r] + (0,) * (2 * derive_gauge) + signs[s + 2 * r :]
+                return [], SubsystemCode.from_rows(n, s, r + derive_gauge, rows, signs)
     # rows that pass every itemised check yet fail completion name the failure
     return _violations(n, stab, sector, r, derive_gauge, signs) or [failure], None
 
@@ -278,41 +281,17 @@ def _violations(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deri
     return violations
 
 
-def completed_code(n: int, s: int, r: int, k: int, frame: Sequence[int],
-                   signs: tuple[int, ...] = (), derive_gauge: int = 0) -> SubsystemCode:
-    """The code read off a completed ``frame`` whose first s + r + k slots were supplied.
-
-    Stabilizer row i is z_i and supplied pair j is slot s + j.  The first
-    ``derive_gauge`` free slots follow the r gauge pairs, the others the k
-    logical pairs.  ``signs`` holds the supplied rows' sign exponents; a
-    derived row's is 0.
-    """
-    first = s + r + k
-    slots = (*range(s, s + r), *range(first, first + derive_gauge), *range(s + r, first),
-             *range(first + derive_gauge, n))
-    rows = (*frame[n : n + s], *[v for j in slots for v in (frame[j], frame[n + j])])
-    if derive_gauge and any(signs):
-        signs = signs[: s + 2 * r] + (0,) * (2 * derive_gauge) + signs[s + 2 * r :]
-    return SubsystemCode.from_rows(n, s, r + derive_gauge, rows, signs)
-
-
 def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
     """Check every structural invariant and complete the frame on success.
 
     Violations are collected, not raised.  ``derive_gauge`` says how many of
     the pairs derived by frame completion (when s + r + k < n) become gauge
-    pairs; the rest become logical pairs.  Qubit counts are read here, and
-    ``frame_rows`` checks the rows and their signs.
+    pairs; the rest become logical pairs.  The checks and the completed code
+    are those of ``frame_rows`` on the code's rows and signs.
     """
-    n, s, r = code.n, code.s, code.r
-    if code.widths:
-        op = next(op for op in code.normalizer_generators() if op.n != n)
-        return ValidationReport([f"operator {op} is on {op.n} qubits, code has {n}"])
-    violations, frame = frame_rows(n, code.rows[:s], code.rows[s:], r, derive_gauge, code.signs)
-    if frame is None:
-        return ValidationReport(violations)
-    completed = completed_code(n, s, r, code.k, frame, code.signs, derive_gauge)
-    return ValidationReport(violations, completed)
+    s = code.s
+    return ValidationReport(*frame_rows(code.n, code.rows[:s], code.rows[s:], code.r, derive_gauge,
+                                        code.signs))
 
 
 @lru_cache(maxsize=256)

@@ -57,7 +57,10 @@ def parse_code_file(text: str) -> SubsystemCode:
                 raise CodeFileError("qubit count must be positive", lineno)
             continue
         if stripped.startswith("["):
-            name = stripped.strip("[]").strip()
+            inner = stripped[1:-1]
+            if not stripped.endswith("]") or "[" in inner or "]" in inner:
+                raise CodeFileError(f"malformed section header {stripped}; write [name]", lineno)
+            name = inner.strip()
             if name not in SECTIONS:
                 raise CodeFileError(f"unknown section [{name}]", lineno)
             section = name

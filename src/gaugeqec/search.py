@@ -32,7 +32,7 @@ gauge sectors off a table of coordinate bases built once per shape.  A
 covering sector puts every commuting Pauli of weight below d_min into the
 gauge group, so each nondegenerate one is a code with d >= d_min.  The job
 that finds it checks its integer rows and completes them to a frame once,
-and the code is read off the frame rows; the distance walk on those rows is
+and the code is read off the frame; the distance walk on the code's rows is
 only a guard.
 
 Work is split across workers by enumeration prefix with
@@ -49,7 +49,7 @@ from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from . import gf2
-from .code import SubsystemCode, completed_code, frame_rows, singleton_check, validated
+from .code import SubsystemCode, frame_rows, singleton_check, validated
 from .distance import _tables, coset_distance
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves
@@ -233,31 +233,29 @@ def _solve_gauge_partners(
     for i, v in [*enumerate(gz + sprime, n), *logical]:
         if not frame.add(i, v):
             raise RuntimeError("a stabilizer code's frame rows must be independent")
-    return _guarded_code(n, sprime, list(zip(frame.complete(), gz)), d_min, code.logical_pairs)
+    return _guarded_code(n, sprime, list(zip(frame.complete(), gz)), d_min, code.rows[s:],
+                         code.signs[s:])
 
 
-def _guarded_code(n: int, stab, pairs, d_min: int, logical_pairs=()) -> SubsystemCode:
-    """``validated`` of (x|z) stabilizer rows, gauge (x, z) row pairs and logical pairs.
+def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=()) -> SubsystemCode:
+    """``validated`` of (x|z) stabilizer rows, gauge (x, z) row pairs and logical rows.
 
-    Read straight off the frame that ``frame_rows`` checks and completes;
-    invalid rows raise the ValueError of ``validated``.  Both searches build
-    only codes that keep d >= d_min, so ``coset_distance`` on the frame rows
-    is a guard: a code below d_min raises RuntimeError.  Only the supplied
-    logical operators may carry a sign.
+    ``frame_rows`` checks and completes the rows and reads the code off
+    them; invalid rows raise the ValueError of ``validated``.  Both searches
+    build only codes that keep d >= d_min, so ``coset_distance`` on the
+    code's rows, the walk of ``distance(code, "coset")``, is a guard: a code
+    below d_min raises RuntimeError.  Only the supplied logical rows carry
+    sign exponents, ``logical_signs``; a sweep supplies none.
     """
-    s, r = len(stab), len(pairs)
-    sector, signs = [v for pair in pairs for v in pair], ()
-    if logical_pairs:  # find-gauge; a sweep code has no supplied logical pair
-        logical = [op for pair in logical_pairs for op in pair]
-        sector += [op.vec for op in logical]
-        signs = (0,) * (s + 2 * r) + tuple(op.sign_exponent for op in logical)
-    violations, rows = frame_rows(n, stab, sector, r, signs=signs)
-    if rows is None:
+    g = len(stab) + 2 * len(pairs)
+    sector = [v for pair in pairs for v in pair] + list(logical)
+    signs = (0,) * g + tuple(logical_signs)
+    violations, code = frame_rows(n, stab, sector, len(pairs), signs=signs)
+    if code is None:
         raise ValueError("invalid code: " + "; ".join(violations))
-    g = s + r  # the gauge pairs fill slots s..g-1
-    if coset_distance(n, rows[n : n + g] + rows[s:g], rows[g:n] + rows[n + g :]) < d_min:
+    if coset_distance(n, code.rows[:g], code.rows[g:]) < d_min:
         raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
-    return completed_code(n, s, r, len(logical_pairs), rows, signs)
+    return code
 
 
 def find_gauge_symmetries(

@@ -1,4 +1,4 @@
-"""Symplectic frames over the Pauli group: centralizers and completion.
+"""Symplectic frames over the Pauli group: the pattern check and completion.
 
 A frame is a choice of 2n operators behaving like single-qubit X and Z on n
 virtual qubits: same-kind rows commute, and the x row of slot i anticommutes
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import gf2
-from .pauli import PauliOp, swap_halves, vec_hermitian
+from .pauli import PauliOp, swap_halves
 
 
 def check_pattern(n: int, rows: Sequence[int]) -> None:
@@ -38,18 +38,6 @@ def check_qubits(n: int, ops: Iterable[PauliOp]) -> None:
     for op in ops:
         if op.n != n:
             raise ValueError(f"operator is on {op.n} qubits, expected {n}")
-
-
-def centralizer_basis(n: int, gens: Sequence[PauliOp]) -> list[PauliOp]:
-    """Basis of all Paulis commuting with every generator, mod phase.
-
-    The null space of the swapped generator rows, read off their
-    ``gf2.Eliminator`` one vector per free column, so it always has
-    2n - rank(gens) elements, each the +1-signed Hermitian Pauli.
-    """
-    check_qubits(n, gens)
-    kernel = gf2.Eliminator(swap_halves(g.vec, n) for g in gens).kernel(range(2 * n))
-    return [vec_hermitian(n, v) for v in kernel]
 
 
 class PartialFrame:

@@ -175,6 +175,16 @@ def kernel_lists(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
+def centralizer_lists(words: list[str], n: int) -> list[list[int]]:
+    """A basis of the Paulis commuting with every word, as (x|z) 0/1 lists.
+
+    v commutes with g exactly when v . (z|x of g) is even, so this is the
+    null space of the words' swapped bit lists.
+    """
+    swapped = [bits[n:] + bits[:n] for bits in map(to_bits, words)]
+    return kernel_lists(swapped, 2 * n)
+
+
 def affine_particular(system: list[tuple[list[int], int]], ncols: int) -> list[int] | None:
     """The solution of mask . u = b with every free column 0, or None."""
     reduced, pivots = rref_lists([mask + [b] for mask, b in system], ncols + 1)

@@ -79,6 +79,17 @@ def test_unknown_section():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("header", ["[stabilizer", "[stabilizer]]", "[[stabilizer]]"])
+def test_a_section_header_needs_exactly_one_bracket_on_each_side(header):
+    with pytest.raises(CodeFileError, match="malformed section header") as err:
+        parse_code_file(f"n: 2\n{header}\nZZ\n")
+    assert err.value.line == 2
+
+
+def test_spaces_inside_section_brackets_are_allowed():
+    assert parse_code_file("n: 2\n[ stabilizer ]\nZZ\n").s == 1
+
+
 def test_operator_outside_section():
     with pytest.raises(CodeFileError):
         parse_code_file("n: 2\nZZ\n")

@@ -468,6 +468,12 @@ def test_assembled_code_lists_are_pinned(workers):
         assert (len(res.codes), _codes_sha256(res.codes)) == (count, sha), spec
 
 
+def _signed(n, v, e):
+    """i^e times the +1-signed Hermitian Pauli with (x|z) bits v."""
+    h = vec_hermitian(n, v)
+    return PauliOp(n, (h.phase_exp + e) % 4, h.x, h.z)
+
+
 def _assembled(monkeypatch, run):
     """(arguments, guard distance, code) of every ``_guarded_code`` call of ``run``."""
     calls, walked = [], []
@@ -505,19 +511,18 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
         calls = _assembled(monkeypatch, lambda: sweep_nonexistence(spec))
     assert len(calls) == count
     for (n, stab, pairs, d_min, *logical), guard_distance, code in calls:
+        ops = [_signed(n, v, e) for v, e in zip(*logical)]
         candidate = SubsystemCode(
             n,
             tuple(vec_hermitian(n, v) for v in stab),
             tuple((vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs),
-            *logical,
+            tuple(zip(ops[::2], ops[1::2])),
         )
         expected = validated(candidate)
         assert code == expected and hash(code) == hash(expected)
-        if logical:  # the supplied logical operators come back with their signs
-            assert code.logical_pairs == logical[0]
-            assert [op.sign_exponent for op in code.logical_ops()] == [
-                op.sign_exponent for pair in logical[0] for op in pair]
-        # the guard's walk on the frame rows, and the same walk on the code's generators
+        if logical:  # the supplied logical rows come back with their signs
+            assert code.logical_ops() == ops
+        # the guard's walk, and the same walk on the code's generators
         walked = coset_distance(
             n, [op.vec for op in code.group_generators()], [op.vec for op in code.logical_ops()]
         )
@@ -531,14 +536,17 @@ def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
         base = validated(_random_stabilizer_code(seed))
         rng = random.Random(seed)
         r = rng.randrange(base.k)
-        logical = base.logical_pairs[r:] if rng.random() < 0.5 else ()
+        supplied = rng.random() < 0.5
+        first = base.s + 2 * r  # the first logical row left once r pairs are gauge pairs
+        logical = (base.rows[first:], base.signs[first:]) if supplied else ((), ())
         n, stab = base.n, [g.vec for g in base.stabilizer]
         pairs = [(x.vec, z.vec) for x, z in base.logical_pairs[:r]]
         [(_, guard_distance, code)] = _assembled(
-            monkeypatch, lambda: search._guarded_code(n, stab, pairs, 1, logical)
+            monkeypatch, lambda: search._guarded_code(n, stab, pairs, 1, *logical)
         )
         candidate = SubsystemCode(n, base.stabilizer, tuple(
-            (vec_hermitian(n, x), vec_hermitian(n, z)) for x, z in pairs), logical)
+            (vec_hermitian(n, x), vec_hermitian(n, z)) for x, z in pairs),
+            base.logical_pairs[r:] if supplied else ())
         assert code == validated(candidate) and code.r == r
         assert guard_distance == distance(code, "exhaustive"), seed
 
@@ -605,8 +613,9 @@ def test_invalid_rows_raise_the_validation_error(n, stab, pairs, logical, violat
         tuple((pauli_from_string(x), pauli_from_string(z)) for x, z in ps) for ps in (pairs, logical)
     )
     with pytest.raises(ValueError) as from_rows:
-        rows = [g.vec for g in stab_ops]
-        search._guarded_code(n, rows, [(x.vec, z.vec) for x, z in pair_ops], 1, logical_ops)
+        rows, logical = [g.vec for g in stab_ops], [op for pair in logical_ops for op in pair]
+        search._guarded_code(n, rows, [(x.vec, z.vec) for x, z in pair_ops], 1,
+                             [op.vec for op in logical], [op.sign_exponent for op in logical])
     with pytest.raises(ValueError) as from_ops:
         validated(SubsystemCode(n, stab_ops, pair_ops, logical_ops))
     assert str(from_rows.value) == str(from_ops.value)

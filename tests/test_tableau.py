@@ -8,9 +8,26 @@ import pytest
 from gaugeqec import gf2
 from gaugeqec.catalog import catalog
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import PauliOp, commutes, multiply, pauli_from_string, single, swap_halves
-from gaugeqec.tableau import PartialFrame, centralizer_basis, check_pattern
-from naive_ops import affine_particular, anticommute, in_span, kernel_lists, to_bits
+from gaugeqec.pauli import (
+    PauliOp,
+    commutes,
+    hermitian,
+    multiply,
+    pauli_from_string,
+    single,
+    swap_halves,
+    vec_hermitian,
+)
+from gaugeqec.tableau import PartialFrame, check_pattern
+from naive_ops import (
+    affine_particular,
+    anticommute,
+    centralizer_lists,
+    in_span,
+    kernel_lists,
+    split_sign,
+    to_bits,
+)
 from naive_ops import rank as naive_rank
 
 SHOR_STAB = [
@@ -23,46 +40,53 @@ def _ops(strings):
     return [pauli_from_string(s) for s in strings]
 
 
+def _centralizer(n, gens):
+    """The rows ``distance(..., "exhaustive")`` walks: the kernel of the swapped generators."""
+    return Eliminator(swap_halves(g.vec, n) for g in gens).kernel(range(2 * n))
+
+
+def _words(ops):
+    return [split_sign(str(op))[1] for op in ops]
+
+
 def test_centralizer_of_nothing_spans_everything():
-    basis = centralizer_basis(2, [])
+    basis = _centralizer(2, [])
     assert len(basis) == 4
-    assert Eliminator(p.vec for p in basis).rank == 4
+    assert Eliminator(basis).rank == 4
 
 
 def test_centralizer_size_table_one():
     gens = _ops(SHOR_STAB)
-    basis = centralizer_basis(9, gens)
+    basis = _centralizer(9, gens)
     assert len(basis) == 10
-    span = Eliminator(p.vec for p in basis)
+    span = Eliminator(basis)
     assert span.contains(pauli_from_string("ZZZZZZZZZ").vec)
     assert span.contains(pauli_from_string("XXXXXXXXX").vec)
 
 
 def test_centralizer_size_table_two_contains_gauge_ops():
     bs = catalog("bacon-shor-9")
-    basis = centralizer_basis(9, list(bs.stabilizer))
+    basis = _centralizer(9, bs.stabilizer)
     assert len(basis) == 14
-    span = Eliminator(p.vec for p in basis)
+    span = Eliminator(basis)
     for op in bs.gauge_ops():
         assert span.contains(op.vec)
 
 
 def test_centralizer_elements_commute_with_generators():
+    # the kernel spans exactly the string reference's centralizer
     rng = random.Random(13)
     for _ in range(50):
         n = rng.randrange(1, 8)
-        gens = []
-        for _ in range(rng.randrange(4)):
-            x, z = rng.randrange(1 << n), rng.randrange(1 << n)
-            from gaugeqec.pauli import hermitian
-
-            gens.append(hermitian(n, x, z))
-        basis = centralizer_basis(n, gens)
-        expected = 2 * n - Eliminator(g.vec for g in gens).rank
-        assert len(basis) == expected
+        gens = [hermitian(n, rng.randrange(1 << n), rng.randrange(1 << n))
+                for _ in range(rng.randrange(4))]
+        basis = _centralizer(n, gens)
+        assert len(basis) == 2 * n - Eliminator(g.vec for g in gens).rank
         for b in basis:
-            assert all(commutes(b, g) for g in gens)
-            assert b.sign_exponent == 0  # the +1-signed Hermitian Pauli
+            assert all(commutes(vec_hermitian(n, b), g) for g in gens)
+        reference = centralizer_lists(_words(gens), n)
+        assert naive_rank(reference) == len(basis) == naive_rank([_bits(b, 2 * n) for b in basis])
+        assert all(in_span(reference, _bits(b, 2 * n)) for b in basis)
 
 
 def _complete(n, rows):
@@ -87,10 +111,10 @@ def test_symplectic_complete_table_one():
     span = Eliminator(g.vec for g in gens)
     for v in derived:
         assert span.add(v)
-    cent = Eliminator(p.vec for p in centralizer_basis(9, gens))
-    assert cent.rank == 10
+    cent = centralizer_lists(SHOR_STAB, 9)
+    assert naive_rank(cent) == 10
     for v in [g.vec for g in gens] + derived:
-        assert cent.contains(v)
+        assert in_span(cent, _bits(v, 18))
 
 
 def test_symplectic_complete_table_two_spans_centralizer():
@@ -98,11 +122,11 @@ def test_symplectic_complete_table_two_spans_centralizer():
     gens = list(bs.stabilizer)
     rows = _complete(9, {9 + i: g.vec for i, g in enumerate(gens)})
     check_pattern(9, rows)
-    cent = Eliminator(p.vec for p in centralizer_basis(9, gens))
+    cent = centralizer_lists(_words(gens), 9)
     completion = rows[13:18] + rows[4:9]
-    assert all(cent.contains(v) for v in completion)
+    assert all(in_span(cent, _bits(v, 18)) for v in completion)
     span = Eliminator([g.vec for g in gens] + completion)
-    assert span.rank == 14 == cent.rank
+    assert span.rank == 14 == naive_rank(cent)
 
 
 def test_symplectic_complete_keeps_supplied_pairs():
