@@ -1,6 +1,6 @@
 """Text format for subsystem codes.
 
-A code file starts with an ``n: <count>`` header followed by bracketed
+A code file starts with an ``n: <ASCII digits>`` header, then bracketed
 sections, one operator per line::
 
     n: 9
@@ -49,10 +49,10 @@ def parse_code_file(text: str) -> SubsystemCode:
         if n is None:
             if not stripped.startswith("n:"):
                 raise CodeFileError("expected 'n: <qubit count>' header", lineno)
-            try:
-                n = int(stripped[2:].strip())
-            except ValueError:
-                raise CodeFileError("invalid qubit count", lineno) from None
+            count = stripped[2:].strip()
+            if not (count.isascii() and count.isdigit()):  # int() takes "+5", "1_0", "９"
+                raise CodeFileError("invalid qubit count", lineno)
+            n = int(count)
             if n < 1:
                 raise CodeFileError("qubit count must be positive", lineno)
             continue

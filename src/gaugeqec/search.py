@@ -24,16 +24,16 @@ inside the gauge group, so their span modulo the stabilizer cannot exceed
 2r; no candidate is lost.  The depth-first enumeration (``_sweep_chunk``)
 solves a node's commutation constraints on the next level once and hands
 the solve, the span and one mask of commuting low-weight classes to its
-children, each refined with one XOR per step of their Gray-code walk.  With
-S = S′ + ⟨u⟩, most leaves are rejected in the walk that makes them by
-counting their commuting low-weight classes mod S′ against 2^(2r+1) − 1; the
-rest by the rank loop of ``check_subspace``.  A surviving leaf reads its
-gauge sectors off a table of coordinate bases built once per shape.  A
-covering sector puts every commuting Pauli of weight below d_min into the
-gauge group, so each nondegenerate one is a code with d >= d_min.  The job
-that finds it checks its integer rows and completes them to a frame once,
-and the code is read off the frame; the distance walk on the code's rows is
-only a guard.
+children, each refined with one XOR per step of their Gray-code walk.
+With S = S′ + ⟨u⟩, a leaf is rejected when its commuting low-weight classes
+number more than 2^(2r+1) − 1 mod S′, counted in the walk that makes it,
+or 2^(2r) − 1 mod S, counted by ``check_subspace`` before its exact rank
+loop.  A surviving leaf reads its gauge sectors off a table of coordinate
+bases built once per shape.  A covering sector puts every commuting Pauli of
+weight below d_min into the gauge group, so each nondegenerate one is a code
+with d >= d_min.  The job that finds it checks its integer rows and
+completes them to a frame once, and the code is read off the frame; the
+distance walk on the code's rows is only a guard.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -318,33 +318,32 @@ class _ParentRows:
 
     Built when the first of those leaves passes the class count.  The rows
     are in RREF, so their (pivot, row) ``pairs`` reduce a vector modulo them;
-    ``reduced[i]`` is low-weight vector i so reduced, 0 until first needed.
+    ``reduced[i]`` is low vector i so reduced, 0 until needed; ``span`` is S′.
     """
 
-    __slots__ = ("rows", "pairs", "reduced")
+    __slots__ = ("rows", "pairs", "reduced", "span")
 
     def __init__(self, rows: Sequence[int], pivots: Sequence[int], nlow: int):
         self.rows = tuple(rows)
         self.pairs = tuple(zip(pivots, self.rows))
         self.reduced = [0] * nlow
+        self.span = list(gf2.gray_walk(0, self.rows))
 
 
 class _SweepContext:
     def __init__(self, spec: SweepSpec):
-        self.n = spec.n
-        self.s = spec.s
-        self.r = spec.r
-        self.d_min = spec.d_min
+        self.n, self.s, self.r, self.d_min = spec.n, spec.s, spec.r, spec.d_min
         self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
         # Bit i of a mask stands for self.low[i]; ``anti(u)`` masks the
         # low-weight vectors that anticommute with u.
         anti = gf2.ParityMap((swap_halves(v, spec.n) for v in self.low), 2 * spec.n)
         self.anti = anti.__call__  # a bound method is cheaper to call than the instance
-        # a passing leaf's commuting classes mod S′ span at most 2r + 1 dimensions
-        self.class_cap = (1 << (2 * spec.r + 1)) - 1
-        self.index = {v: i for i, v in enumerate(self.low)}
-        self.index[0] = -1  # the zero class counts as holding a lower vector
+        # a passing leaf's commuting classes span at most 2r + 1 dimensions mod S′, 2r mod S
+        self.class_cap, self.leaf_cap = (1 << (2 * spec.r + 1)) - 1, (1 << (2 * spec.r)) - 1
+        # the zero class counts as holding a lower vector
+        self.index = {v: i for i, v in enumerate(self.low)} | {0: -1}
         self.dups: dict[int, int] = {}
+        self.profile: tuple = (None,)  # (pivots, state) of the last profile ``_sweep_chunk`` swept
 
     def dup(self, g: int) -> int:
         """Mask of the low-weight vectors v with v + g zero or an earlier low vector.
@@ -357,19 +356,33 @@ class _SweepContext:
         mask = self.dups[g] = sum(1 << i for i, v in enumerate(self.low) if index.get(v ^ g, i) < i)
         return mask
 
+    def leaf_classes(self, parent: _ParentRows, u: int, reps: int) -> int:
+        """``reps`` with one bit left per distinct nonzero class mod S = S′ + ⟨u⟩.
+
+        ``dup(g ^ u)`` over g in S′ marks each v with v + u + g zero or an
+        earlier low vector, which commutes with S when v does.
+        """
+        merged = 0
+        for g in parent.span:
+            m = self.dups.get(g ^ u)
+            merged |= self.dup(g ^ u) if m is None else m
+        return reps & ~merged
+
     def check_subspace(self, parent: _ParentRows, u: int, reps: int) -> list[int] | None:
         """Independent low-weight centralizer classes, or None past the bound.
 
         The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and ``reps``
         masks the first low-weight vector of each nonzero class mod S′ that
-        commutes with all of S; any other commuting low-weight vector
-        reduces mod S′ to 0 or to the reduction of an earlier one of these.
-        Their classes mod S span rank({u} ∪ L) − 1 dimensions, where L holds
-        them reduced mod S′; more than 2r of them reject S.  The rank is
-        taken with a small basis that stops as soon as it passes 2r + 1.
-        The vectors whose reductions it keeps are the witnesses: the greedy
+        commutes with all of S.  ``leaf_classes`` merges them mod S; more than
+        2^(2r) − 1 distinct nonzero classes reject S with no rank taken.  The
+        rest span rank({u} ∪ L) − 1 dimensions, L holding them reduced mod
+        S′, with a small basis that stops as soon as it passes 2r + 1.  The
+        vectors whose reductions it keeps are the witnesses: the greedy
         basis of those classes in canonical order, whose length is that rank.
         """
+        m = self.leaf_classes(parent, u, reps)
+        if m.bit_count() > self.leaf_cap:
+            return None
         cap = 2 * self.r + 1
         pairs, reduced, low = parent.pairs, parent.reduced, self.low
         for p, row in pairs:
@@ -377,7 +390,6 @@ class _SweepContext:
                 u ^= row
         basis = [u]  # nonzero: u is independent of S′
         witnesses: list[int] = []
-        m = reps
         while m:
             bit = m & -m
             m ^= bit
@@ -506,57 +518,66 @@ def _sweep_chunk(ctx: _SweepContext, args):
     constraints against the earlier rows, so only isotropic bases are
     visited.  A level's constraint against a row is the row's swapped form
     on the level's free columns, with the parity it leaves for the pivot bit
-    as a tag bit at column 2n.  A node solves its rows' constraints on the
-    next level once (in ``children``): the RREF start, plus one kernel vector
-    k_f per remaining free column f.  Each child adds one constraint row,
-    reduced against that solve to r, which is linear in the child and so
-    follows its Gray-code walk with one XOR per step.  r = 0 keeps the
-    node's solutions; the tag bit alone (0 = 1) drops the child; otherwise
-    r's lowest bit p becomes a pivot, and every k_f gains r_f·k_p, the start
-    as the k of the tag column: the RREF solution of the child's rows.
+    as a tag bit at column 2n.  A node's ``solve`` of its rows' constraints
+    on the next level is the RREF start plus one kernel vector k_f per
+    remaining free column f.  Each child adds one constraint row, reduced
+    against that solve to r, which follows the children's Gray-code walk
+    with one XOR per step.  r = 0 keeps the node's solutions; the tag bit
+    alone (0 = 1) drops the child; otherwise r's lowest bit p becomes a
+    pivot, and every k_f gains r_f·k_p, the start as the k of the tag
+    column.  The free columns and the root's solve depend on the pivot
+    profile alone; ``ctx.profile`` keeps them for the last profile swept.
 
     Each of those vectors v is held as v | anti(v) << 2n.  ``anti`` is
     linear, so the same XOR moves both parts and x & ``cols`` reads v.  A
-    node is (rows, span, classes, u, steps): its rows, their span (None at
-    a leaf-parent, which holds s − 1 rows S′), the class mask, its
-    children's start u and their Gray-walk steps; ``rows`` is shared.  Bit i
-    of ``classes`` is set when low[i] commutes with every row and is the
-    first low-weight vector of its nonzero class mod the span; a child that
-    adds v clears anti(v) and ``dup`` of every new span element.  ``rec``
-    walks a leaf-parent's leaves in the loop that takes it from
-    ``children``, or at s = 1 from the chunk: a leaf keeps reps = classes &
-    ~anti(u).  A leaf with more reps than ``class_cap`` costs one AND and
-    one popcount; the first other leaf builds its parent's ``_ParentRows``.
+    node is (rows, span, classes, u, steps): its rows (shared), their span
+    (None at a leaf-parent, which holds s − 1 rows S′), the class mask, its
+    children's start u and their Gray-walk steps.  Bit i of ``classes`` is
+    set when low[i] commutes with every row and is the first low-weight
+    vector of its nonzero class mod the span; a child that adds v clears
+    anti(v) and ``dup`` of every new span element.  ``rec`` walks a
+    leaf-parent's leaves in the loop that takes it from ``children`` (at
+    s = 1, from the chunk): a leaf keeps reps = classes & ~anti(u).  A leaf
+    with more reps than ``class_cap`` costs one AND and one popcount; the
+    first other leaf builds its parent's ``_ParentRows``, and
+    ``check_subspace`` merges the leaf's classes mod S before any rank.
     Returns (subspaces, sectors examined, the codes of the kept sectors).
     """
     pivots, row0_bits = args
     n, s = ctx.n, ctx.s
     ncols = 2 * n
     tag, cols = 1 << ncols, (1 << ncols) - 1
-    frees = _free_cols(pivots, ncols)
-    free_masks = [sum(1 << c for c in free) for free in frees]
-    row0 = (1 << pivots[0]) | _combine(row0_bits, [1 << c for c in frees[0]])
     anti_of, dup, stored_dup, cap = ctx.anti, ctx.dup, ctx.dups.get, ctx.class_cap
 
-    subspaces = 0
-    sectors_examined = 0
+    subspaces = sectors_examined = 0
     codes: list[SubsystemCode] = []
 
     def constraint(level: int, v: int) -> int:
         sw = swap_halves(v & cols, n)
         return sw & free_masks[level] | ((sw >> pivots[level]) & 1) << ncols
 
-    def children(level, rows, span, classes, u, steps):
-        """The children of a node holding ``level`` rows, as nodes for ``rec``."""
+    def solve(level, rows):
+        """(elim, kernel, its values, start) of the rows' constraints on the next level."""
         elim = gf2.Eliminator(constraint(level + 1, v) for v in rows)
         if elim.pivots and elim.pivots[-1][0] == ncols:
-            return  # the rows' constraints on the next level are 0 = 1
-        # k_f holds the pivots below its free column f, which is its top bit;
-        # the start rides last, as the k of the tag column
+            return None, None, None, None  # 0 = 1
+        # k_f holds the pivots below its free column f, which is its top bit
         kernel = {k.bit_length() - 1: k | anti_of(k) << ncols for k in elim.kernel(frees[level + 1])}
         start = 1 << pivots[level + 1] | elim.solution(ncols)
-        kernel[ncols] = start | anti_of(start) << ncols
-        kept = list(kernel.values())
+        return elim, kernel, list(kernel.values()), start | anti_of(start) << ncols
+
+    if ctx.profile[0] != pivots:  # a profile's chunks are consecutive jobs
+        frees = _free_cols(pivots, ncols)
+        free_masks = [sum(1 << c for c in free) for free in frees]
+        ctx.profile = (pivots, frees, free_masks, [1 << c for c in frees[0]], solve(0, []) if s > 1 else None)
+    _, frees, free_masks, row0_cols, root = ctx.profile
+    row0 = (1 << pivots[0]) | _combine(row0_bits, row0_cols)
+
+    def children(level, rows, span, classes, u, steps):
+        """The children of a node holding ``level`` rows, as nodes for ``rec``."""
+        elim, kernel, kept, start = solve(level, rows) if level else root
+        if kernel is None:
+            return  # the rows' constraints on the next level are 0 = 1
         carry = level + 2 < s  # the children are not leaf-parents
         r = elim.reduce(constraint(level + 1, u))
         r_steps = [elim.reduce(constraint(level + 1, v)) for v in steps]
@@ -566,18 +587,19 @@ def _sweep_chunk(ctx: _SweepContext, args):
                 r ^= r_steps[b]
             if r == tag:
                 continue  # the child's constraints reduce to 0 = 1
-            child = kept
-            if r:
+            child_start, child_steps = start, kept
+            if r:  # the start is the k of the tag column
                 p = (r & -r).bit_length() - 1
                 kp = kernel[p]
-                child = [k ^ kp if r >> f & 1 else k for f, k in kernel.items() if f != p]
+                child_steps = [k ^ kp if r >> f & 1 else k for f, k in kernel.items() if f != p]
+                child_start = start ^ kp if r & tag else start
             v = u & cols
             cleared = u >> ncols
             for g in span:
                 m = stored_dup(g ^ v)
                 cleared |= dup(g ^ v) if m is None else m
             rows.append(v)
-            yield rows, span + [g ^ v for g in span] if carry else None, classes & ~cleared, child[-1], child[:-1]
+            yield rows, span + [g ^ v for g in span] if carry else None, classes & ~cleared, child_start, child_steps
             rows.pop()
 
     def rec(level, nodes) -> None:
@@ -612,12 +634,10 @@ def _sweep_chunk(ctx: _SweepContext, args):
 
 
 def _sweep_chunks(spec: SweepSpec) -> list[tuple[tuple[int, ...], int]]:
+    """(pivots, row0_bits) jobs; row 0 has 2n − s − pivots[0] free columns."""
     ncols = 2 * spec.n
-    chunks = []
-    for pivots in combinations(range(ncols), spec.s):
-        f0 = len(_free_cols(pivots, ncols)[0])
-        chunks.extend((pivots, bits) for bits in range(1 << f0))
-    return chunks
+    return [(pivots, bits) for pivots in combinations(range(ncols), spec.s)
+            for bits in range(1 << (ncols - spec.s - pivots[0]))]
 
 
 def sweep_nonexistence(

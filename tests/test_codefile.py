@@ -118,3 +118,14 @@ def test_negative_qubit_count():
         parse_code_file("n: 0\n")
     with pytest.raises(CodeFileError):
         parse_code_file("n: nine\n")
+
+
+@pytest.mark.parametrize("count", ["９", "1_0", "+5", "-3", "5.0", "0x5", "²", "5 5", ""])
+def test_the_qubit_count_is_ascii_digits_only(count):
+    with pytest.raises(CodeFileError, match="invalid qubit count") as err:
+        parse_code_file(f"# header next\nn: {count}\n[stabilizer]\nZZZZZ\n")
+    assert err.value.line == 2
+
+
+def test_the_qubit_count_may_have_leading_zeros_and_spaces():
+    assert parse_code_file("n:  03 \n[stabilizer]\nZZZ\nIZZ\n").n == 3

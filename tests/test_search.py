@@ -156,6 +156,32 @@ def test_sweep_worker_count_does_not_change_the_result():
         assert counts[0] == counts[1], spec
 
 
+def test_per_profile_state_does_not_change_a_chunk():
+    """A context keeps state for the last pivot profile it swept.
+
+    Jobs of a pool worker can come from any profile, so chunks taken in a
+    shuffled order on one context, pickled on the way as a pool's is, give
+    what each gives on a fresh context; an unbudgeted two-worker sweep
+    returns their concatenation in canonical order.
+    """
+    spec = SweepSpec(4, 1, 1, 2)
+    chunks = search._sweep_chunks(spec)
+    fresh = [search._sweep_chunk(search._SweepContext(spec), job) for job in chunks]
+    order = list(range(len(chunks)))
+    random.Random(31).shuffle(order)
+    ctx = search._SweepContext(spec)
+    for step, i in enumerate(order):
+        assert search._sweep_chunk(ctx, chunks[i]) == fresh[i], chunks[i]
+        if step % 16 == 0:
+            ctx = pickle.loads(pickle.dumps(ctx))
+    res = sweep_nonexistence(spec, workers=2)
+    assert res.exhausted
+    assert res.codes == [code for _, _, codes in fresh for code in codes]
+    assert (res.stats.subspaces, res.stats.sectors, res.stats.candidates) == (
+        sum(f[0] for f in fresh), sum(f[1] for f in fresh), sum(len(f[2]) for f in fresh)
+    ) == (5355, 146475, 4320)
+
+
 def test_hyperbolic_split_exists_exactly_for_a_nondegenerate_span():
     def vecs(*strings):
         return [pauli_from_string(s).vec for s in strings]
@@ -448,6 +474,50 @@ def test_class_mask_holds_the_first_commuting_vector_of_each_class(monkeypatch, 
                 seen.add(v)
         u_str = _letters(u, n)
         assert reps == sum(1 << i for i in firsts[rows] if not anticommute(low[i], u_str)), (rows, u)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _, _ in LEAF_ORDER_GOLDENS])
+def test_leaf_classes_are_the_distinct_classes_mod_the_leaf(monkeypatch, spec):
+    """``leaf_classes`` at every leaf that reaches ``check_subspace``, in string arithmetic.
+
+    Bit i is set exactly when low[i] is the first Pauli of weight below
+    d_min in its nonzero class mod S = S′ + u and commutes with S, so the
+    count is the number of distinct nonzero classes mod S of those Paulis.
+    """
+    calls, checks = [], []
+    leaf_classes, check = search._SweepContext.leaf_classes, search._SweepContext.check_subspace
+
+    def record_classes(self, parent, u, reps):
+        mask = leaf_classes(self, parent, u, reps)
+        calls.append((parent.rows + (u,), mask))
+        return mask
+
+    def record_check(self, parent, u, reps):
+        checks.append(u)
+        return check(self, parent, u, reps)
+
+    monkeypatch.setattr(search._SweepContext, "leaf_classes", record_classes)
+    monkeypatch.setattr(search._SweepContext, "check_subspace", record_check)
+    sweep_nonexistence(spec)
+    assert calls and len(calls) == len(checks)
+    n, identity = spec.n, "I" * spec.n
+    low = [_letters(v, n) for v in search._SweepContext(spec).low]
+    anticommute = functools.cache(naive_ops.anticommute)
+    for rows, mask in calls:
+        strings = [_letters(g, n) for g in rows]
+        span = {identity}
+        for g in strings:
+            span |= {naive_ops.mul(g, h)[1] for h in span}
+        classes, firsts = set(), []
+        for i, p in enumerate(low):
+            if any(anticommute(p, g) for g in strings):
+                continue
+            coset = frozenset(naive_ops.mul(p, g)[1] for g in span)
+            if identity not in coset and coset not in classes:
+                classes.add(coset)
+                firsts.append(i)
+        assert mask.bit_count() == len(classes), rows
+        assert mask == sum(1 << i for i in firsts), rows
 
 
 # sha256 of code lists whose codes are assembled from their rows, captured
