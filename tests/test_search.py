@@ -207,6 +207,8 @@ def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(mon
         (SweepSpec(3, 1, 1, 2), (63, 945, 0, 0)),  # s = 1: every leaf is a first row
         (SweepSpec(4, 1, 0, 2), (11475, 2268, 2268, 2268)),
         (SweepSpec(4, 2, 0, 2), (5355, 216, 216, 216)),
+        # the rank loop rejects 66 of the 255 leaves, which then examine no sectors
+        (SweepSpec(4, 1, 2, 2), (255, 123039, 0, 0)),
     ],
 )
 def test_sweep_work_counts_are_pinned(spec, counts):
@@ -306,6 +308,9 @@ def test_class_count_rejects_only_leaves_the_rank_bound_rejects(monkeypatch, spe
         SweepSpec(4, 2, 0, 2),  # the class count rejects 5,139 of 5,355 leaves
         # at d = 3 the weight-2 vectors merge mod S′, so classes are not vectors
         SweepSpec(5, 1, 1, 3, budget=5_000),
+        # the rank loop rejects 66 of 255 leaves here and 840 of 2,048 in the next
+        SweepSpec(4, 1, 2, 2),
+        SweepSpec(5, 2, 1, 2, budget=20_000),
     ],
 )
 def test_rank_bound_matches_a_from_scratch_count(monkeypatch, spec):
