@@ -42,15 +42,32 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _int(text: str) -> int:
+    """An optional '-' then ASCII digits; int() also takes '+', '_' and other scripts' digits."""
+    if not (text.removeprefix("-").isdigit() and text.isascii()):
+        raise argparse.ArgumentTypeError(f"must be an ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """ASCII text with no '_' read by float(), which also takes other scripts' digits."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an ASCII decimal number, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 0 <= value < SEED_BOUND:
         raise argparse.ArgumentTypeError(f"must be in [0, 2^128), got {value}")
     return value
@@ -286,30 +303,30 @@ def _build_parser() -> _Parser:
     p = add("decode", _cmd_decode, help="decode an error (or dump the table)")
     p.add_argument("--code", required=True)
     p.add_argument("--error", help="Pauli string; omit to dump the table")
-    p.add_argument("--t", type=int, default=1, help="max tabulated error weight")
+    p.add_argument("--t", type=_int, default=1, help="max tabulated error weight")
 
     p = add("find-gauge", _cmd_find_gauge, help="search for gauge symmetries")
     p.add_argument("--code", required=True)
-    p.add_argument("--distance-min", type=int, required=True)
+    p.add_argument("--distance-min", type=_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true", help="progress to stderr")
 
     p = add("sweep", _cmd_sweep, help="enumerate all codes at a parameter point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--distance-min", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--distance-min", type=_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo logical error rates")
     p.add_argument("--code", required=True)
-    p.add_argument("--p", type=float, required=True, help="depolarizing probability")
-    p.add_argument("--shots", type=int, required=True)
+    p.add_argument("--p", type=_float, required=True, help="depolarizing probability")
+    p.add_argument("--shots", type=_int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--t", type=_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
         "--fallback-identity", action="store_true",

@@ -313,23 +313,6 @@ def find_gauge_symmetries(
 # parameter sweeps
 
 
-class _ParentRows:
-    """The first s − 1 rows of a subspace, shared by the leaves extending them.
-
-    Built when the first of those leaves passes the class count.  The rows
-    are in RREF, so their (pivot, row) ``pairs`` reduce a vector modulo them;
-    ``reduced[i]`` is low vector i so reduced, 0 until needed; ``span`` is S′.
-    """
-
-    __slots__ = ("rows", "pairs", "reduced", "span")
-
-    def __init__(self, rows: Sequence[int], pivots: Sequence[int], nlow: int):
-        self.rows = tuple(rows)
-        self.pairs = tuple(zip(pivots, self.rows))
-        self.reduced = [0] * nlow
-        self.span = list(gf2.gray_walk(0, self.rows))
-
-
 class _SweepContext:
     def __init__(self, spec: SweepSpec):
         self.n, self.s, self.r, self.d_min = spec.n, spec.s, spec.r, spec.d_min
@@ -356,61 +339,57 @@ class _SweepContext:
         mask = self.dups[g] = sum(1 << i for i, v in enumerate(self.low) if index.get(v ^ g, i) < i)
         return mask
 
-    def leaf_classes(self, parent: _ParentRows, u: int, reps: int) -> int:
+    def leaf_classes(self, span: Sequence[int], u: int, reps: int) -> int:
         """``reps`` with one bit left per distinct nonzero class mod S = S′ + ⟨u⟩.
 
-        ``dup(g ^ u)`` over g in S′ marks each v with v + u + g zero or an
-        earlier low vector, which commutes with S when v does.
+        ``span`` lists S′.  ``dup(g ^ u)`` over g in S′ marks each v with
+        v + u + g zero or an earlier low vector, which commutes with S when v
+        does.
         """
         merged = 0
-        for g in parent.span:
+        for g in span:
             m = self.dups.get(g ^ u)
             merged |= self.dup(g ^ u) if m is None else m
         return reps & ~merged
 
-    def check_subspace(self, parent: _ParentRows, u: int, reps: int) -> list[int] | None:
+    def check_subspace(
+        self, rows: tuple[int, ...], span: Sequence[int], u: int, reps: int
+    ) -> list[int] | None:
         """Independent low-weight centralizer classes, or None past the bound.
 
-        The subspace is S = S′ + ⟨u⟩ with S′ = ``parent.rows``, and ``reps``
-        masks the first low-weight vector of each nonzero class mod S′ that
-        commutes with all of S.  ``leaf_classes`` merges them mod S; more than
-        2^(2r) − 1 distinct nonzero classes reject S with no rank taken.  The
-        rest span rank({u} ∪ L) − 1 dimensions, L holding them reduced mod
-        S′, with a small basis that stops as soon as it passes 2r + 1.  The
-        vectors whose reductions it keeps are the witnesses: the greedy
-        basis of those classes in canonical order, whose length is that rank.
+        The subspace is S = S′ + ⟨u⟩, S′ given by its RREF ``rows`` and its
+        ``span``, and ``reps`` masks the first low-weight vector of each
+        nonzero class mod S′ that commutes with all of S.  ``leaf_classes``
+        merges them mod S; more than 2^(2r) − 1 distinct nonzero classes
+        reject S with no rank taken.  Then u and each class's vector are
+        kept greedily, in that order, when independent of S′ and of those
+        kept before: reduced mod S′ on each row's lowest bit, its pivot, and
+        against the kept reductions on their top bits.  Past 2r + 1 kept,
+        S is rejected; otherwise the vectors kept after u are the witnesses,
+        a basis of those classes mod S in canonical order.
         """
-        m = self.leaf_classes(parent, u, reps)
+        m = self.leaf_classes(span, u, reps)
         if m.bit_count() > self.leaf_cap:
             return None
-        cap = 2 * self.r + 1
-        pairs, reduced, low = parent.pairs, parent.reduced, self.low
-        for p, row in pairs:
-            if u >> p & 1:
-                u ^= row
-        basis = [u]  # nonzero: u is independent of S′
-        witnesses: list[int] = []
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            v = reduced[i]
-            if not v:  # a class representative never reduces to 0
-                v = low[i]
-                for p, row in pairs:
-                    if v >> p & 1:
-                        v ^= row
-                reduced[i] = v
-            # insertion-order reduction on each row's top bit
-            for b in basis:
+        kept, basis, w = [], [], u
+        while True:
+            v = w
+            for row in rows:
+                if v & row & -row:
+                    v ^= row
+            for b in basis:  # insertion-order reduction on each row's top bit
                 if v ^ b < v:
                     v ^= b
-            if v:  # independent of S and the witnesses so far
+            if v:
                 basis.append(v)
-                witnesses.append(low[i])
-                if len(basis) > cap:
+                kept.append(w)
+                if len(kept) > 2 * self.r + 1:
                     return None
-        return witnesses
+            if not m:
+                return kept[1:]
+            bit = m & -m
+            m ^= bit
+            w = self.low[bit.bit_length() - 1]
 
     def sectors(
         self, rows: Sequence[int], witnesses: list[int]
@@ -539,8 +518,8 @@ def _sweep_chunk(ctx: _SweepContext, args):
     leaf-parent's leaves in the loop that takes it from ``children`` (at
     s = 1, from the chunk): a leaf keeps reps = classes & ~anti(u).  A leaf
     with more reps than ``class_cap`` costs one AND and one popcount; the
-    first other leaf builds its parent's ``_ParentRows``, and
-    ``check_subspace`` merges the leaf's classes mod S before any rank.
+    first other leaf makes S′, the rows as a tuple, and its span, and
+    ``check_subspace`` takes both with u and reps alone.
     Returns (subspaces, sectors examined, the codes of the kept sectors).
     """
     pivots, row0_bits = args
@@ -610,20 +589,21 @@ def _sweep_chunk(ctx: _SweepContext, args):
                 rec(level + 1, children(level, rows, span, classes, u, steps))
                 continue
             subspaces += 1 << len(steps)
-            parent = None
+            sprime = None  # S′ as a tuple, made at the first leaf past the class count
             for b in _gray_order(len(steps)):
                 if b is not None:
                     u ^= steps[b]
                 reps = classes & ~(u >> ncols)
                 if reps.bit_count() > cap:
                     continue
-                if parent is None:
-                    parent = _ParentRows(rows, pivots, len(ctx.low))
+                if sprime is None:
+                    sprime = tuple(rows)
+                    span = list(gf2.gray_walk(0, sprime))
                 v = u & cols
-                witnesses = ctx.check_subspace(parent, v, reps)
+                witnesses = ctx.check_subspace(sprime, span, v, reps)
                 if witnesses is None:
                     continue
-                full_rows = parent.rows + (v,)
+                full_rows = sprime + (v,)
                 examined, sector_list = ctx.sectors(full_rows, witnesses)
                 sectors_examined += examined
                 codes.extend(_guarded_code(n, full_rows, pairs, ctx.d_min) for pairs in sector_list)

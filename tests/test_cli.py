@@ -316,6 +316,74 @@ def test_largest_seed_is_accepted():
     assert f"seed: {(1 << 128) - 1}\n" in out
 
 
+SIMULATE = ("simulate", "--code", "shor9", "--p", "0.01", "--shots", "10", "--seed", "3")
+SWEEP = ("sweep", "--n", "4", "--k", "1", "--r", "1", "--distance-min", "2")
+
+
+def _with(argv, option, value):
+    """``argv`` with ``option`` set to ``value``, appended when it is absent."""
+    argv = list(argv)
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+        return argv
+    return argv + [option, value]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (SIMULATE, "--seed", "٣"),  # Arabic-Indic three
+        (SIMULATE, "--seed", "1_0"),
+        (SIMULATE, "--seed", "+3"),
+        (SIMULATE, "--shots", "١٠"),
+        (SIMULATE, "--shots", " 10"),
+        (SIMULATE, "--t", "¹"),
+        (SIMULATE, "--workers", "２"),
+        (SIMULATE, "--p", "٠.٠١"),
+        (SIMULATE, "--p", "0.0_1"),
+        (SIMULATE, "--p", "0.01x"),
+        (SWEEP, "--n", "４"),  # fullwidth four
+        (SWEEP, "--distance-min", "２"),
+        (SWEEP, "--budget", "1_000"),
+        (("find-gauge", "--code", "shor9", "--distance-min", "3"), "--distance-min", "３"),
+        (("distance", "--code", "shor9"), "--budget", "١٠٠"),
+        (("decode", "--code", "shor9"), "--t", "1.0"),
+    ],
+)
+def test_numeric_options_take_ascii_decimals_only(argv, option, value):
+    code, out, err = run_cli(*_with(argv, option, value))
+    assert code == 1 and out == ""
+    assert f"error: argument {option}: must be an ASCII decimal" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, message",
+    [
+        (SIMULATE, "--shots", "-3", "negative shot count"),
+        (SIMULATE, "--t", "-1", "max corrected weight must be >= 0"),
+        (SIMULATE, "--p", "-0.5", "--p must be in [0, 1]"),
+        (SWEEP, "--n", "0", "need n, k >= 1"),
+        (SWEEP, "--r", "-1", "need n, k >= 1, r >= 0"),
+        (("find-gauge", "--code", "shor9", "--distance-min", "-3"), "--distance-min", "-3",
+         "d_min must be >= 1"),
+    ],
+)
+def test_ascii_numbers_out_of_range_reach_the_range_check(argv, option, value, message):
+    code, out, err = run_cli(*_with(argv, option, value))
+    assert code == 1 and out == ""
+    assert message in err and "ASCII" not in err
+
+
+def test_ascii_numbers_read_as_before():
+    code, out, _ = run_cli(*_with(SIMULATE, "--seed", "-0"))
+    assert code == 0 and "seed: 0\n" in out
+    code, out, _ = run_cli(*_with(SIMULATE, "--shots", "0"))
+    assert code == 0 and "shots: 0\n" in out
+    code, out, _ = run_cli(*_with(SIMULATE, "--p", "1e-2"))
+    assert code == 0 and out == run_cli(*SIMULATE)[1]
+
+
 # stdout captured before the batch decoder replaced the per-shot loop in run()
 SIMULATE_GOLDEN = [
     (

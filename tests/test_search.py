@@ -255,9 +255,9 @@ def _recorded_leaves(monkeypatch, spec, class_count=False):
     original = search._SweepContext.check_subspace
     init = search._SweepContext.__init__
 
-    def record(self, parent, u, reps):
-        result = original(self, parent, u, reps)
-        seen.append((parent.rows + (u,), result))
+    def record(self, rows, span, u, reps):
+        result = original(self, rows, span, u, reps)
+        seen.append((rows + (u,), result))
         return result
 
     def uncapped(self, spec):
@@ -451,9 +451,9 @@ def test_class_mask_holds_the_first_commuting_vector_of_each_class(monkeypatch, 
     calls = []
     check = search._SweepContext.check_subspace
 
-    def record(self, parent, u, reps):
-        calls.append((parent.rows, u, reps))
-        return check(self, parent, u, reps)
+    def record(self, rows, span, u, reps):
+        calls.append((rows, u, reps))
+        return check(self, rows, span, u, reps)
 
     monkeypatch.setattr(search._SweepContext, "check_subspace", record)
     res, _ = _recorded_leaves(monkeypatch, spec)
@@ -489,26 +489,25 @@ def test_leaf_classes_are_the_distinct_classes_mod_the_leaf(monkeypatch, spec):
     d_min in its nonzero class mod S = S′ + u and commutes with S, so the
     count is the number of distinct nonzero classes mod S of those Paulis.
     """
-    calls, checks = [], []
+    masks, leaves = [], []
     leaf_classes, check = search._SweepContext.leaf_classes, search._SweepContext.check_subspace
 
-    def record_classes(self, parent, u, reps):
-        mask = leaf_classes(self, parent, u, reps)
-        calls.append((parent.rows + (u,), mask))
-        return mask
+    def record_classes(self, span, u, reps):
+        masks.append(leaf_classes(self, span, u, reps))
+        return masks[-1]
 
-    def record_check(self, parent, u, reps):
-        checks.append(u)
-        return check(self, parent, u, reps)
+    def record_check(self, rows, span, u, reps):
+        leaves.append(rows + (u,))
+        return check(self, rows, span, u, reps)
 
     monkeypatch.setattr(search._SweepContext, "leaf_classes", record_classes)
     monkeypatch.setattr(search._SweepContext, "check_subspace", record_check)
     sweep_nonexistence(spec)
-    assert calls and len(calls) == len(checks)
+    assert masks and len(masks) == len(leaves)
     n, identity = spec.n, "I" * spec.n
     low = [_letters(v, n) for v in search._SweepContext(spec).low]
     anticommute = functools.cache(naive_ops.anticommute)
-    for rows, mask in calls:
+    for rows, mask in zip(leaves, masks):
         strings = [_letters(g, n) for g in rows]
         span = {identity}
         for g in strings:
@@ -523,6 +522,29 @@ def test_leaf_classes_are_the_distinct_classes_mod_the_leaf(monkeypatch, spec):
                 firsts.append(i)
         assert mask.bit_count() == len(classes), rows
         assert mask == sum(1 << i for i in firsts), rows
+
+
+def test_the_leaf_test_is_a_function_of_its_arguments(monkeypatch):
+    """``check_subspace`` replayed in any order on a fresh context gives what the sweep got.
+
+    [[4,1,2,2]] has leaves that the class count passes and the rank loop
+    rejects, so both verdicts and the witnesses are replayed.
+    """
+    spec = SweepSpec(4, 1, 2, 2)
+    calls = []
+    check = search._SweepContext.check_subspace
+
+    def record(self, *args):
+        calls.append((args, check(self, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(search._SweepContext, "check_subspace", record)
+    sweep_nonexistence(spec)
+    monkeypatch.undo()
+    assert len(calls) == 255 and sum(result is None for _, result in calls) == 66
+    random.Random(32).shuffle(calls)
+    ctx = search._SweepContext(spec)
+    assert [ctx.check_subspace(*args) for args, _ in calls] == [result for _, result in calls]
 
 
 # sha256 of code lists whose codes are assembled from their rows, captured
