@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, validated
@@ -107,6 +107,7 @@ def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
 def coset_distance(n: int, gauge_rows: Sequence[int], logical_rows: Sequence[int]) -> int:
     """Minimum weight over the gauge cosets of every nontrivial logical class.
 
+    This exact walk is ``distance(code, "coset")``, the CLI's ``distance``.
     The classes, shifted by the span of the first gauge rows, are listed (at
     most 2^8 vectors while the classes fit); each coset of the span of the
     other gauge rows is that list XORed with one Gray-code offset.
@@ -122,6 +123,45 @@ def coset_distance(n: int, gauge_rows: Sequence[int], logical_rows: Sequence[int
         if best == 1:
             break
     return best
+
+
+def letter_keys(n: int, rows: Sequence[int]) -> list[int]:
+    """Keys of X, Y and Z on each qubit in turn: bit i is the product with rows[i]."""
+    cols = [0] * (2 * n)  # bit i of cols[c] is bit c of rows[i]
+    for i, v in enumerate(rows):
+        while v:
+            cols[(v & -v).bit_length() - 1] |= 1 << i
+            v &= v - 1
+    return [key for z, x in zip(cols[n:], cols[:n]) for key in (z, z ^ x, x)]
+
+
+def weight_keys(letters: Sequence[int], w: int, first: int = 0) -> Iterator[int]:
+    """Every key of weight w: an XOR of ``letters`` on w distinct qubits, from ``first // 3`` on."""
+    for j in range(first, len(letters) - 3 * w + 3):
+        if w == 1:
+            yield letters[j]
+        else:
+            for key in weight_keys(letters, w - 1, j - j % 3 + 3):
+                yield letters[j] ^ key
+
+
+def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int], d: int) -> bool:
+    """``coset_distance(n, gauge_rows, logical_rows) >= d``, decided without the walk.
+
+    A Pauli of weight below d that commutes with S but not with L is a product
+    A·B, weight(A) <= ⌈(d−1)/2⌉ and weight(B) <= ⌊(d−1)/2⌋, whose syndromes
+    agree and whose labels differ.  So the keys of the identity and of every B
+    fill a syndrome → label map that must stay a function, and each heavier A
+    must agree with it.
+    """
+    s, seen = len(stab_rows), {0: 0}
+    low, letters = (1 << s) - 1, letter_keys(n, [*stab_rows, *logical_rows])
+    for w in range(1, min(d // 2, n) + 1):
+        look = seen.setdefault if 2 * w < d else seen.get
+        for key in letters if w == 1 else weight_keys(letters, w):
+            if look(key & low, key >> s) != key >> s:
+                return False
+    return True
 
 
 def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_BUDGET) -> int:

@@ -14,9 +14,9 @@ C(S′) ∩ C(L), and for a stabilizer input both have dimension s + r, so
 they are equal.  The restructured code keeps d >= d_min exactly when no
 Pauli of weight below d_min whose syndrome lies in K = S′^⊥ anticommutes
 with a logical operator; those syndromes are one bitmask per code, and K
-is walked depth-first, pruning a node whose new coset hits the mask.  Each
-gauge x partner is a row of the symplectic frame that the kept z operators,
-S′ and L complete to, fixed modulo S, so partners need no search.
+is walked depth-first, each node masking the syndromes whose coset meets
+it.  Each gauge x partner is a row of the symplectic frame that the kept z
+operators, S′ and L complete to, fixed modulo S, so partners need no search.
 
 The sweep prunes by a necessary rank bound: any operator of weight below
 the distance target that commutes with the candidate stabilizer must end up
@@ -32,8 +32,8 @@ loop.  A surviving leaf reads its gauge sectors off a table of coordinate
 bases built once per shape.  A covering sector puts every commuting Pauli of
 weight below d_min into the gauge group, so each nondegenerate one is a code
 with d >= d_min.  The job that finds it checks its integer rows and
-completes them to a frame once, and the code is read off the frame; the
-distance walk on the code's rows is only a guard.
+completes them to a frame once, and the code is read off the frame;
+``distance.keeps_distance`` on the code's rows is only a guard.
 
 Work is split across workers by enumeration prefix with
 ``parallel.ordered_map``; results are merged in canonical enumeration
@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, frame_rows, singleton_check, validated
-from .distance import _tables, coset_distance
+from .distance import keeps_distance, letter_keys, weight_keys
 from .parallel import ordered_map
 from .pauli import low_weight_vecs, swap_halves
 from .tableau import PartialFrame
@@ -154,57 +154,62 @@ class _GaugeContext:
     """Immutable picture of the input code, shareable with workers.
 
     Bit ``sig`` of ``bad`` is set when a Pauli of weight 1 to d_min − 1 with
-    syndrome ``sig`` anticommutes with a logical operator.
+    syndrome ``sig`` anticommutes with a logical operator; the first with
+    syndrome 0 ends the build, and ``bad`` holds only bit 0.
     """
 
     def __init__(self, code: SubsystemCode, d_min: int):
-        self.s = s = code.s
-        self.bad = 0
-        # a key holds the syndrome in its low s bits (bit i: anticommutes with
-        # stabilizer generator i) and the logical label above them
-        for key in map(_tables(code).key, low_weight_vecs(code.n, d_min - 1)):
+        self.s, self.bad, letters = (s := code.s), 0, letter_keys(code.n, code.rows)
+        # halves[j] masks each y < 2^s with bit j clear
+        self.halves = [((1 << (1 << s)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
+                       for j in range(s)]
+        # a key holds the syndrome in its low s bits and the logical label above them
+        for key in (k for w in range(1, min(d_min, code.n + 1)) for k in weight_keys(letters, w)):
             if key >> s:
                 self.bad |= 1 << (key & ((1 << s) - 1))
+                if self.bad & 1:
+                    self.bad = 1
+                    break
+
+
+def _gauge_survivors(ctx: _GaugeContext, pivots: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The RREF rows of every subgroup S′ with this pivot profile that keeps d >= d_min.
+
+    S′ survives when no syndrome in K = S′^⊥ is ``bad``.  K has one basis
+    vector k per free column f of S′: bit f plus the pivots of the rows
+    holding bit f, any subset of the pivots below f.  Choosing them
+    depth-first walks every S′ of the profile once.  A node with span K′
+    holds a 2^s-bit mask ``blocked``, bit k set when k + K′ meets ``bad``;
+    taking k ORs in ``blocked`` XOR-translated by k (each bit j of k swaps
+    adjacent 2^j-bit blocks) and sets bit f of the rows holding its pivots.
+    """
+    levels = []  # per free column f: f, the pivots below it, the mask of its candidate k
+    for f in (f for f in range(ctx.s) if f not in pivots):
+        lower, mask = pivots[:f - len(levels)], 1 << (1 << f)
+        for p in lower:
+            mask |= mask << (1 << p)
+        levels.append((f, lower, mask))
+
+    def rec(level: int, blocked: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
+        f, lower, open_ = levels[level]
+        open_ &= ~blocked
+        while open_:
+            k = (open_ & -open_).bit_length() - 1
+            open_ &= open_ - 1
+            moved, child = blocked, [row ^ (k >> p & 1) << f for row, p in zip(rows, pivots)]
+            for j in (f, *lower):
+                if k >> j & 1:
+                    moved = (moved & ctx.halves[j]) << (1 << j) | moved >> (1 << j) & ctx.halves[j]
+            yield from rec(level + 1, blocked | moved, child) if level + 1 < len(levels) else [tuple(child)]
+
+    if not ctx.bad & 1:  # else a logical operator below d_min commutes with every S′
+        yield from rec(0, ctx.bad, [1 << p for p in pivots])
 
 
 def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
-    """Every subgroup S′ with this pivot profile; (examined, first survivor).
-
-    S′ survives when no syndrome in K = S′^⊥ is ``bad``: then no Pauli of
-    weight below d_min commutes with S′ and acts logically.  K has one
-    basis vector per free column f of S′: bit f plus the pivots of the rows
-    holding bit f, any subset of the pivots below f.  Choosing those vectors
-    depth-first, free column by free column, walks every S′ of the profile
-    once; each level tests only the new coset k + K′, and a node whose coset
-    hits ``bad`` is pruned with all its leaves.  The survivor returned is
-    the canonically first one's RREF rows, or None.
-    """
-    r = ctx.s - len(pivots)
-    frees = [f for f in range(ctx.s) if f not in pivots]
-    lowers = [[1 << p for p in pivots if p < f] for f in frees]
-    bad = ctx.bad
-    survivors: list[tuple[int, ...]] = []
-    ks: list[int] = []
-
-    def rec(level: int, span: list[int]) -> None:
-        if level == r:
-            survivors.append(tuple(
-                (1 << p) | sum(1 << f for f, k in zip(frees, ks) if (k >> p) & 1)
-                for p in pivots
-            ))
-            return
-        for bits in range(1 << len(lowers[level])):
-            k = (1 << frees[level]) | _combine(bits, lowers[level])
-            coset = [k ^ x for x in span]
-            if any(bad >> x & 1 for x in coset):
-                continue
-            ks.append(k)
-            rec(level + 1, span + coset)
-            ks.pop()
-
-    if not bad & 1:  # else a logical operator below d_min commutes with every S′
-        rec(0, [0])
-    return 1 << sum(map(len, lowers)), min(survivors, default=None)
+    """(examined, the canonical first survivor or None); pivot p's row has a bit per free f > p."""
+    examined = 1 << sum(ctx.s - len(pivots) - p + i for i, p in enumerate(pivots))
+    return examined, min(_gauge_survivors(ctx, pivots), default=None)
 
 
 def _solve_gauge_partners(
@@ -242,10 +247,10 @@ def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=())
 
     ``frame_rows`` checks and completes the rows and reads the code off
     them; invalid rows raise the ValueError of ``validated``.  Both searches
-    build only codes that keep d >= d_min, so ``coset_distance`` on the
-    code's rows, the walk of ``distance(code, "coset")``, is a guard: a code
-    below d_min raises RuntimeError.  Only the supplied logical rows carry
-    sign exponents, ``logical_signs``; a sweep supplies none.
+    build only codes that keep d >= d_min, so ``keeps_distance``, exact and
+    walk-free, is a guard: a code below d_min raises RuntimeError.  Only the
+    supplied logical rows carry sign exponents, ``logical_signs``; a sweep
+    supplies none.
     """
     g = len(stab) + 2 * len(pairs)
     sector = [v for pair in pairs for v in pair] + list(logical)
@@ -253,7 +258,7 @@ def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=())
     violations, code = frame_rows(n, stab, sector, len(pairs), signs=signs)
     if code is None:
         raise ValueError("invalid code: " + "; ".join(violations))
-    if coset_distance(n, code.rows[:g], code.rows[g:]) < d_min:
+    if not keeps_distance(n, code.rows[:code.s], code.rows[g:], d_min):
         raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
     return code
 
@@ -628,8 +633,8 @@ def sweep_nonexistence(
     """Every code at [[n, k, r]] with d >= d_min: a stabilizer and a gauge sector.
 
     A sector covering the stabilizer's witnesses holds every commuting Pauli
-    of weight below d_min, so its code keeps d >= d_min; the distance, taken
-    in the job that builds it, is only a guard.  ``candidates`` == ``len(codes)``.
+    of weight below d_min, so its code keeps d >= d_min; ``keeps_distance``,
+    checked in the job that builds it, is only a guard.  ``candidates`` == ``len(codes)``.
 
     Parameter points already excluded by the Singleton bound short-circuit to
     an exhausted empty result.  ``exhausted`` is False whenever the budget

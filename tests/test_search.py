@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import naive_ops
-from gaugeqec.catalog import catalog
+from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
-from gaugeqec.distance import Kind, classify, coset_distance, distance
+from gaugeqec.distance import Kind, classify, coset_distance, distance, keeps_distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
 from gaugeqec.pauli import PauliOp, pauli_from_string, vec_hermitian
@@ -196,7 +196,7 @@ def test_hyperbolic_split_exists_exactly_for_a_nondegenerate_span():
 def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(monkeypatch):
     # a sector covering the witnesses keeps d >= d_min by construction, so a
     # shortfall is a fault to report, not a candidate to drop
-    monkeypatch.setattr(search, "coset_distance", lambda n, gauge_rows, logical_rows: 1)
+    monkeypatch.setattr(search, "keeps_distance", lambda n, stab_rows, logical_rows, d: False)
     with pytest.raises(RuntimeError, match="d >= d_min"):
         sweep_nonexistence(SweepSpec(4, 1, 1, 2))
 
@@ -572,20 +572,20 @@ def _signed(n, v, e):
 
 
 def _assembled(monkeypatch, run):
-    """(arguments, guard distance, code) of every ``_guarded_code`` call of ``run``."""
-    calls, walked = [], []
-    guarded, walk = search._guarded_code, search.coset_distance
+    """(arguments, guard verdict, code) of every ``_guarded_code`` call of ``run``."""
+    calls, verdicts = [], []
+    guarded, guard = search._guarded_code, search.keeps_distance
 
     def record(*args):
         code = guarded(*args)
-        calls.append((args, walked[-1], code))
+        calls.append((args, verdicts[-1], code))
         return code
 
-    def record_walk(*args):
-        walked.append(walk(*args))
-        return walked[-1]
+    def record_guard(*args):
+        verdicts.append(guard(*args))
+        return verdicts[-1]
 
-    monkeypatch.setattr(search, "coset_distance", record_walk)
+    monkeypatch.setattr(search, "keeps_distance", record_guard)
     monkeypatch.setattr(search, "_guarded_code", record)
     run()
     monkeypatch.undo()
@@ -607,7 +607,7 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
     else:
         calls = _assembled(monkeypatch, lambda: sweep_nonexistence(spec))
     assert len(calls) == count
-    for (n, stab, pairs, d_min, *logical), guard_distance, code in calls:
+    for (n, stab, pairs, d_min, *logical), verdict, code in calls:
         ops = [_signed(n, v, e) for v, e in zip(*logical)]
         candidate = SubsystemCode(
             n,
@@ -619,11 +619,11 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
         assert code == expected and hash(code) == hash(expected)
         if logical:  # the supplied logical rows come back with their signs
             assert code.logical_ops() == ops
-        # the guard's walk, and the same walk on the code's generators
+        # the guard's verdict, and the coset walk on the code's generators
         walked = coset_distance(
             n, [op.vec for op in code.group_generators()], [op.vec for op in code.logical_ops()]
         )
-        assert guard_distance == walked == distance(code, "exhaustive") >= d_min
+        assert verdict is True and walked == distance(code, "exhaustive") >= d_min
 
 
 def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
@@ -638,14 +638,15 @@ def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
         logical = (base.rows[first:], base.signs[first:]) if supplied else ((), ())
         n, stab = base.n, [g.vec for g in base.stabilizer]
         pairs = [(x.vec, z.vec) for x, z in base.logical_pairs[:r]]
-        [(_, guard_distance, code)] = _assembled(
+        [(_, verdict, code)] = _assembled(
             monkeypatch, lambda: search._guarded_code(n, stab, pairs, 1, *logical)
         )
         candidate = SubsystemCode(n, base.stabilizer, tuple(
             (vec_hermitian(n, x), vec_hermitian(n, z)) for x, z in pairs),
             base.logical_pairs[r:] if supplied else ())
         assert code == validated(candidate) and code.r == r
-        assert guard_distance == distance(code, "exhaustive"), seed
+        walked = coset_distance(n, code.rows[:code.s + 2 * r], code.rows[code.s + 2 * r:])
+        assert verdict is True and walked == distance(code, "exhaustive"), seed
 
 
 def test_the_sweep_builds_one_code_object_per_code(monkeypatch):
@@ -853,12 +854,9 @@ def test_gauge_filter_rejects_every_subgroup_below_the_input_distance(seed, d_mi
             assert got == _reference_gauge_filter(code, d_min, pivots), pivots
 
 
-def _every_survivor(monkeypatch, ctx, pivots):
+def _every_survivor(ctx, pivots):
     """Every subgroup of the profile that the filter keeps, not only the first."""
-    monkeypatch.setattr(search, "min", lambda survivors, default: survivors, raising=False)
-    _, survivors = search._gauge_filter_chunk(ctx, pivots)
-    monkeypatch.undo()
-    return set(survivors)
+    return set(search._gauge_survivors(ctx, pivots))
 
 
 @pytest.mark.parametrize(
@@ -869,9 +867,7 @@ def _every_survivor(monkeypatch, ctx, pivots):
     ],
     ids=["five-qubit", "steane7"],
 )
-def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(
-    monkeypatch, name, kept
-):
+def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(name, kept):
     # the gauge group is C(S′) ∩ C(L), so the syndrome filter is exact: it
     # keeps S′ if and only if the restructured code has d >= d_min
     code = validated(catalog(name))
@@ -879,7 +875,7 @@ def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(
     verdicts = {}
     for d_min in kept:
         ctx = search._GaugeContext(code, d_min)
-        verdicts[d_min] = set().union(*(_every_survivor(monkeypatch, ctx, p) for p in profiles))
+        verdicts[d_min] = set().union(*(_every_survivor(ctx, p) for p in profiles))
     checked = 0
     for pivots in profiles:
         for rows in _subgroups(code.s, pivots):
@@ -927,6 +923,106 @@ def test_gauge_partners_are_the_free_columns_zero_solutions(name, subgroups):
                 assert [_letters(gx.vec, n) for gx, _ in got.gauge_pairs] == partners, rows
                 checked += 1
     assert checked == subgroups
+
+
+# (name, d_min, r, exhausted, subspaces, sha256 prefix of the restructured
+# code file), captured from the coset-list filter walk before the 2^s-bit mask walk
+CATALOG_GAUGE_GOLDENS = [
+    ("five-qubit", 1, 3, True, 8, "29b8bf249257354e"),
+    ("five-qubit", 2, 0, True, 65, None),
+    ("five-qubit", 3, 0, True, 65, None),
+    ("five-qubit", 4, 0, True, 65, None),
+    ("steane7", 1, 5, True, 32, "3729022b14632a8d"),
+    ("steane7", 2, 3, True, 1226, "da81425b8b958aba"),
+    ("steane7", 3, 0, True, 2823, None),
+    ("steane7", 4, 0, True, 2823, None),
+    ("shor9", 1, 7, True, 128, "2cca9c2706b5add1"),
+    ("shor9", 2, 5, True, 43818, "9f07c4f0fb4b07a5"),
+    ("shor9", 3, 4, True, 173741, "c7ec191883e6d5d2"),
+    ("shor9", 4, 0, True, 417197, None),
+]
+
+
+@pytest.mark.parametrize("name, d_min, r, exhausted, subspaces, sha", CATALOG_GAUGE_GOLDENS)
+def test_gauge_search_on_catalog_codes_matches_goldens(name, d_min, r, exhausted, subspaces, sha):
+    res = find_gauge_symmetries(catalog(name), d_min)
+    got = res.restructured and hashlib.sha256(serialize_code(res.restructured).encode()).hexdigest()
+    assert (res.r_found, res.exhausted, res.stats.subspaces, got and got[:16]) == (
+        r, exhausted, subspaces, sha)
+
+
+def _naive_bad(code, d_min):
+    """The syndromes of every Pauli of weight 1 to d_min − 1 that acts logically, from strings."""
+    n, s = code.n, code.s
+    stab = [_letters(v, n) for v in code.rows[:s]]
+    logical = [_letters(v, n) for v in code.rows[s:]]
+    bad = 0
+    for p in naive_ops.all_paulis_up_to_weight(n, d_min - 1, include_identity=False):
+        if any(naive_ops.anticommute(p, q) for q in logical):
+            bad |= 1 << sum(naive_ops.anticommute(p, g) << i for i, g in enumerate(stab))
+    return bad
+
+
+def test_bad_syndromes_match_string_arithmetic():
+    # an independent witness for the table the filter walks against; where
+    # a logical operator below d_min has syndrome 0, only that bit is kept
+    inputs = [(catalog(name), d_min) for name in ("shor9", "steane7", "five-qubit")
+              for d_min in (2, 3, 4)]
+    inputs += [(_random_stabilizer_code(seed), d_min) for seed, d_min, *_ in RANDOM_CODE_GOLDENS[:40]]
+    zero_syndrome = 0
+    for code, d_min in inputs:
+        code = validated(code)
+        bad, expected = search._GaugeContext(code, d_min).bad, _naive_bad(code, d_min)
+        if expected & 1:
+            assert bad == 1, (code, d_min)
+            zero_syndrome += 1
+        else:
+            assert bad == expected, (code, d_min)
+    assert 0 < zero_syndrome < len(inputs)
+
+
+def test_the_bad_syndrome_build_stops_at_a_logical_operator_below_d_min(monkeypatch):
+    # shor9 has d = 3: a weight-3 logical operator sets bit 0 and ends the
+    # build long before the 4^9 − 1 Paulis of weight 1 to 24 are keyed
+    keyed = []
+    weight_keys = search.weight_keys
+
+    def counting(letters, w):
+        for key in weight_keys(letters, w):
+            keyed.append(w)
+            yield key
+
+    monkeypatch.setattr(search, "weight_keys", counting)
+    assert search._GaugeContext(validated(catalog("shor9")), 25).bad == 1
+    assert max(keyed) == 3 and len(keyed) <= 27 + 324 + 2268
+    res = find_gauge_symmetries(catalog("shor9"), 25)
+    assert (res.r_found, res.exhausted, res.stats.subspaces, res.stats.candidates) == (
+        0, True, 417197, 0)
+
+
+def test_the_distance_threshold_test_equals_the_coset_walk(sweep_5103):
+    # keeps_distance(n, S, L, d) is coset_distance(n, G, L) >= d for every d
+    # up to n + 1, on catalog, sweep and random subsystem codes
+    codes = [validated(catalog(name)) for name in CATALOG_NAMES]
+    for spec in (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(4, 2, 0, 2)):
+        codes += sweep_nonexistence(spec).codes
+    codes += sweep_5103.codes
+    for seed in range(80):
+        base = validated(_random_stabilizer_code(seed))
+        r = random.Random(seed).randrange(base.k)
+        codes.append(validated(SubsystemCode(
+            base.n, base.stabilizer, base.logical_pairs[:r], base.logical_pairs[r:])))
+    pairs = below = 0
+    for code in codes:
+        n, s, g = code.n, code.s, code.s + 2 * code.r
+        walked = coset_distance(n, code.rows[:g], code.rows[g:])
+        for d in range(1, n + 2):
+            kept = keeps_distance(n, code.rows[:s], code.rows[g:], d)
+            assert kept == (walked >= d), (code, d, walked)
+            pairs += 1
+            below += not kept
+    assert len(codes) == 4 + 4320 + 2268 + 216 + 2592 + 80
+    assert pairs == 49_606 + 513 and 0 < below < pairs  # 513 pairs from the random codes
 
 
 def test_partner_solving_refuses_a_code_below_the_distance_target(monkeypatch):
