@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog
@@ -26,7 +25,7 @@ from .oracle import (
     verify_correctability,
     verify_subsystem_structure,
 )
-from .pauli import PauliFormatError, PauliOp, low_weight_vecs, pauli_from_string, vec_hermitian
+from .pauli import PauliFormatError, PauliOp, letter_vecs, pauli_from_string, vec_hermitian, weight_sums
 from .search import SweepSpec, find_gauge_symmetries, sweep_nonexistence
 
 
@@ -241,7 +240,7 @@ def _cmd_verify(args) -> int:
         and abs(proj.trace().real - 2 ** (c.n - c.s)) < 1e-10
     )
     structure = verify_subsystem_structure(c)
-    errors = [vec_hermitian(c.n, v) for v in chain((0,), low_weight_vecs(c.n, 1))]
+    errors = [vec_hermitian(c.n, v) for w in (0, 1) for v in weight_sums(letter_vecs(c.n), w)]
     dense_report = verify_correctability(c, errors)
     group_verdict = is_correctable_set(c, errors)
     agree = dense_report.ok == group_verdict.correctable

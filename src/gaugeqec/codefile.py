@@ -1,7 +1,7 @@
 """Text format for subsystem codes.
 
-A code file starts with an ``n: <ASCII digits>`` header, then bracketed
-sections, one operator per line::
+A code file starts with an ``n: <ASCII digits>`` header, n at most
+``MAX_CODE_QUBITS``, then bracketed sections, one operator per line::
 
     n: 9
 
@@ -25,6 +25,8 @@ from .code import SubsystemCode, validated
 from .pauli import PauliFormatError, pauli_from_string, pauli_to_string
 
 SECTIONS = ("stabilizer", "gauge_x", "gauge_z", "logical_x", "logical_z")
+# The largest ``n:`` a file may declare; validation holds 2n vectors of 2n bits.
+MAX_CODE_QUBITS = 1000
 
 
 class CodeFileError(ValueError):
@@ -52,9 +54,10 @@ def parse_code_file(text: str) -> SubsystemCode:
             count = stripped[2:].strip()
             if not (count.isascii() and count.isdigit()):  # int() takes "+5", "1_0", "９"
                 raise CodeFileError("invalid qubit count", lineno)
-            n = int(count)
-            if n < 1:
-                raise CodeFileError("qubit count must be positive", lineno)
+            # a longer count is over the cap unread: int() refuses more than 4,300 digits
+            n = int(count) if len(count.lstrip("0")) <= len(str(MAX_CODE_QUBITS)) else -1
+            if not 1 <= n <= MAX_CODE_QUBITS:
+                raise CodeFileError(f"qubit count must be 1 to {MAX_CODE_QUBITS}", lineno)
             continue
         if stripped.startswith("["):
             inner = stripped[1:-1]

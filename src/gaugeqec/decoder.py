@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 
 from .code import SubsystemCode, validated
 from .distance import Kind, OperatorClass, _tables
-from .pauli import PauliOp, low_weight_vecs, multiply, pauli_to_string, vec_hermitian
+from .pauli import PauliOp, letter_vecs, multiply, pauli_to_string, vec_hermitian, weight_sums
 from .tableau import check_qubits
 
 
@@ -80,19 +79,18 @@ def syndrome(code: SubsystemCode, e: PauliOp) -> Syndrome:
 def build_table(code: SubsystemCode, t: int) -> DecodingTable:
     """Tabulate the first (minimum-weight) error seen for every syndrome.
 
-    Errors are visited in the canonical order of ``low_weight_vecs``, which
-    fixes the representative chosen for each syndrome.
+    Errors are visited by weight, each weight in the order of ``weight_sums``,
+    which fixes the representative chosen for each syndrome.
     """
     c = validated(code)
     if t < 0:
         raise ValueError("max corrected weight must be >= 0")
     if t > c.n:
         raise ValueError(f"max corrected weight {t} exceeds {c.n} qubits")
-    tables = _tables(c)
-    entries: dict[int, PauliOp] = {}
-    for vec in chain((0,), low_weight_vecs(c.n, t)):
-        entries.setdefault(tables.syndrome_bits(vec), vec_hermitian(c.n, vec))
-    return DecodingTable(c, t, entries)
+    tables, letters, first = _tables(c), letter_vecs(c.n), {}
+    for vec in (v for w in range(t + 1) for v in weight_sums(letters, w)):
+        first.setdefault(tables.syndrome_bits(vec), vec)
+    return DecodingTable(c, t, {bits: vec_hermitian(c.n, vec) for bits, vec in first.items()})
 
 
 def recover_and_classify(

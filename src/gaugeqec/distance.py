@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import gf2
 from .code import SubsystemCode, validated
-from .pauli import PauliOp, swap_halves
+from .pauli import PauliOp, hermitian, letter_keys, pauli_to_string, swap_halves, weight_sums
 from .tableau import check_qubits
 
 DEFAULT_BUDGET = 1 << 30
@@ -40,14 +40,10 @@ class OperatorClass:
     def label_str(self) -> str:
         if self.kind is not Kind.LOGICAL:
             return self.kind.value
-        letters = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y", (0, 0): "I"}
-        parts = []
         k = len(self.label) // 2
-        for j in range(k):
-            letter = letters[self.label[2 * j], self.label[2 * j + 1]]
-            if letter != "I":
-                parts.append(letter if k == 1 else f"{letter}{j + 1}")
-        return "".join(parts)
+        x, z = (sum(b << j for j, b in enumerate(self.label[i::2])) for i in (0, 1))
+        word = pauli_to_string(hermitian(k, x, z))
+        return "".join(c if k == 1 else f"{c}{j + 1}" for j, c in enumerate(word) if c != "I")
 
 
 @dataclass(frozen=True)
@@ -125,26 +121,6 @@ def coset_distance(n: int, gauge_rows: Sequence[int], logical_rows: Sequence[int
     return best
 
 
-def letter_keys(n: int, rows: Sequence[int]) -> list[int]:
-    """Keys of X, Y and Z on each qubit in turn: bit i is the product with rows[i]."""
-    cols = [0] * (2 * n)  # bit i of cols[c] is bit c of rows[i]
-    for i, v in enumerate(rows):
-        while v:
-            cols[(v & -v).bit_length() - 1] |= 1 << i
-            v &= v - 1
-    return [key for z, x in zip(cols[n:], cols[:n]) for key in (z, z ^ x, x)]
-
-
-def weight_keys(letters: Sequence[int], w: int, first: int = 0) -> Iterator[int]:
-    """Every key of weight w: an XOR of ``letters`` on w distinct qubits, from ``first // 3`` on."""
-    for j in range(first, len(letters) - 3 * w + 3):
-        if w == 1:
-            yield letters[j]
-        else:
-            for key in weight_keys(letters, w - 1, j - j % 3 + 3):
-                yield letters[j] ^ key
-
-
 def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int], d: int) -> bool:
     """``coset_distance(n, gauge_rows, logical_rows) >= d``, decided without the walk.
 
@@ -158,7 +134,7 @@ def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int]
     low, letters = (1 << s) - 1, letter_keys(n, [*stab_rows, *logical_rows])
     for w in range(1, min(d // 2, n) + 1):
         look = seen.setdefault if 2 * w < d else seen.get
-        for key in letters if w == 1 else weight_keys(letters, w):
+        for key in weight_sums(letters, w):
             if look(key & low, key >> s) != key >> s:
                 return False
     return True

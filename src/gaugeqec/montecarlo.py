@@ -26,7 +26,7 @@ from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
 from .parallel import ordered_map
-from .pauli import PauliOp, hermitian, identity, low_weight_vecs
+from .pauli import PauliOp, identity, letter_vecs, vec_hermitian
 
 _CHUNK_SHOTS = 1 << 13
 SEED_BOUND = 1 << 128  # a seed is a Philox key, used as is
@@ -61,15 +61,11 @@ def shot_stream(seed: int, shot: int, n: int) -> np.random.Generator:
 
 def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliOp:
     """Draw one error, consuming exactly n uniforms from the stream."""
-    x = z = 0
+    letters, vec = letter_vecs(n), 0
     for j, uj in enumerate(rng.random(n)):
-        if uj < model.p:
-            which = min(int(3.0 * uj / model.p), 2)
-            if which != 2:  # X or Y
-                x |= 1 << j
-            if which != 0:  # Y or Z
-                z |= 1 << j
-    return hermitian(n, x, z)
+        if uj < model.p:  # X, Y or Z by min(int(3u/p), 2)
+            vec ^= letters[3 * j + min(int(3.0 * uj / model.p), 2)]
+    return vec_hermitian(n, vec)
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def _run_range(
         return [(zero, np.array([hi - lo]))]
     last = np.uint64(limit - 1)
     # row 3j + l: the key of letter l (X, Y, Z) on qubit j, in 64-bit words
-    xyz = map(key, low_weight_vecs(n, 1))
+    xyz = map(key, letter_vecs(n))
     key_of_letter = np.array([[(k >> 64 * w) % 2**64 for w in range(nwords)] for k in xyz], np.uint64)
     width = 4 * _blocks_per_shot(n)  # one aligned slot per shot, padded
     draw = shot_stream(seed, lo, n).bit_generator.random_raw

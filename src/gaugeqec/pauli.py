@@ -13,7 +13,7 @@ exponent only matters for exact products and for stabilizer sign checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from typing import Sequence
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -138,17 +138,37 @@ def swap_halves(vec: int, n: int) -> int:
     return ((vec & mask) << n) | (vec >> n)
 
 
-def low_weight_vecs(n: int, wmax: int):
-    """(x|z) vectors of every Pauli with weight 1..wmax, lowest weight first.
+def letter_vecs(n: int) -> list[int]:
+    """The 3n letter table of (x|z) vectors: X, Y and Z of qubit q at 3q..3q+2."""
+    return [v for q in range(n) for v in (1 << q, (1 | 1 << n) << q, 1 << n + q)]
 
-    Within one weight the order is lexicographic in (qubit indices, letters
-    with X < Y < Z); the decoding table's representatives depend on it.
+
+def letter_keys(n: int, rows: Sequence[int]) -> list[int]:
+    """``letter_vecs(n)`` as keys: bit i of a key is the symplectic product with rows[i]."""
+    cols = [0] * (2 * n)  # bit i of cols[c] is bit c of rows[i]
+    for i, v in enumerate(rows):
+        while v:
+            cols[(v & -v).bit_length() - 1] |= 1 << i
+            v &= v - 1
+    return [key for z, x in zip(cols[n:], cols[:n]) for key in (z, z ^ x, x)]
+
+
+def weight_sums(letters: list[int], w: int) -> list[int]:
+    """Every weight-w Pauli over a 3n letter table: the XOR of one letter from each of w qubits.
+
+    Qubit sets come in lexicographic order, and within a set the letters run
+    X < Y < Z with the first qubit slowest; the decoding table's
+    representatives depend on this order.  ``w = 0`` gives [0], and
+    ``w = 1`` returns ``letters`` itself.
     """
-    letters = (1, 1 | 1 << n, 1 << n)  # X, Y, Z on qubit 0
-    for w in range(1, wmax + 1):
-        for qubits in combinations(range(n), w):
-            for word in product(letters, repeat=w):
-                yield sum(bits << q for q, bits in zip(qubits, word))
+    if w < 2:
+        return letters if w else [0]
+    triples = [letters[j : j + 3] for j in range(0, len(letters), 3)]
+    n, prefixes = len(triples), [([0], 0)]  # (sums over a set's first qubits, next qubit)
+    for i in range(w - 1):
+        prefixes = [([s ^ t for s in sums for t in triples[p]], p + 1)
+                    for sums, q in prefixes for p in range(q, n - w + 1 + i)]
+    return [s ^ t for sums, q in prefixes for trip in triples[q:] for s in sums for t in trip]
 
 
 def vec_hermitian(n: int, vec: int) -> PauliOp:

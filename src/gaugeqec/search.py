@@ -50,9 +50,9 @@ from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, frame_rows, singleton_check, validated
-from .distance import keeps_distance, letter_keys, weight_keys
+from .distance import keeps_distance
 from .parallel import ordered_map
-from .pauli import low_weight_vecs, swap_halves
+from .pauli import letter_keys, letter_vecs, swap_halves, weight_sums
 from .tableau import PartialFrame
 
 ProgressFn = Callable[["SearchStats"], None]
@@ -164,7 +164,7 @@ class _GaugeContext:
         self.halves = [((1 << (1 << s)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
                        for j in range(s)]
         # a key holds the syndrome in its low s bits and the logical label above them
-        for key in (k for w in range(1, min(d_min, code.n + 1)) for k in weight_keys(letters, w)):
+        for key in (k for w in range(1, min(d_min, code.n + 1)) for k in weight_sums(letters, w)):
             if key >> s:
                 self.bad |= 1 << (key & ((1 << s) - 1))
                 if self.bad & 1:
@@ -321,7 +321,7 @@ def find_gauge_symmetries(
 class _SweepContext:
     def __init__(self, spec: SweepSpec):
         self.n, self.s, self.r, self.d_min = spec.n, spec.s, spec.r, spec.d_min
-        self.low = tuple(low_weight_vecs(spec.n, spec.d_min - 1))
+        self.low = tuple(v for w in range(1, spec.d_min) for v in weight_sums(letter_vecs(spec.n), w))
         # Bit i of a mask stands for self.low[i]; ``anti(u)`` masks the
         # low-weight vectors that anticommute with u.
         anti = gf2.ParityMap((swap_halves(v, spec.n) for v in self.low), 2 * spec.n)

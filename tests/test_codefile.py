@@ -1,7 +1,8 @@
 import pytest
 
+from gaugeqec import codefile
 from gaugeqec.catalog import CATALOG_NAMES, catalog
-from gaugeqec.codefile import CodeFileError, parse_code_file, serialize_code
+from gaugeqec.codefile import MAX_CODE_QUBITS, CodeFileError, parse_code_file, serialize_code
 
 SHOR9_FILE = """\
 n: 9
@@ -129,3 +130,25 @@ def test_the_qubit_count_is_ascii_digits_only(count):
 
 def test_the_qubit_count_may_have_leading_zeros_and_spaces():
     assert parse_code_file("n:  03 \n[stabilizer]\nZZZ\nIZZ\n").n == 3
+
+
+@pytest.mark.parametrize(
+    "count",
+    ["10000000", str(MAX_CODE_QUBITS + 1), "0" * 9 + "1001", "9" * 5000],
+    ids=["ten-million", "cap-plus-one", "leading-zeros", "5000-digits"],
+)
+def test_a_qubit_count_above_the_cap_is_refused_before_any_code_is_built(count, monkeypatch):
+    # past the cap nothing is built: a code of 10^7 qubits would exhaust memory
+    def unreachable(*args, **kwargs):
+        pytest.fail("a code was built past the qubit cap")
+
+    monkeypatch.setattr(codefile, "SubsystemCode", unreachable)
+    monkeypatch.setattr(codefile, "validated", unreachable)
+    with pytest.raises(CodeFileError, match=f"must be 1 to {MAX_CODE_QUBITS}") as err:
+        parse_code_file(f"n: {count}\n[stabilizer]\nZZ\n")
+    assert err.value.line == 1
+
+
+def test_the_qubit_cap_admits_a_thousand_qubits_and_leading_zeros():
+    assert MAX_CODE_QUBITS >= 1000
+    assert parse_code_file("n: " + "0" * 40 + "1\n[stabilizer]\nZ\n").n == 1

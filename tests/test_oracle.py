@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,11 +25,12 @@ from gaugeqec.pauli import (
     commutes,
     hermitian,
     identity,
-    low_weight_vecs,
+    letter_vecs,
     multiply,
     pauli_from_string,
     single,
     vec_hermitian,
+    weight_sums,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -250,7 +250,8 @@ def test_comm_norm_split_matches_the_direct_and_dense_norms(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_correctability_verdict_and_witness_match_group_theory(name, wmax):
     code = catalog(name)
-    errors = [vec_hermitian(code.n, v) for v in chain((0,), low_weight_vecs(code.n, wmax))]
+    letters = letter_vecs(code.n)
+    errors = [vec_hermitian(code.n, v) for w in range(wmax + 1) for v in weight_sums(letters, w)]
     report = verify_correctability(code, errors)
     verdict = is_correctable_set(code, errors)
     assert report.ok == verdict.correctable
@@ -264,7 +265,8 @@ def test_long_error_list_is_checked_in_bounded_memory():
     # 352 weight-<=2 errors on bacon-shor-9: holding every E V at once took a
     # traced peak of 121 MB; blocks of E V keep it to a few blocks
     code = catalog("bacon-shor-9")
-    errors = [vec_hermitian(code.n, v) for v in chain((0,), low_weight_vecs(code.n, 2))]
+    letters = letter_vecs(code.n)
+    errors = [vec_hermitian(code.n, v) for w in range(3) for v in weight_sums(letters, w)]
     assert len(errors) == 352
     _logical_actions(code)  # the cached projector and logical blocks are not counted
     tracemalloc.start()

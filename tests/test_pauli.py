@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from naive_ops import anticommute as naive_anticommute, mul as naive_mul
+from naive_ops import all_paulis_up_to_weight, anticommute as naive_anticommute, mul as naive_mul
+from naive_ops import to_bits, weight as naive_weight
 
 from gaugeqec.pauli import (
     PauliFormatError,
@@ -10,11 +11,14 @@ from gaugeqec.pauli import (
     commutes,
     hermitian,
     identity,
+    letter_keys,
+    letter_vecs,
     multiply,
     pauli_from_string,
     pauli_to_string,
     single,
     weight,
+    weight_sums,
 )
 
 LETTERS = "IXYZ"
@@ -180,3 +184,34 @@ def test_pauliop_field_validation():
         PauliOp(2, 4, 0, 0)
     with pytest.raises(ValueError):
         PauliOp(2, 0, 0b100, 0)
+
+
+def _naive_weight_w(n: int, w: int) -> list[str]:
+    return [p for p in all_paulis_up_to_weight(n, w) if naive_weight(p) == w]
+
+
+def _string(vec: int, n: int) -> str:
+    return "".join("IXZY"[(vec >> q & 1) | (vec >> n + q & 1) << 1] for q in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_sums_of_the_letter_vectors_are_the_naive_paulis_in_order(n):
+    letters = letter_vecs(n)
+    assert weight_sums(letters, 1) is letters
+    assert weight_sums(letters, n + 1) == []
+    for w in range(n + 1):
+        naive = [sum(b << i for i, b in enumerate(to_bits(p))) for p in _naive_weight_w(n, w)]
+        assert weight_sums(letters, w) == naive, w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_sums_of_letter_keys_are_the_naive_anticommutation_patterns(n):
+    rng = random.Random(8000 + n)
+    rows = [rng.randrange(1 << 2 * n) for _ in range(rng.randint(1, 2 * n + 2))]
+    strings = [_string(v, n) for v in rows]
+    letters = letter_keys(n, rows)
+    assert len(letters) == 3 * n
+    for w in range(n + 1):
+        naive = [sum(naive_anticommute(p, g) << i for i, g in enumerate(strings))
+                 for p in _naive_weight_w(n, w)]
+        assert weight_sums(letters, w) == naive, w

@@ -985,14 +985,14 @@ def test_the_bad_syndrome_build_stops_at_a_logical_operator_below_d_min(monkeypa
     # shor9 has d = 3: a weight-3 logical operator sets bit 0 and ends the
     # build long before the 4^9 − 1 Paulis of weight 1 to 24 are keyed
     keyed = []
-    weight_keys = search.weight_keys
+    weight_sums = search.weight_sums
 
     def counting(letters, w):
-        for key in weight_keys(letters, w):
+        for key in weight_sums(letters, w):
             keyed.append(w)
             yield key
 
-    monkeypatch.setattr(search, "weight_keys", counting)
+    monkeypatch.setattr(search, "weight_sums", counting)
     assert search._GaugeContext(validated(catalog("shor9")), 25).bad == 1
     assert max(keyed) == 3 and len(keyed) <= 27 + 324 + 2268
     res = find_gauge_symmetries(catalog("shor9"), 25)
