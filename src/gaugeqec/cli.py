@@ -295,9 +295,11 @@ def _build_parser() -> _Parser:
 
     p = add("distance", _cmd_distance, help="code distance")
     p.add_argument("--code", required=True)
-    p.add_argument("--method", choices=("exhaustive", "coset"), default="coset")
+    p.add_argument("--method", choices=("exhaustive", "coset"), default="coset",
+                   help="coset: the least d at which the searches' threshold test fails; "
+                        "exhaustive: a walk over the whole centralizer")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                   help="enumeration cap")
+                   help="cap on the Paulis listed at one weight, or on the centralizer walked")
 
     p = add("decode", _cmd_decode, help="decode an error (or dump the table)")
     p.add_argument("--code", required=True)

@@ -80,7 +80,8 @@ def build_table(code: SubsystemCode, t: int) -> DecodingTable:
     """Tabulate the first (minimum-weight) error seen for every syndrome.
 
     Errors are visited by weight, each weight in the order of ``weight_sums``,
-    which fixes the representative chosen for each syndrome.
+    which fixes the representative chosen for each syndrome.  The lists are
+    built first, so one over the cap of ``weight_sums`` stops the build at once.
     """
     c = validated(code)
     if t < 0:
@@ -88,7 +89,7 @@ def build_table(code: SubsystemCode, t: int) -> DecodingTable:
     if t > c.n:
         raise ValueError(f"max corrected weight {t} exceeds {c.n} qubits")
     tables, letters, first = _tables(c), letter_vecs(c.n), {}
-    for vec in (v for w in range(t + 1) for v in weight_sums(letters, w)):
+    for vec in (v for vecs in [weight_sums(letters, w) for w in range(t + 1)] for v in vecs):
         first.setdefault(tables.syndrome_bits(vec), vec)
     return DecodingTable(c, t, {bits: vec_hermitian(c.n, vec) for bits, vec in first.items()})
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from . import gf2
@@ -100,31 +101,10 @@ def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
     return _tables(c).classify_vec(p.vec)
 
 
-def coset_distance(n: int, gauge_rows: Sequence[int], logical_rows: Sequence[int]) -> int:
-    """Minimum weight over the gauge cosets of every nontrivial logical class.
-
-    This exact walk is ``distance(code, "coset")``, the CLI's ``distance``.
-    The classes, shifted by the span of the first gauge rows, are listed (at
-    most 2^8 vectors while the classes fit); each coset of the span of the
-    other gauge rows is that list XORed with one Gray-code offset.
-    """
-    low, best = (1 << n) - 1, 2 * n  # above any weight
-    listed = list(gf2.gray_walk(0, logical_rows))[1:]  # the nontrivial classes
-    head = max(8 - len(logical_rows), 0)
-    for row in gauge_rows[:head]:
-        listed += [v ^ row for v in listed]
-    for offset in gf2.gray_walk(0, gauge_rows[head:]):
-        coset = [v ^ offset for v in listed] if offset else listed
-        best = min(best, min([((v | v >> n) & low).bit_count() for v in coset], default=best))
-        if best == 1:
-            break
-    return best
-
-
 def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int], d: int) -> bool:
-    """``coset_distance(n, gauge_rows, logical_rows) >= d``, decided without the walk.
+    """Whether no Pauli of weight below d commutes with S but not with L: distance >= d.
 
-    A Pauli of weight below d that commutes with S but not with L is a product
+    S and L are the stabilizer and logical rows.  Such a Pauli is a product
     A·B, weight(A) <= ⌈(d−1)/2⌉ and weight(B) <= ⌊(d−1)/2⌋, whose syndromes
     agree and whose labels differ.  So the keys of the identity and of every B
     fill a syndrome → label map that must stay a function, and each heavier A
@@ -143,9 +123,12 @@ def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int]
 def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_BUDGET) -> int:
     """Minimum weight of a normalizer element outside the gauge group.
 
-    ``exhaustive`` walks the whole centralizer row space in a Gray-code
-    order, one XOR plus a popcount per step; ``coset`` is ``coset_distance``
-    on the gauge-group and logical generators.
+    ``coset`` is the least d for which ``keeps_distance`` at d + 1 fails,
+    or n, which bounds the weight of every logical row.  The step at d lists
+    the C(n, w)·3^w Paulis of weight w = ⌊(d+1)/2⌋, and ``budget`` caps that
+    list.  ``exhaustive``, the independent reference, walks the whole
+    centralizer row space in a Gray-code order, one XOR plus a popcount per
+    step, and ``budget`` caps its 2^dim elements.
     """
     c = validated(code)
     if c.k == 0:
@@ -153,15 +136,16 @@ def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_B
     n, low = c.n, (1 << c.n) - 1
     g = c.s + 2 * c.r  # the stabilizer and gauge rows come first
     if method == "coset":
-        classes = (1 << 2 * c.k) - 1
-        if classes * (1 << g) > budget:
-            raise BudgetExceededError(
-                f"{classes} classes x 2^{g} gauge elements exceed the budget {budget}"
-            )
-        return coset_distance(n, c.rows[:g], c.rows[g:])
+        for d in range(1, n):
+            w = (d + 1) // 2
+            if (size := comb(n, w) * 3**w) > budget:
+                raise BudgetExceededError(f"{size} Paulis of weight {w} exceed the budget {budget}")
+            if not keeps_distance(n, c.rows[: c.s], c.rows[g:], d + 1):
+                return d
+        return n  # every logical row has weight at most n
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
-    rows = gf2.Eliminator(swap_halves(v, n) for v in c.rows[: c.s]).kernel(range(2 * n))
+    rows = list(gf2.Eliminator(swap_halves(v, n) for v in c.rows[: c.s]).kernel(range(2 * n)))
     if 1 << len(rows) > budget:
         raise BudgetExceededError(f"2^{len(rows)} centralizer elements exceed the budget {budget}")
     # centralizer elements have no syndrome: gauge iff the key is 0

@@ -17,7 +17,7 @@ pivot only when a row's columns all cancel: a dependent row or 0 = 1.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def parities(v: int, rows: Iterable[int]) -> int:
@@ -109,16 +109,16 @@ class Eliminator:
                 v |= 1 << p
         return v
 
-    def kernel(self, columns: Iterable[int]) -> list[int]:
-        """One vector per free column f among ``columns``, in their order.
+    def kernel(self, columns: Iterable[int]) -> Iterator[int]:
+        """One vector per free column f among ``columns``, in their order, made lazily.
 
         The vector is bit f plus the pivots of the rows holding bit f, so
         over range(ncols) this is a basis of the vectors below bit ncols
         orthogonal to every row.  Bits outside ``columns`` (tags) are
-        ignored.
+        ignored.  A caller may stop early, and must not add rows meanwhile.
         """
         taken = {p for p, _ in self.pivots}
-        return [self.solution(f) | 1 << f for f in columns if f not in taken]
+        return (self.solution(f) | 1 << f for f in columns if f not in taken)
 
     @property
     def rank(self) -> int:

@@ -13,11 +13,14 @@ exponent only matters for exact products and for stabilizer sign checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _SIGN_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
+# The longest list ``weight_sums`` builds: 2^24 ints take about 0.7 GB.
+MAX_WEIGHT_SUMS = 1 << 24
 
 
 class PauliFormatError(ValueError):
@@ -159,12 +162,15 @@ def weight_sums(letters: list[int], w: int) -> list[int]:
     Qubit sets come in lexicographic order, and within a set the letters run
     X < Y < Z with the first qubit slowest; the decoding table's
     representatives depend on this order.  ``w = 0`` gives [0], and
-    ``w = 1`` returns ``letters`` itself.
+    ``w = 1`` returns ``letters`` itself.  A list of more than
+    ``MAX_WEIGHT_SUMS`` Paulis raises ValueError before any is built.
     """
     if w < 2:
         return letters if w else [0]
     triples = [letters[j : j + 3] for j in range(0, len(letters), 3)]
     n, prefixes = len(triples), [([0], 0)]  # (sums over a set's first qubits, next qubit)
+    if (size := comb(n, w) * 3**w) > MAX_WEIGHT_SUMS:
+        raise ValueError(f"{size} Paulis of weight {w} on {n} qubits exceed {MAX_WEIGHT_SUMS}")
     for i in range(w - 1):
         prefixes = [([s ^ t for s in sums for t in triples[p]], p + 1)
                     for sums, q in prefixes for p in range(q, n - w + 1 + i)]

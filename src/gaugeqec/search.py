@@ -58,6 +58,8 @@ from .tableau import PartialFrame
 ProgressFn = Callable[["SearchStats"], None]
 
 PROGRESS_EVERY = 20000
+# find-gauge holds 2^s-bit syndrome masks and lists 2^s − 2 pivot profiles
+MAX_GAUGE_STABILIZERS = 20
 
 
 @dataclass
@@ -278,7 +280,8 @@ def find_gauge_symmetries(
     the canonically first subgroup that passes the syndrome filter;
     ``stats.candidates`` counts the codes assembled, 0 or 1.  The budget is
     checked against ``stats.subspaces`` after each profile with no survivor.
-    A conclusive r = 0 requires the whole space to have been exhausted.
+    A conclusive r = 0 requires the whole space to have been exhausted.  A
+    code with s > ``MAX_GAUGE_STABILIZERS`` raises ValueError.
     """
     start = time.monotonic()
     c = validated(code)
@@ -292,6 +295,8 @@ def find_gauge_symmetries(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1 (None for no limit), got {budget}")
+    if c.s > MAX_GAUGE_STABILIZERS:
+        raise ValueError(f"s = {c.s} stabilizer generators exceed the cap {MAX_GAUGE_STABILIZERS}")
     ctx = _GaugeContext(c, d_min)
     stats = SearchStats()
     profiles = [pivots for m in range(1, c.s) for pivots in combinations(range(c.s), m)]

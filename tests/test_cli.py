@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from gaugeqec import pauli
 from gaugeqec.catalog import catalog
 from gaugeqec.cli import main
 from gaugeqec.codefile import parse_code_file, serialize_code
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -39,6 +42,40 @@ def test_distance_command():
     assert code == 0 and out == "d: 3\n"
 
 
+def _repetition_code_file(path, n):
+    """A bit-flip repetition code on n qubits: s = n − 1, d = 1."""
+    stabilizer = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    path.write_text("\n".join([f"n: {n}", "[stabilizer]", *stabilizer, "[logical_x]", "X" * n,
+                               "[logical_z]", "Z" + "I" * (n - 1), ""]))
+    return str(path)
+
+
+def test_distance_command_reaches_bacon_shor_5x5_and_a_200_qubit_code(tmp_path):
+    # the gauge group of Bacon-Shor 5x5 has 2^40 elements; distance lists
+    # Paulis of weight at most 3 instead
+    code, out, _ = run_cli("distance", "--code", str(DATA / "bacon_shor_5x5.code"))
+    assert (code, out) == (0, "d: 5\n")
+    code, out, _ = run_cli("distance", "--code", _repetition_code_file(tmp_path / "rep.code", 200))
+    assert (code, out) == (0, "d: 1\n")
+
+
+def test_decode_refuses_a_weight_list_over_the_cap(monkeypatch):
+    # bacon-shor-9 has 2,268 Paulis of weight 3; the table stops at the first list over the cap
+    monkeypatch.setattr(pauli, "MAX_WEIGHT_SUMS", 2267)
+    code, out, err = run_cli("decode", "--code", "bacon-shor-9", "--t", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: 2268 Paulis of weight 3 on 9 qubits exceed 2267\n"
+    monkeypatch.setattr(pauli, "MAX_WEIGHT_SUMS", 2268)
+    assert run_cli("decode", "--code", "bacon-shor-9", "--t", "3")[0] == 0
+
+
+def test_find_gauge_refuses_a_large_stabilizer(tmp_path):
+    path = _repetition_code_file(tmp_path / "rep.code", 41)
+    code, out, err = run_cli("find-gauge", "--code", path, "--distance-min", "1", "--budget", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: s = 40 stabilizer generators exceed the cap 20\n"
+
+
 def test_syndrome_command():
     code, out, _ = run_cli("syndrome", "--code", "shor9", "--error", "XIIIIIIII")
     assert code == 0 and out == "syndrome: 00100000\n"
@@ -56,7 +93,7 @@ def test_decode_command():
 # every decode table dump of the catalog at t = 1, 2 and the shor9 syndrome
 # of every weight-1 error, captured before the syndrome, label and key
 # parities moved onto one gf2.ParityMap
-TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_table_goldens.json").read_text())
+TABLE_GOLDEN = json.loads((DATA / "cli_table_goldens.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(TABLE_GOLDEN))

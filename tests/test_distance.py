@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from naive_ops import brute_distance
 
 from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, gauge_fix, singleton_check, validated
+from gaugeqec.codefile import parse_code_file
 from gaugeqec.decoder import syndrome
 from gaugeqec.distance import (
     BudgetExceededError,
@@ -24,6 +26,8 @@ from gaugeqec.pauli import (
     single,
     vec_hermitian,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # distances recomputed by the string-based brute-force oracle in naive_ops
 EXPECTED_DISTANCE = {
@@ -94,6 +98,37 @@ def test_distance_budget_cap():
         distance(catalog("shor9"), "exhaustive", budget=4)
     with pytest.raises(BudgetExceededError):
         distance(catalog("bacon-shor-9"), "coset", budget=4)
+
+
+def _bacon_shor(m):
+    """Bacon-Shor on an m x m grid, qubit m·i + j: [[m², 1, (m − 1)², m]], gauge pairs derived."""
+    n = m * m
+
+    def op(letter, qubits):
+        return "".join(letter if q in qubits else "I" for q in range(n))
+
+    stabilizer = [op("X", {m * i + j for i in (a, a + 1) for j in range(m)}) for a in range(m - 1)]
+    stabilizer += [op("Z", {m * i + j for i in range(m) for j in (b, b + 1)}) for b in range(m - 1)]
+    code = SubsystemCode.from_strings(stabilizer=stabilizer, logical_x=[op("X", set(range(m)))],
+                                      logical_z=[op("Z", {m * i for i in range(m)})])
+    return validated(code, derive_gauge=(m - 1) ** 2)
+
+
+def test_distance_of_bacon_shor_squares():
+    # 2^18 and 2^32 gauge elements times 3 logical classes; the threshold
+    # test lists Paulis of weight at most 3
+    assert distance(_bacon_shor(4)) == 4
+    code = parse_code_file((DATA / "bacon_shor_5x5.code").read_text())
+    assert code == _bacon_shor(5) and (code.n, code.k, code.r) == (25, 1, 16)
+    assert distance(code) == 5
+
+
+def test_distance_budget_caps_the_largest_weight_list():
+    # d = 5 is settled when weight 3 fails the test at 6: C(25, 3)·27 = 62,100 Paulis
+    code = _bacon_shor(5)
+    assert distance(code, budget=62_100) == 5
+    with pytest.raises(BudgetExceededError, match="62100 Paulis of weight 3 exceed the budget 62099"):
+        distance(code, budget=62_099)
 
 
 def test_distance_unknown_method():

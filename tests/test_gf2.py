@@ -97,7 +97,7 @@ def test_kernel_size_and_orthogonality():
         ncols = rng.randrange(1, 14)
         rows = tuple(rng.randrange(1 << ncols) for _ in range(rng.randrange(6)))
         elim = Eliminator(rows)
-        kernel = elim.kernel(range(ncols))
+        kernel = list(elim.kernel(range(ncols)))
         assert len(kernel) == ncols - elim.rank
         for v in kernel:
             assert all((v & row).bit_count() & 1 == 0 for row in rows)

@@ -5,6 +5,7 @@ import pytest
 from naive_ops import all_paulis_up_to_weight, anticommute as naive_anticommute, mul as naive_mul
 from naive_ops import to_bits, weight as naive_weight
 
+from gaugeqec import pauli
 from gaugeqec.pauli import (
     PauliFormatError,
     PauliOp,
@@ -202,6 +203,19 @@ def test_weight_sums_of_the_letter_vectors_are_the_naive_paulis_in_order(n):
     for w in range(n + 1):
         naive = [sum(b << i for i, b in enumerate(to_bits(p))) for p in _naive_weight_w(n, w)]
         assert weight_sums(letters, w) == naive, w
+
+
+def test_weight_sums_refuses_a_list_over_the_cap_before_building_it(monkeypatch):
+    # C(200, 3)·27 = 35,461,800 vectors would take gigabytes; the refusal takes microseconds
+    with pytest.raises(ValueError, match="35461800 Paulis of weight 3 on 200 qubits exceed 16777216"):
+        weight_sums(letter_vecs(200), 3)
+    assert pauli.MAX_WEIGHT_SUMS >= 1 << 24 > len(weight_sums(letter_vecs(9), 3)) == 2268
+    # only w >= 2 is checked: the w = 0 and w = 1 lists are never built
+    monkeypatch.setattr(pauli, "MAX_WEIGHT_SUMS", 0)
+    letters = letter_vecs(3)
+    assert weight_sums(letters, 1) is letters and weight_sums(letters, 0) == [0]
+    with pytest.raises(ValueError):
+        weight_sums(letters, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -13,7 +13,7 @@ import naive_ops
 from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
-from gaugeqec.distance import Kind, classify, coset_distance, distance, keeps_distance
+from gaugeqec.distance import Kind, classify, distance, keeps_distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
 from gaugeqec.pauli import PauliOp, pauli_from_string, vec_hermitian
@@ -118,6 +118,18 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError, match="budget"):
             SweepSpec(4, 1, 1, 2, budget=budget)
     assert SweepSpec(4, 1, 1, 2, budget=1).budget == 1
+
+
+def test_find_gauge_refuses_a_stabilizer_over_the_cap(monkeypatch):
+    # the 2^s-bit syndrome masks are never built: s = 40 would ask for 2^40 bits each
+    monkeypatch.setattr(search, "_GaugeContext", None)
+    for n in (22, 41):
+        code = SubsystemCode.from_strings(
+            stabilizer=["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)],
+            logical_x=["X" * n], logical_z=["Z" + "I" * (n - 1)])
+        with pytest.raises(ValueError, match=f"s = {n - 1} stabilizer generators exceed the cap 20"):
+            find_gauge_symmetries(code, 1, budget=100)
+    assert search.MAX_GAUGE_STABILIZERS == 20
 
 
 def test_find_gauge_refuses_a_budget_below_one():
@@ -619,11 +631,8 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
         assert code == expected and hash(code) == hash(expected)
         if logical:  # the supplied logical rows come back with their signs
             assert code.logical_ops() == ops
-        # the guard's verdict, and the coset walk on the code's generators
-        walked = coset_distance(
-            n, [op.vec for op in code.group_generators()], [op.vec for op in code.logical_ops()]
-        )
-        assert verdict is True and walked == distance(code, "exhaustive") >= d_min
+        # the guard's verdict, and both distance methods on the code
+        assert verdict is True and distance(code) == distance(code, "exhaustive") >= d_min
 
 
 def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
@@ -645,8 +654,7 @@ def test_assembly_and_guard_walk_on_random_subsystem_codes(monkeypatch):
             (vec_hermitian(n, x), vec_hermitian(n, z)) for x, z in pairs),
             base.logical_pairs[r:] if supplied else ())
         assert code == validated(candidate) and code.r == r
-        walked = coset_distance(n, code.rows[:code.s + 2 * r], code.rows[code.s + 2 * r:])
-        assert verdict is True and walked == distance(code, "exhaustive"), seed
+        assert verdict is True and distance(code) == distance(code, "exhaustive"), seed
 
 
 def test_the_sweep_builds_one_code_object_per_code(monkeypatch):
@@ -1000,9 +1008,9 @@ def test_the_bad_syndrome_build_stops_at_a_logical_operator_below_d_min(monkeypa
         0, True, 417197, 0)
 
 
-def test_the_distance_threshold_test_equals_the_coset_walk(sweep_5103):
-    # keeps_distance(n, S, L, d) is coset_distance(n, G, L) >= d for every d
-    # up to n + 1, on catalog, sweep and random subsystem codes
+def test_the_distance_threshold_test_equals_the_exhaustive_walk(sweep_5103):
+    # keeps_distance(n, S, L, d) is distance(code, "exhaustive") >= d for
+    # every d up to n + 1, on catalog, sweep and random subsystem codes
     codes = [validated(catalog(name)) for name in CATALOG_NAMES]
     for spec in (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(4, 2, 0, 2)):
         codes += sweep_nonexistence(spec).codes
@@ -1015,7 +1023,7 @@ def test_the_distance_threshold_test_equals_the_coset_walk(sweep_5103):
     pairs = below = 0
     for code in codes:
         n, s, g = code.n, code.s, code.s + 2 * code.r
-        walked = coset_distance(n, code.rows[:g], code.rows[g:])
+        walked = distance(code, "exhaustive")
         for d in range(1, n + 2):
             kept = keeps_distance(n, code.rows[:s], code.rows[g:], d)
             assert kept == (walked >= d), (code, d, walked)
