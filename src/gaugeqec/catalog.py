@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .code import SubsystemCode, validated
+from .distance import distance
 
 _SHOR9 = dict(
     stabilizer=[
@@ -107,8 +108,6 @@ def catalog(name: str) -> SubsystemCode:
 
 
 def _self_check(name: str, code: SubsystemCode) -> None:
-    from .distance import distance  # deferred: distance depends on this package
-
     n, k, r, d = _EXPECTED[name]
     if (code.n, code.k, code.r) != (n, k, r):
         raise AssertionError(f"catalog entry {name} loads as [[{code.n},{code.k},{code.r}]]")

@@ -9,9 +9,10 @@ these ints.  A code built from operators keeps only their rows and signs,
 refusing an operator on another qubit count; the ``PauliOp`` tuples are
 built from the rows on first access.  ``frame_rows`` is the one way from
 rows to a valid code: it completes the symplectic frame around the rows,
-deriving any missing pairs so that s + r + k == n afterwards, and reads
-the code off the completed frame, whose pattern check is the verdict; only
-refused rows are checked item by item to name each violation.
+deriving a row given as None and any missing pairs, so that s + r + k == n
+afterwards, and reads the code off the completed frame, whose pattern
+check is the verdict; only refused rows are checked item by item to name
+each violation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .gf2 import Eliminator
 from .pauli import PauliOp, pauli_from_string, swap_halves
 from .tableau import PartialFrame, check_qubits
 
@@ -191,17 +193,19 @@ class ValidationReport:
         return not self.violations
 
 
-def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, derive_gauge: int = 0,
-               signs: tuple[int, ...] = ()) -> tuple[list[str], SubsystemCode | None]:
+def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int,
+               derive_gauge: int = 0, signs: tuple[int, ...] = ()
+               ) -> tuple[list[str], SubsystemCode | None]:
     """The checks of ``validate`` on (x|z) rows: (violations, the completed code or None).
 
     ``sector`` holds the r gauge pairs, then the logical pairs, x row first;
     ``signs`` holds the sign exponents of the stabilizer rows, then of the
     sector rows (0 past its end).  Valid rows complete to a frame
-    x_0..x_{n-1}, z_0..z_{n-1} in which stabilizer row i is z_i and sector
-    pair j fills slot s + j.  The code is read off that frame: the first
-    ``derive_gauge`` derived pairs join the gauge pairs, the others the
-    logical pairs, each with sign exponent 0.
+    x_0..x_{n-1}, z_0..z_{n-1}: gauge pair j in slot j, stabilizer row i as
+    z_{r+i}, logical pair j in slot r + s + j, and a sector row given as None
+    derived as the row that anticommutes with its partner alone.  The code is
+    read off that frame: the first ``derive_gauge`` derived pairs join the
+    gauge pairs, the others the logical pairs, each with sign exponent 0.
 
     The completed frame is the verdict: past the count and sign checks each
     row joins a ``PartialFrame`` in its slot, a dependent row failing there,
@@ -212,27 +216,28 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deriv
     s, free = len(stab), n - len(stab) - len(sector) // 2
     failure = None
     if 0 <= derive_gauge <= free and not any(signs[:s]) and not any(e & 1 for e in signs[s:]):
-        frame = PartialFrame(n)
-        if all(map(frame.add, range(n, n + s), stab)) and all(
-                frame.add(s + a // 2 + n * (a % 2), v) for a, v in enumerate(sector)):
+        frame, g = PartialFrame(n), 2 * r
+        if all(map(frame.add, range(n + r, n + r + s), stab)) and all(
+                v is None or frame.add(a // 2 + n * (a % 2) + s * (a >= g), v)
+                for a, v in enumerate(sector)):
             try:
                 done = frame.complete()
             except ValueError as exc:
                 failure = f"frame completion failed: {exc}"
             else:
                 first = n - free  # the first derived slot
-                slots = (*range(s, s + r), *range(first, first + derive_gauge),
-                         *range(s + r, first), *range(first + derive_gauge, n))
-                rows = (*done[n : n + s], *[v for j in slots for v in (done[j], done[n + j])])
+                slots = (*range(r), *range(first, first + derive_gauge),
+                         *range(r + s, first), *range(first + derive_gauge, n))
+                rows = (*done[n + r : n + r + s], *[v for j in slots for v in done[j::n]])
                 if derive_gauge and any(signs):
-                    signs = signs[: s + 2 * r] + (0,) * (2 * derive_gauge) + signs[s + 2 * r :]
+                    signs = signs[: s + g] + (0,) * (2 * derive_gauge) + signs[s + g :]
                 return [], SubsystemCode.from_rows(n, s, r + derive_gauge, rows, signs)
     # rows that pass every itemised check yet fail completion name the failure
     return _violations(n, stab, sector, r, derive_gauge, signs) or [failure], None
 
 
-def _violations(n: int, stab: Sequence[int], sector: Sequence[int], r: int, derive_gauge: int,
-                signs: Sequence[int]) -> list[str]:
+def _violations(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int,
+                derive_gauge: int, signs: Sequence[int]) -> list[str]:
     """Every violation of the rows ``frame_rows`` refused, in check order."""
     violations: list[str] = []
     bad = violations.append
@@ -254,29 +259,30 @@ def _violations(n: int, stab: Sequence[int], sector: Sequence[int], r: int, deri
         if e & 1:
             bad(f"{name(a)} has sign i^{e}; it is not Hermitian")
 
-    # u, v anticommute iff u AND swap(v) has odd weight
-    stab_sw, sector_sw = [swap_halves(v, n) for v in stab], [swap_halves(v, n) for v in sector]
+    # u, v anticommute iff u AND swap(v) has odd weight; a None row is left to the frame
+    stab_sw = [swap_halves(v, n) for v in stab]
+    known = [(a, v, swap_halves(v, n)) for a, v in enumerate(sector) if v is not None]
     for i in range(s):
         for j in range(i + 1, s):
             if (stab[i] & stab_sw[j]).bit_count() & 1:
                 bad(f"stabilizer generators {i} and {j} anticommute")
-    frame = PartialFrame(n)
+    span = Eliminator()
     for i, v in enumerate(stab):
-        if not frame.add(n + i, v):
+        if not span.add(v):
             bad(f"stabilizer generator {i} depends on earlier generators")
-    for a, v in enumerate(sector):
+    for a, v, _ in known:
         for i, g in enumerate(stab_sw):
             if (v & g).bit_count() & 1:
                 bad(f"{name(a)} anticommutes with stabilizer generator {i}")
-    for a, v in enumerate(sector):
-        for b in range(a + 1, len(sector)):
+    for x, (a, v, _) in enumerate(known):
+        for b, _, w in known[x + 1 :]:
             # partners inside one pair anticommute; everything else commutes
             expected = b == a + 1 and a % 2 == 0
-            if (v & sector_sw[b]).bit_count() & 1 != expected:
+            if (v & w).bit_count() & 1 != expected:
                 verb = "must anticommute" if expected else "must commute"
                 bad(f"{name(a)} and {name(b)} {verb}")
-    for a, v in enumerate(sector):
-        if not frame.add(s + a // 2 + n * (a % 2), v):
+    for a, v, _ in known:
+        if not span.add(v):
             bad(f"{name(a)} depends on earlier generators")
     return violations
 

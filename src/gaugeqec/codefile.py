@@ -8,15 +8,15 @@ A code file starts with an ``n: <ASCII digits>`` header, n at most
     [stabilizer]
     XXXXXXIII
     # comments run to the end of the line
-    -ZZIIIIIII
+    ZZIIIIIII
 
-    [gauge_x]
-    ...
+    [logical_z]
+    -ZZZZZZZZZ
 
 Sections may appear in any order; ``gauge_x``/``gauge_z`` lines pair up by
 position, as do ``logical_x``/``logical_z``.  Signs are written inline as
-+, -, +i or -i prefixes so that the stabilizer sign convention is checkable
-from the file alone.
++, -, +i or -i prefixes: a stabilizer row takes none but +, and a gauge or
+logical row no i.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ they are equal.  The restructured code keeps d >= d_min exactly when no
 Pauli of weight below d_min whose syndrome lies in K = S′^⊥ anticommutes
 with a logical operator; those syndromes are one bitmask per code, and K
 is walked depth-first, each node masking the syndromes whose coset meets
-it.  Each gauge x partner is a row of the symplectic frame that the kept z
-operators, S′ and L complete to, fixed modulo S, so partners need no search.
+it.  ``frame_rows`` derives each gauge x partner as a row of the frame that
+the kept z operators, S′ and L complete to, fixed modulo S, so partners
+need no search.
 
 The sweep prunes by a necessary rank bound: any operator of weight below
 the distance target that commutes with the candidate stabilizer must end up
@@ -53,7 +54,6 @@ from .code import SubsystemCode, frame_rows, singleton_check, validated
 from .distance import keeps_distance
 from .parallel import ordered_map
 from .pauli import letter_keys, letter_vecs, swap_halves, weight_sums
-from .tableau import PartialFrame
 
 ProgressFn = Callable[["SearchStats"], None]
 
@@ -220,39 +220,31 @@ def _solve_gauge_partners(
     """The restructured code of one stabilizer subgroup, one x partner per gauge slot.
 
     The z generators gz are the stabilizer generators outside the subgroup's
-    pivot set.  In one ``PartialFrame`` they fill the first z slots, S′ the
-    next ones and the logical pairs the last, so ``complete`` fills the x row
-    of slot i first: gx_i commutes with S′, the logical operators, the other
-    gz and the partners before it, and anticommutes with gz_i alone.  Such
-    rows form one coset of S, because in a stabilizer code only S commutes
-    with S and the logical operators, and S + ⟨gx⟩ depends on each gx_i
-    modulo S only.  The subgroup must have passed the syndrome filter, so a
-    distance below d_min is an error.
+    pivot set.  Each goes to ``frame_rows`` as a gauge pair (None, gz_i), so
+    its x partner gx_i is the frame row that commutes with S′, the logical
+    operators, the other gz and the partners before it, and anticommutes
+    with gz_i alone.  Such rows form one coset of S, because in a stabilizer
+    code only S commutes with S and the logical operators, and S + ⟨gx⟩
+    depends on each gx_i modulo S only.  The subgroup must have passed the
+    syndrome filter, so a distance below d_min is an error.
     """
-    n, s = code.n, code.s
+    s = code.s
     svecs = code.rows[:s]
-    sprime = [_combine(c, svecs) for c in coeff_rows]
     pivot_set = {(c & -c).bit_length() - 1 for c in coeff_rows}
-    gz = [v for j, v in enumerate(svecs) if j not in pivot_set]
-    # logical row a of a stabilizer code fills slot s + a // 2, x row first
-    logical = [(s + a // 2 + n * (a % 2), v) for a, v in enumerate(code.rows[s:])]
-    frame = PartialFrame(n)
-    for i, v in [*enumerate(gz + sprime, n), *logical]:
-        if not frame.add(i, v):
-            raise RuntimeError("a stabilizer code's frame rows must be independent")
-    return _guarded_code(n, sprime, list(zip(frame.complete(), gz)), d_min, code.rows[s:],
-                         code.signs[s:])
+    pairs = [(None, v) for j, v in enumerate(svecs) if j not in pivot_set]
+    return _guarded_code(code.n, [_combine(c, svecs) for c in coeff_rows], pairs, d_min,
+                         code.rows[s:], code.signs[s:])
 
 
 def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=()) -> SubsystemCode:
     """``validated`` of (x|z) stabilizer rows, gauge (x, z) row pairs and logical rows.
 
-    ``frame_rows`` checks and completes the rows and reads the code off
-    them; invalid rows raise the ValueError of ``validated``.  Both searches
-    build only codes that keep d >= d_min, so ``keeps_distance``, exact and
-    walk-free, is a guard: a code below d_min raises RuntimeError.  Only the
-    supplied logical rows carry sign exponents, ``logical_signs``; a sweep
-    supplies none.
+    ``frame_rows`` checks and completes the rows, deriving a gauge x row
+    given as None, and reads the code off them; invalid rows raise the
+    ValueError of ``validated``.  Both searches build only codes that keep
+    d >= d_min, so ``keeps_distance``, exact and walk-free, is a guard: a
+    code below d_min raises RuntimeError.  Only the supplied logical rows
+    carry sign exponents, ``logical_signs``; a sweep supplies none.
     """
     g = len(stab) + 2 * len(pairs)
     sector = [v for pair in pairs for v in pair] + list(logical)

@@ -211,6 +211,20 @@ def test_worker_flag_output_identical_find_gauge():
         assert one.startswith(f"r: {r}\nexhausted: true\n")
 
 
+def test_find_gauge_verbose_reports_progress_on_standard_error():
+    # --verbose adds progress lines to stderr and leaves stdout as it is,
+    # for any worker count; only the elapsed times may differ
+    base = ("find-gauge", "--code", "shor9", "--distance-min", "3")
+    _, quiet, _ = run_cli(*base)
+    runs = [run_cli(*base, "--verbose", *workers) for workers in ((), ("--workers", "2"))]
+    progress = [f"find-gauge: subspaces={n} candidates=0"
+                for n in (43818, 60202, 83754, 100490, 173741)]
+    for status, out, err in runs:
+        assert (status, out) == (0, quiet)
+        lines = [line.rsplit(" elapsed=", 1)[0] for line in err.splitlines()]
+        assert lines == progress + ["find-gauge stats: subspaces=173741 candidates=1"]
+
+
 @pytest.mark.parametrize(
     "point",
     [("3", "0", "1", "2"), ("5", "0", "0", "4")],  # one enumerable, one past the Singleton bound

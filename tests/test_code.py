@@ -11,6 +11,7 @@ from gaugeqec.code import (
     CodeParams,
     SubsystemCode,
     ValidationReport,
+    frame_rows,
     gauge_fix,
     logical_equivalent,
     parameters,
@@ -25,6 +26,7 @@ from gaugeqec.pauli import (
     identity,
     multiply,
     pauli_from_string,
+    pauli_to_string,
     single,
 )
 from naive_ops import anticommute, centralizer_lists, in_span, mul, rank, split_sign, to_bits
@@ -109,6 +111,24 @@ def test_validation_completes_missing_sectors():
     bs = catalog("bacon-shor-9")
     derived = validated(SubsystemCode(9, bs.stabilizer), derive_gauge=4)
     assert (derived.s, derived.r, derived.k) == (4, 4, 1)
+
+
+def test_frame_rows_derives_a_gauge_x_row_given_as_none():
+    # each missing x row anticommutes with its own gauge z row alone; only
+    # supplied rows are checked, so a None row is never named
+    bs = validated(catalog("bacon-shor-9"))
+    n, s, r = bs.n, bs.s, bs.r
+    stab, gz, logical = bs.rows[:s], bs.rows[s + 1 : s + 2 * r : 2], bs.rows[s + 2 * r :]
+    violations, code = frame_rows(n, stab, [v for z in gz for v in (None, z)] + list(logical), r)
+    assert violations == [] and validate(code).ok
+    assert (code.rows[:s], code.rows[s + 1 : s + 2 * r : 2]) == (stab, gz)
+    letters = [[pauli_to_string(op) for op in pair] for pair in code.gauge_pairs]
+    for i, (gx, _) in enumerate(letters):
+        assert [anticommute(gx, z) for _, z in letters] == [j == i for j in range(r)]
+    flipped = [None, gz[0] ^ 1, *[v for z in gz[1:] for v in (None, z)]]  # X on qubit 0
+    violations, code = frame_rows(n, stab, flipped + list(logical), r)
+    assert code is None and violations
+    assert all(v.startswith("gauge z0 ") for v in violations), violations
 
 
 def test_gauge_fix_rowspace_matches_shor():

@@ -13,10 +13,11 @@ import naive_ops
 from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
-from gaugeqec.distance import Kind, classify, distance, keeps_distance
+from gaugeqec.distance import Kind, classify, distance, is_correctable_set, keeps_distance
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
-from gaugeqec.pauli import PauliOp, pauli_from_string, vec_hermitian
+from gaugeqec.oracle import code_projector, verify_correctability, verify_subsystem_structure
+from gaugeqec.pauli import PauliOp, identity, pauli_from_string, single, vec_hermitian
 from gaugeqec.search import (
     SweepSpec,
     find_gauge_symmetries,
@@ -166,6 +167,14 @@ def test_sweep_worker_count_does_not_change_the_result():
         counts = [(res.stats.subspaces, res.stats.sectors, res.stats.candidates)
                   for res in (serial, parallel)]
         assert counts[0] == counts[1], spec
+
+
+def test_sweep_reports_rising_progress():
+    # one report per PROGRESS_EVERY subspaces, each with more than the last
+    seen = []
+    res = sweep_nonexistence(SweepSpec(5, 1, 1, 3), progress=lambda st: seen.append(st.subspaces))
+    assert len(seen) == res.stats.subspaces // search.PROGRESS_EVERY == 39
+    assert seen == sorted(set(seen)) and seen[-1] <= res.stats.subspaces == 782595
 
 
 def test_per_profile_state_does_not_change_a_chunk():
@@ -621,10 +630,13 @@ def test_one_pass_assembly_equals_validating_the_candidate(monkeypatch, spec, co
     assert len(calls) == count
     for (n, stab, pairs, d_min, *logical), verdict, code in calls:
         ops = [_signed(n, v, e) for v, e in zip(*logical)]
+        # find-gauge leaves each gauge x row for the frame: take the derived one
+        derived = code.rows[code.s :: 2]
         candidate = SubsystemCode(
             n,
             tuple(vec_hermitian(n, v) for v in stab),
-            tuple((vec_hermitian(n, gx), vec_hermitian(n, gz)) for gx, gz in pairs),
+            tuple((vec_hermitian(n, derived[j] if gx is None else gx), vec_hermitian(n, gz))
+                  for j, (gx, gz) in enumerate(pairs)),
             tuple(zip(ops[::2], ops[1::2])),
         )
         expected = validated(candidate)
@@ -957,6 +969,23 @@ def test_gauge_search_on_catalog_codes_matches_goldens(name, d_min, r, exhausted
     got = res.restructured and hashlib.sha256(serialize_code(res.restructured).encode()).hexdigest()
     assert (res.r_found, res.exhausted, res.stats.subspaces, got and got[:16]) == (
         r, exhausted, subspaces, sha)
+
+
+@pytest.mark.parametrize(
+    "name, d_min", [(name, d_min) for name, d_min, *_, sha in CATALOG_GAUGE_GOLDENS if sha])
+def test_restructured_catalog_codes_pass_the_dense_oracle(name, d_min):
+    # the derived gauge partners against the dense matrices, which share no
+    # frame completion with them: the structure factorizes, the code space
+    # has dimension 2^(n − s), both correctability tests agree on the weight
+    # <= 1 Paulis, and the exhaustive distance reaches d_min
+    code = find_gauge_symmetries(catalog(name), d_min).restructured
+    n, s = code.n, code.s
+    assert verify_subsystem_structure(code).ok
+    assert abs(code_projector(code).matrix.trace().real - 2 ** (n - s)) < 1e-10
+    errors = [identity(n)] + [single(n, q, letter) for q in range(n) for letter in "XYZ"]
+    dense = verify_correctability(code, errors).ok
+    assert dense == is_correctable_set(code, errors).correctable == (d_min >= 3)
+    assert distance(code, "exhaustive") >= d_min
 
 
 def _naive_bad(code, d_min):

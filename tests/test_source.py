@@ -76,6 +76,17 @@ def test_frame_rows_become_operators_one_way():
     assert "from_vec" not in _module_names("pauli.py")
 
 
+def test_frames_are_completed_in_code_py_alone():
+    # one frame completion: ``frame_rows`` derives every missing row,
+    # find-gauge's gauge partners included, so no other module builds a frame
+    importers = []
+    for path in sorted(Path(gaugeqec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and "PartialFrame" in {a.name for a in node.names}:
+                importers.append(path.name)
+    assert importers == ["code.py"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in gaugeqec.__all__ if not hasattr(gaugeqec, name)]
     assert missing == []
