@@ -21,7 +21,9 @@ logical row no i.
 
 from __future__ import annotations
 
-from .code import SubsystemCode, validated
+import re
+
+from .code import SubsystemCode, validate, validated
 from .pauli import PauliFormatError, pauli_from_string, pauli_to_string
 
 SECTIONS = ("stabilizer", "gauge_x", "gauge_z", "logical_x", "logical_z")
@@ -100,7 +102,15 @@ def parse_code_file(text: str) -> SubsystemCode:
     try:
         return validated(code)
     except ValueError as exc:
-        raise CodeFileError(str(exc), 1) from None
+        raise CodeFileError(str(exc), _violation_line(validate(code).violations[0], lines)) from None
+
+
+def _violation_line(violation: str, lines: dict[str, list[int]]) -> int:
+    """The line of the operator a violation names, the later of two; 1 if it names none."""
+    refs = [("stabilizer", i) for pair in re.findall(r"stabilizer generators? (\d+)(?: and (\d+))?",
+                                                     violation) for i in pair if i]
+    refs += [(f"{kind}_{xz}", i) for kind, xz, i in re.findall(r"(gauge|logical) ([xz])(\d+)", violation)]
+    return max((lines[section][int(i)] for section, i in refs), default=1)
 
 
 def serialize_code(code: SubsystemCode) -> str:

@@ -15,7 +15,10 @@ they are equal.  The restructured code keeps d >= d_min exactly when no
 Pauli of weight below d_min whose syndrome lies in K = S′^⊥ anticommutes
 with a logical operator; those syndromes are one bitmask per code, and K
 is walked depth-first, each node masking the syndromes whose coset meets
-it.  ``frame_rows`` derives each gauge x partner as a row of the frame that
+it.  A profile's canonically least survivor is fixed one row bit at a
+time, each bit asking the walk for one survivor at most, and a profile
+whose K outgrows the syndromes outside the mask is not walked at all.
+``frame_rows`` derives each gauge x partner as a row of the frame that
 the kept z operators, S′ and L complete to, fixed modulo S, so partners
 need no search.
 
@@ -157,7 +160,9 @@ class _GaugeContext:
 
     Bit ``sig`` of ``bad`` is set when a Pauli of weight 1 to d_min − 1 with
     syndrome ``sig`` anticommutes with a logical operator; the first with
-    syndrome 0 ends the build, and ``bad`` holds only bit 0.
+    syndrome 0 ends the build, and ``bad`` holds only bit 0.  A dual K of
+    dimension r that avoids ``bad`` holds 2^r − 1 nonzero syndromes outside
+    it, so r is at most ``r_cap``, log2 of one more than their count.
     """
 
     def __init__(self, code: SubsystemCode, d_min: int):
@@ -172,25 +177,29 @@ class _GaugeContext:
                 if self.bad & 1:
                     self.bad = 1
                     break
+        self.r_cap = ((1 << s) - (self.bad >> 1).bit_count()).bit_length() - 1
 
 
-def _gauge_survivors(ctx: _GaugeContext, pivots: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _gauge_survivors(ctx: _GaugeContext, pivots: tuple[int, ...],
+                     masks: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
     """The RREF rows of every subgroup S′ with this pivot profile that keeps d >= d_min.
 
     S′ survives when no syndrome in K = S′^⊥ is ``bad``.  K has one basis
     vector k per free column f of S′: bit f plus the pivots of the rows
     holding bit f, any subset of the pivots below f.  Choosing them
-    depth-first walks every S′ of the profile once.  A node with span K′
-    holds a 2^s-bit mask ``blocked``, bit k set when k + K′ meets ``bad``;
-    taking k ORs in ``blocked`` XOR-translated by k (each bit j of k swaps
-    adjacent 2^j-bit blocks) and sets bit f of the rows holding its pivots.
+    depth-first walks every S′ of the profile once, k ascending at each
+    level.  ``masks``, one per free column in ascending order, narrows the
+    candidate k of each level to its set bits.  A node with span K′ holds a
+    2^s-bit mask ``blocked``, bit k set when k + K′ meets ``bad``; taking k
+    ORs in ``blocked`` XOR-translated by k (each bit j of k swaps adjacent
+    2^j-bit blocks) and sets bit f of the rows holding its pivots.
     """
     levels = []  # per free column f: f, the pivots below it, the mask of its candidate k
     for f in (f for f in range(ctx.s) if f not in pivots):
         lower, mask = pivots[:f - len(levels)], 1 << (1 << f)
         for p in lower:
             mask |= mask << (1 << p)
-        levels.append((f, lower, mask))
+        levels.append((f, lower, mask if masks is None else mask & masks[len(levels)]))
 
     def rec(level: int, blocked: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
         f, lower, open_ = levels[level]
@@ -209,9 +218,32 @@ def _gauge_survivors(ctx: _GaugeContext, pivots: tuple[int, ...]) -> Iterator[tu
 
 
 def _gauge_filter_chunk(ctx: _GaugeContext, pivots: tuple[int, ...]):
-    """(examined, the canonical first survivor or None); pivot p's row has a bit per free f > p."""
-    examined = 1 << sum(ctx.s - len(pivots) - p + i for i, p in enumerate(pivots))
-    return examined, min(_gauge_survivors(ctx, pivots), default=None)
+    """(examined, the canonical first survivor or None); pivot p's row has a bit per free f > p.
+
+    The least rows are fixed one entry at a time, most significant first:
+    pivot p's row, its free columns f > p descending.  Entry (p, f) is bit
+    p of k_f.  ``best``, the last survivor found, keeps every entry fixed so
+    far; where it has a 1 the walker is asked for a survivor with a 0 there
+    (level f's candidates masked by ``halves[p]``).  A dual of dimension
+    s − m past ``r_cap`` leaves no survivor and is not walked.
+    """
+    m, r = len(pivots), ctx.s - len(pivots)
+    examined = 1 << m * r + m * (m - 1) // 2 - sum(pivots)  # the sum of r − p + i over rows i
+    if r > ctx.r_cap:
+        return examined, None
+    masks = [-1] * r
+    best = next(_gauge_survivors(ctx, pivots, masks), None)
+    frees, halves = [f for f in range(ctx.s) if f not in pivots], ctx.halves
+    for i, p in enumerate(pivots if best else ()):
+        for j in reversed(range(p - i, len(frees))):  # frees[j] > p exactly when j >= p − i
+            kept, masks[j] = masks[j], masks[j] & halves[p]
+            if best[i] >> frees[j] & 1:
+                found = next(_gauge_survivors(ctx, pivots, masks), None)
+                if found is None:
+                    masks[j] ^= kept  # kept & ~halves[p]: the entry is 1
+                else:
+                    best = found
+    return examined, best
 
 
 def _solve_gauge_partners(
@@ -269,7 +301,8 @@ def find_gauge_symmetries(
     Scans r from s − 1 down to 1, one pivot profile of corank-r stabilizer
     subgroups at a time, so at least one stabilizer generator always stays
     (at d_min = 1 ``steane7`` gives r = 5 and ``shor9`` r = 7).  Assembles
-    the canonically first subgroup that passes the syndrome filter;
+    the canonically first subgroup that passes the syndrome filter, which
+    ``_gauge_filter_chunk`` finds without listing the others;
     ``stats.candidates`` counts the codes assembled, 0 or 1.  The budget is
     checked against ``stats.subspaces`` after each profile with no survivor.
     A conclusive r = 0 requires the whole space to have been exhausted.  A

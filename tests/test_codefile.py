@@ -114,6 +114,33 @@ def test_validation_errors_surface():
     assert "sign" in str(err.value) or "-1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, violation",
+    [
+        ("n: 2\n[stabilizer]\n-ZZ\n", 3, "stabilizer generator 0 has sign i^2"),
+        ("n: 3\n[stabilizer]\nZZI\n# ZZ on each neighbour pair\nIZZ\nZIZ\n", 6,
+         "stabilizer generator 2 depends on earlier generators"),
+        ("n: 3\n[stabilizer]\nZZI\nIZZ\nZIZ\n", 5, "stabilizer generator 2 depends"),
+        # a pair reports the later of its two lines, whichever section comes first
+        ("n: 2\n[logical_x]\nXI\n[logical_z]\nZI\n[stabilizer]\nZZ\n", 7,
+         "logical x0 anticommutes with stabilizer generator 0"),
+        ("n: 2\n[stabilizer]\nZZ\n[logical_x]\nXI\n[logical_z]\nZI\n", 5,
+         "logical x0 anticommutes with stabilizer generator 0"),
+        ("n: 2\n[stabilizer]\nZI\nXI\n", 4, "stabilizer generators 0 and 1 anticommute"),
+        ("n: 2\n[gauge_x]\n-iYI\n[gauge_z]\nZI\n", 3, "gauge x0 has sign i^3"),
+        # a violation naming no operator keeps line 1
+        ("n: 1\n[stabilizer]\nZ\nZ\n", 1, "too many generators"),
+    ],
+    ids=["sign", "dependent-after-comment", "dependent", "pair-stabilizer-later",
+         "pair-logical-later", "stabilizer-pair", "gauge-sign", "no-operator"],
+)
+def test_a_validation_failure_reports_the_line_of_the_operator_it_names(text, line, violation):
+    with pytest.raises(CodeFileError) as err:
+        parse_code_file(text)
+    assert err.value.line == line
+    assert violation in str(err.value)
+
+
 def test_negative_qubit_count():
     with pytest.raises(CodeFileError):
         parse_code_file("n: 0\n")

@@ -908,6 +908,69 @@ def test_gauge_filter_keeps_exactly_the_subgroups_that_keep_the_distance(name, k
     assert {d_min: len(rows) for d_min, rows in verdicts.items()} == kept
 
 
+def test_the_filter_returns_the_least_survivor_of_every_profile():
+    # the entry-by-entry walk against the least of every survivor listed; at
+    # d_min = 1 no syndrome is bad, every subgroup survives and the least has
+    # each free entry 0 (listing shor9's 417,197 subgroups would take 1 s)
+    codes = [catalog(name) for name in ("five-qubit", "steane7", "shor9")]
+    codes += [_random_stabilizer_code(seed) for seed in range(100)]
+    profiles = with_survivor = 0
+    for code in map(validated, codes):
+        for d_min in (1, 2, 3):
+            ctx = search._GaugeContext(code, d_min)
+            assert (ctx.bad == 0) == (d_min == 1)
+            for m in range(1, code.s):
+                for pivots in combinations(range(code.s), m):
+                    least = (min(search._gauge_survivors(ctx, pivots), default=None) if ctx.bad
+                             else tuple(1 << p for p in pivots))
+                    assert search._gauge_filter_chunk(ctx, pivots)[1] == least, (code, d_min, pivots)
+                    profiles += 1
+                    with_survivor += least is not None
+    assert profiles == 990 + 3 * sum(2 ** c.s - 2 for c in codes[3:])
+    assert 0 < with_survivor < profiles
+
+
+def _repetition_code(n):
+    """ZZ on neighbours, logical X on every qubit and Z on the first: s = n − 1, d = 1."""
+    return SubsystemCode.from_strings(
+        stabilizer=["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)],
+        logical_x=["X" * n], logical_z=["Z" + "I" * (n - 1)])
+
+
+def test_the_filter_draws_at_most_one_survivor_per_entry_and_one_more(monkeypatch):
+    # at d_min = 1 all 131,072 subgroups of the first profile survive; the
+    # least is fixed entry by entry, each query drawing one survivor at most
+    walk, drawn = search._gauge_survivors, {}
+
+    def counted(ctx, pivots, masks=None):
+        for rows in walk(ctx, pivots, masks):
+            drawn[pivots] = drawn.get(pivots, 0) + 1
+            yield rows
+
+    monkeypatch.setattr(search, "_gauge_survivors", counted)
+    res = find_gauge_symmetries(_repetition_code(19), 1)
+    assert (res.r_found, res.exhausted, res.stats.subspaces) == (17, True, 131_072)
+    entries = 17  # pivot 0's row has a bit for each of the 17 free columns
+    assert 1 <= drawn[(0,)] <= entries + 1
+    assert list(drawn) == [(0,)]
+
+
+@pytest.mark.parametrize("name, subspaces", [("steane7", 2823), ("five-qubit", 65)])
+def test_a_profile_whose_dual_outgrows_the_good_syndromes_is_not_walked(monkeypatch, name,
+                                                                       subspaces):
+    # every nonzero syndrome is bad at d_min = 3, so no dual of dimension 1 or
+    # more avoids them and r_cap is 0
+    ctx = search._GaugeContext(validated(catalog(name)), 3)
+    assert (ctx.bad, ctx.r_cap) == ((1 << (1 << ctx.s)) - 2, 0)
+
+    def refuse(*args):
+        raise AssertionError("walked a profile past r_cap")
+
+    monkeypatch.setattr(search, "_gauge_survivors", refuse)
+    res = find_gauge_symmetries(catalog(name), 3)
+    assert (res.r_found, res.exhausted, res.stats.subspaces) == (0, True, subspaces)
+
+
 @pytest.mark.parametrize("name, subgroups", [("five-qubit", 65), ("steane7", 2823)])
 def test_gauge_partners_are_the_free_columns_zero_solutions(name, subgroups):
     # partner i solves: commute with S′, the logical operators, the other gz
