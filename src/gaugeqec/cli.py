@@ -165,7 +165,7 @@ def _cmd_decode(args) -> int:
     table = build_table(code, args.t)
     if args.error is None:
         if args.json:
-            entries = [line.split() for line in table.dump().splitlines()]
+            entries = [line.split(" ") for line in table.dump().splitlines()]
             _emit([("t", args.t), ("table", entries)], True)
         else:
             print(table.dump(), end="")

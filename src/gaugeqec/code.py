@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import Eliminator
 from .pauli import PauliOp, pauli_from_string, swap_halves
@@ -187,6 +187,8 @@ class CodeParams:
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
     completed: SubsystemCode | None = None
+    # per violation, the indices into the code's rows of the operators it names
+    named_rows: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -195,7 +197,7 @@ class ValidationReport:
 
 def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int,
                derive_gauge: int = 0, signs: tuple[int, ...] = ()
-               ) -> tuple[list[str], SubsystemCode | None]:
+               ) -> tuple[list[tuple[str, tuple[int, ...]]], SubsystemCode | None]:
     """The checks of ``validate`` on (x|z) rows: (violations, the completed code or None).
 
     ``sector`` holds the r gauge pairs, then the logical pairs, x row first;
@@ -211,7 +213,8 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int
     row joins a ``PartialFrame`` in its slot, a dependent row failing there,
     and ``complete`` checks every commutation between supplied rows, which
     it leaves in place.  Only rows that fail this pass meet the itemised
-    checks, which name each violation.
+    checks, which name each violation and the rows it names, as indices into
+    the stabilizer rows followed by the sector rows: the code's row order.
     """
     s, free = len(stab), n - len(stab) - len(sector) // 2
     failure = None
@@ -233,19 +236,17 @@ def frame_rows(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int
                     signs = signs[: s + g] + (0,) * (2 * derive_gauge) + signs[s + g :]
                 return [], SubsystemCode.from_rows(n, s, r + derive_gauge, rows, signs)
     # rows that pass every itemised check yet fail completion name the failure
-    return _violations(n, stab, sector, r, derive_gauge, signs) or [failure], None
+    return list(_violations(n, stab, sector, r, derive_gauge, signs)) or [(failure, ())], None
 
 
 def _violations(n: int, stab: Sequence[int], sector: Sequence[int | None], r: int,
-                derive_gauge: int, signs: Sequence[int]) -> list[str]:
-    """Every violation of the rows ``frame_rows`` refused, in check order."""
-    violations: list[str] = []
-    bad = violations.append
+                derive_gauge: int, signs: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every violation of the rows ``frame_rows`` refused, in check order, with its rows."""
     s, free = len(stab), n - len(stab) - len(sector) // 2
     if free < 0:
-        bad(f"too many generators: s + r + k = {n - free} > n = {n}")
+        yield f"too many generators: s + r + k = {n - free} > n = {n}", ()
     if not 0 <= derive_gauge <= max(free, 0):
-        bad(f"derive_gauge = {derive_gauge} exceeds the {free} free slots")
+        yield f"derive_gauge = {derive_gauge} exceeds the {free} free slots", ()
 
     def name(a: int) -> str:
         kind = "xz"[a % 2]
@@ -253,11 +254,11 @@ def _violations(n: int, stab: Sequence[int], sector: Sequence[int | None], r: in
 
     for i, e in enumerate(signs[:s]):
         if e:
-            bad(f"stabilizer generator {i} has sign i^{e}; "
-                "the group would not fix the code space (contains -1)")
+            yield (f"stabilizer generator {i} has sign i^{e}; "
+                   "the group would not fix the code space (contains -1)", (i,))
     for a, e in enumerate(signs[s:]):
         if e & 1:
-            bad(f"{name(a)} has sign i^{e}; it is not Hermitian")
+            yield f"{name(a)} has sign i^{e}; it is not Hermitian", (s + a,)
 
     # u, v anticommute iff u AND swap(v) has odd weight; a None row is left to the frame
     stab_sw = [swap_halves(v, n) for v in stab]
@@ -265,26 +266,25 @@ def _violations(n: int, stab: Sequence[int], sector: Sequence[int | None], r: in
     for i in range(s):
         for j in range(i + 1, s):
             if (stab[i] & stab_sw[j]).bit_count() & 1:
-                bad(f"stabilizer generators {i} and {j} anticommute")
+                yield f"stabilizer generators {i} and {j} anticommute", (i, j)
     span = Eliminator()
     for i, v in enumerate(stab):
         if not span.add(v):
-            bad(f"stabilizer generator {i} depends on earlier generators")
+            yield f"stabilizer generator {i} depends on earlier generators", (i,)
     for a, v, _ in known:
         for i, g in enumerate(stab_sw):
             if (v & g).bit_count() & 1:
-                bad(f"{name(a)} anticommutes with stabilizer generator {i}")
+                yield f"{name(a)} anticommutes with stabilizer generator {i}", (s + a, i)
     for x, (a, v, _) in enumerate(known):
         for b, _, w in known[x + 1 :]:
             # partners inside one pair anticommute; everything else commutes
             expected = b == a + 1 and a % 2 == 0
             if (v & w).bit_count() & 1 != expected:
                 verb = "must anticommute" if expected else "must commute"
-                bad(f"{name(a)} and {name(b)} {verb}")
+                yield f"{name(a)} and {name(b)} {verb}", (s + a, s + b)
     for a, v, _ in known:
         if not span.add(v):
-            bad(f"{name(a)} depends on earlier generators")
-    return violations
+            yield f"{name(a)} depends on earlier generators", (s + a,)
 
 
 def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
@@ -296,8 +296,10 @@ def validate(code: SubsystemCode, derive_gauge: int = 0) -> ValidationReport:
     are those of ``frame_rows`` on the code's rows and signs.
     """
     s = code.s
-    return ValidationReport(*frame_rows(code.n, code.rows[:s], code.rows[s:], code.r, derive_gauge,
-                                        code.signs))
+    violations, completed = frame_rows(code.n, code.rows[:s], code.rows[s:], code.r, derive_gauge,
+                                       code.signs)
+    return ValidationReport([message for message, _ in violations], completed,
+                            [rows for _, rows in violations])
 
 
 @lru_cache(maxsize=256)

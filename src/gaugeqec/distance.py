@@ -101,48 +101,48 @@ def classify(code: SubsystemCode, p: PauliOp) -> OperatorClass:
     return _tables(c).classify_vec(p.vec)
 
 
-def keeps_distance(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int], d: int) -> bool:
-    """Whether no Pauli of weight below d commutes with S but not with L: distance >= d.
+def logical_weight(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int], limit: int,
+                   budget: int | None = None) -> int:
+    """Least weight below ``limit`` of a Pauli that commutes with S but not with L, else ``limit``.
 
-    S and L are the stabilizer and logical rows.  Such a Pauli is a product
-    A·B, weight(A) <= ⌈(d−1)/2⌉ and weight(B) <= ⌊(d−1)/2⌋, whose syndromes
-    agree and whose labels differ.  So the keys of the identity and of every B
-    fill a syndrome → label map that must stay a function, and each heavier A
-    must agree with it.
+    S and L are the stabilizer and logical rows.  Such a Pauli of weight d
+    is a product A·B, weight(A) = ⌈d/2⌉ and weight(B) = ⌊d/2⌋, whose
+    syndromes agree and whose labels differ.  So each weight w is listed
+    once, lightest first: a key that the syndrome → label map of the lighter
+    keys (the identity's among them) contradicts gives d = 2w − 1, and one
+    that contradicts the map as the weight-w keys join it gives 2w.
+    ``budget`` caps the C(n, w)·3^w Paulis of each weight about to be listed.
     """
     s, seen = len(stab_rows), {0: 0}
     low, letters = (1 << s) - 1, letter_keys(n, [*stab_rows, *logical_rows])
-    for w in range(1, min(d // 2, n) + 1):
-        look = seen.setdefault if 2 * w < d else seen.get
-        for key in weight_sums(letters, w):
-            if look(key & low, key >> s) != key >> s:
-                return False
-    return True
+    for w in range(1, min(n, limit // 2) + 1):  # 2w − 1 < limit
+        if budget is not None and (size := comb(n, w) * 3**w) > budget:
+            raise BudgetExceededError(f"{size} Paulis of weight {w} exceed the budget {budget}")
+        keys = weight_sums(letters, w)
+        for d, look in ((2 * w - 1, seen.get), (2 * w, seen.setdefault)):
+            if d >= limit:
+                break
+            for key in keys:
+                if look(key & low, key >> s) != key >> s:
+                    return d
+    return limit
 
 
 def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_BUDGET) -> int:
     """Minimum weight of a normalizer element outside the gauge group.
 
-    ``coset`` is the least d for which ``keeps_distance`` at d + 1 fails,
-    or n, which bounds the weight of every logical row.  The step at d lists
-    the C(n, w)·3^w Paulis of weight w = ⌊(d+1)/2⌋, and ``budget`` caps that
-    list.  ``exhaustive``, the independent reference, walks the whole
-    centralizer row space in a Gray-code order, one XOR plus a popcount per
-    step, and ``budget`` caps its 2^dim elements.
+    ``coset`` is ``logical_weight`` with limit n, which bounds the weight of
+    every logical row; ``budget`` caps each weight list it makes.
+    ``exhaustive``, the independent reference, walks the whole centralizer
+    row space in a Gray-code order, one XOR plus a popcount per step, and
+    ``budget`` caps its 2^dim elements.
     """
     c = validated(code)
     if c.k == 0:
         raise ValueError("distance is undefined for a code with no logical qubits")
     n, low = c.n, (1 << c.n) - 1
-    g = c.s + 2 * c.r  # the stabilizer and gauge rows come first
-    if method == "coset":
-        for d in range(1, n):
-            w = (d + 1) // 2
-            if (size := comb(n, w) * 3**w) > budget:
-                raise BudgetExceededError(f"{size} Paulis of weight {w} exceed the budget {budget}")
-            if not keeps_distance(n, c.rows[: c.s], c.rows[g:], d + 1):
-                return d
-        return n  # every logical row has weight at most n
+    if method == "coset":  # the stabilizer and gauge rows come first
+        return logical_weight(n, c.rows[: c.s], c.rows[c.s + 2 * c.r :], n, budget)
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; use 'exhaustive' or 'coset'")
     rows = list(gf2.Eliminator(swap_halves(v, n) for v in c.rows[: c.s]).kernel(range(2 * n)))

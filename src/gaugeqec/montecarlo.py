@@ -25,7 +25,7 @@ import numpy as np
 from .code import SubsystemCode, validated
 from .decoder import DecodingTable
 from .distance import Kind, _tables
-from .parallel import ordered_map
+from .parallel import check_workers, ordered_map
 from .pauli import PauliOp, identity, letter_vecs, vec_hermitian
 
 _CHUNK_SHOTS = 1 << 13
@@ -188,8 +188,7 @@ def run(
         raise ValueError("decoding table was built for a different code")
     if shots < 0:
         raise ValueError("negative shot count")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
 
     if shots == 0:
         return SimReport(0, model.p, seed, 0, 0, ())

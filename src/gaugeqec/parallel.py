@@ -9,7 +9,8 @@ caller finishes, raises, or stops early and drops the generator.  Jobs go
 out in batches of about 1/32 of each worker's share, unless ``single`` asks
 for one job per batch: a caller that may stop early (a search with a
 budget) then sees each result as it is made and stops the pool near where
-it stops reading.
+it stops reading.  ``check_workers`` is the one rule for a worker count,
+1 to ``MAX_WORKERS``; each caller applies it before any pool starts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from __future__ import annotations
 from multiprocessing import Pool
 from typing import Any, Callable, Iterator, Sequence
 
+MAX_WORKERS = 64
 _worker = None  # (fn, ctx), set in each pool process by _set_worker
+
+
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
 
 
 def _set_worker(fn: Callable[[Any, Any], Any], ctx: Any) -> None:

@@ -37,7 +37,7 @@ bases built once per shape.  A covering sector puts every commuting Pauli of
 weight below d_min into the gauge group, so each nondegenerate one is a code
 with d >= d_min.  The job that finds it checks its integer rows and
 completes them to a frame once, and the code is read off the frame;
-``distance.keeps_distance`` on the code's rows is only a guard.
+``distance.logical_weight`` on the code's rows is only a guard.
 
 Both run through one loop, ``_search``, which splits work across workers
 by enumeration prefix with ``parallel.ordered_map`` and merges results in
@@ -54,8 +54,8 @@ from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, frame_rows, singleton_check, validated
-from .distance import keeps_distance
-from .parallel import ordered_map
+from .distance import logical_weight
+from .parallel import check_workers, ordered_map
 from .pauli import letter_keys, letter_vecs, swap_halves, weight_sums
 
 ProgressFn = Callable[["SearchStats"], None]
@@ -117,13 +117,6 @@ class SweepResult:
     @property
     def conclusive(self) -> bool:
         return self.exhausted or bool(self.codes)
-
-
-def _check_limits(workers: int, budget: int | None) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1 (None for no limit), got {budget}")
 
 
 def _search(job, ctx, jobs, workers: int, budget: int | None, progress: ProgressFn | None,
@@ -317,17 +310,18 @@ def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=())
     ``frame_rows`` checks and completes the rows, deriving a gauge x row
     given as None, and reads the code off them; invalid rows raise the
     ValueError of ``validated``.  Both searches build only codes that keep
-    d >= d_min, so ``keeps_distance``, exact and walk-free, is a guard: a
-    code below d_min raises RuntimeError.  Only the supplied logical rows
-    carry sign exponents, ``logical_signs``; a sweep supplies none.
+    d >= d_min, so ``logical_weight`` with limit d_min, exact and listing
+    weights up to d_min / 2 only, is a guard: a code below d_min raises
+    RuntimeError.  Only the supplied logical rows carry sign exponents,
+    ``logical_signs``; a sweep supplies none.
     """
     g = len(stab) + 2 * len(pairs)
     sector = [v for pair in pairs for v in pair] + list(logical)
     signs = (0,) * g + tuple(logical_signs)
     violations, code = frame_rows(n, stab, sector, len(pairs), signs=signs)
     if code is None:
-        raise ValueError("invalid code: " + "; ".join(violations))
-    if not keeps_distance(n, code.rows[:code.s], code.rows[g:], d_min):
+        raise ValueError("invalid code: " + "; ".join(message for message, _ in violations))
+    if logical_weight(n, code.rows[:code.s], code.rows[g:], d_min) < d_min:
         raise RuntimeError(f"a code built to keep d >= d_min has d < {d_min}")
     return code
 
@@ -358,7 +352,9 @@ def find_gauge_symmetries(
         raise ValueError("input code has no logical qubits")
     if d_min < 1:
         raise ValueError("d_min must be >= 1")
-    _check_limits(workers, budget)
+    check_workers(workers)
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 (None for no limit), got {budget}")
     if c.s > MAX_GAUGE_STABILIZERS:
         raise ValueError(f"s = {c.s} stabilizer generators exceed the cap {MAX_GAUGE_STABILIZERS}")
     profiles = [pivots for m in range(1, c.s) for pivots in combinations(range(c.s), m)]
@@ -687,7 +683,7 @@ def sweep_nonexistence(
     """Every code at [[n, k, r]] with d >= d_min: a stabilizer and a gauge sector.
 
     A sector covering the stabilizer's witnesses holds every commuting Pauli
-    of weight below d_min, so its code keeps d >= d_min; ``keeps_distance``,
+    of weight below d_min, so its code keeps d >= d_min; ``logical_weight``,
     checked in the job that builds it, is only a guard.  ``candidates`` == ``len(codes)``.
 
     Parameter points already excluded by the Singleton bound short-circuit to
@@ -696,7 +692,7 @@ def sweep_nonexistence(
     inconclusive.
     """
     start = time.monotonic()
-    _check_limits(workers, spec.budget)
+    check_workers(workers)  # the spec has checked its budget
     fits = singleton_check(spec.n, spec.k, spec.d_min)  # else no jobs and no context
     return SweepResult(*_search(_sweep_chunk, _SweepContext(spec) if fits else None,
                                 _sweep_chunks(spec) if fits else [], workers, spec.budget, progress, start))

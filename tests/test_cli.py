@@ -112,6 +112,15 @@ def test_decode_table_dump():
     assert lines[0] == "0000 IIIIIIIII"
 
 
+def test_decode_json_keeps_an_empty_syndrome(tmp_path):
+    # with no stabilizer every syndrome is the empty string, still an entry field
+    path = tmp_path / "one.code"
+    path.write_text("n: 1\n[logical_x]\nX\n[logical_z]\nZ\n")
+    code, out, _ = run_cli("decode", "--code", str(path), "--t", "1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"t": 1, "table": [["", "I"]]}
+
+
 def test_catalog_list_and_print():
     code, out, _ = run_cli("catalog")
     assert code == 0

@@ -128,7 +128,7 @@ def test_frame_rows_derives_a_gauge_x_row_given_as_none():
     flipped = [None, gz[0] ^ 1, *[v for z in gz[1:] for v in (None, z)]]  # X on qubit 0
     violations, code = frame_rows(n, stab, flipped + list(logical), r)
     assert code is None and violations
-    assert all(v.startswith("gauge z0 ") for v in violations), violations
+    assert all(v.startswith("gauge z0 ") for v, _ in violations), violations
 
 
 def test_gauge_fix_rowspace_matches_shor():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import product
 from pathlib import Path
@@ -25,9 +26,12 @@ from gaugeqec.pauli import (
     pauli_to_string,
     single,
     vec_hermitian,
+    weight_sums,
 )
 
 DATA = Path(__file__).parent / "data"
+# the package exports the function ``distance`` under the module's name
+distance_module = importlib.import_module("gaugeqec.distance")
 
 # distances recomputed by the string-based brute-force oracle in naive_ops
 EXPECTED_DISTANCE = {
@@ -129,6 +133,23 @@ def test_distance_budget_caps_the_largest_weight_list():
     assert distance(code, budget=62_100) == 5
     with pytest.raises(BudgetExceededError, match="62100 Paulis of weight 3 exceed the budget 62099"):
         distance(code, budget=62_099)
+
+
+@pytest.mark.parametrize(
+    "code, weights",
+    [(catalog("five-qubit"), [1, 2]), (_bacon_shor(5), [1, 2, 3]), (_bacon_shor(6), [1, 2, 3])],
+)
+def test_distance_lists_each_weight_once(monkeypatch, code, weights):
+    # one walk, lightest weight first: d = 2w − 1 or 2w is read off weight w
+    listed = []
+
+    def counting(letters, w):
+        listed.append(w)
+        return weight_sums(letters, w)
+
+    monkeypatch.setattr(distance_module, "weight_sums", counting)
+    assert distance(code) == {25: 5, 36: 6}.get(code.n, 3)
+    assert listed == weights
 
 
 def test_distance_unknown_method():

@@ -13,7 +13,7 @@ import naive_ops
 from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, parameters, validate, validated
 from gaugeqec.codefile import serialize_code
-from gaugeqec.distance import Kind, classify, distance, is_correctable_set, keeps_distance
+from gaugeqec.distance import Kind, classify, distance, is_correctable_set, logical_weight
 from gaugeqec import search
 from gaugeqec.gf2 import Eliminator
 from gaugeqec.oracle import code_projector, verify_correctability, verify_subsystem_structure
@@ -217,7 +217,7 @@ def test_hyperbolic_split_exists_exactly_for_a_nondegenerate_span():
 def test_sweep_raises_when_a_covering_sector_falls_below_the_distance_target(monkeypatch):
     # a sector covering the witnesses keeps d >= d_min by construction, so a
     # shortfall is a fault to report, not a candidate to drop
-    monkeypatch.setattr(search, "keeps_distance", lambda n, stab_rows, logical_rows, d: False)
+    monkeypatch.setattr(search, "logical_weight", lambda n, stab_rows, logical_rows, limit: limit - 1)
     with pytest.raises(RuntimeError, match="d >= d_min"):
         sweep_nonexistence(SweepSpec(4, 1, 1, 2))
 
@@ -595,18 +595,19 @@ def _signed(n, v, e):
 def _assembled(monkeypatch, run):
     """(arguments, guard verdict, code) of every ``_guarded_code`` call of ``run``."""
     calls, verdicts = [], []
-    guarded, guard = search._guarded_code, search.keeps_distance
+    guarded, guard = search._guarded_code, search.logical_weight
 
     def record(*args):
         code = guarded(*args)
         calls.append((args, verdicts[-1], code))
         return code
 
-    def record_guard(*args):
-        verdicts.append(guard(*args))
-        return verdicts[-1]
+    def record_guard(n, stab_rows, logical_rows, limit):
+        weight = guard(n, stab_rows, logical_rows, limit)
+        verdicts.append(weight >= limit)
+        return weight
 
-    monkeypatch.setattr(search, "keeps_distance", record_guard)
+    monkeypatch.setattr(search, "logical_weight", record_guard)
     monkeypatch.setattr(search, "_guarded_code", record)
     run()
     monkeypatch.undo()
@@ -1136,8 +1137,8 @@ def test_the_bad_syndrome_build_stops_at_a_logical_operator_below_d_min(monkeypa
 
 
 def test_the_distance_threshold_test_equals_the_exhaustive_walk(sweep_5103):
-    # keeps_distance(n, S, L, d) is distance(code, "exhaustive") >= d for
-    # every d up to n + 1, on catalog, sweep and random subsystem codes
+    # logical_weight(n, S, L, limit) is min(distance(code, "exhaustive"), limit)
+    # for every limit up to n + 1, on catalog, sweep and random subsystem codes
     codes = [validated(catalog(name)) for name in CATALOG_NAMES]
     for spec in (SweepSpec(4, 1, 1, 2), SweepSpec(4, 1, 0, 2), SweepSpec(4, 2, 0, 2)):
         codes += sweep_nonexistence(spec).codes
@@ -1151,11 +1152,11 @@ def test_the_distance_threshold_test_equals_the_exhaustive_walk(sweep_5103):
     for code in codes:
         n, s, g = code.n, code.s, code.s + 2 * code.r
         walked = distance(code, "exhaustive")
-        for d in range(1, n + 2):
-            kept = keeps_distance(n, code.rows[:s], code.rows[g:], d)
-            assert kept == (walked >= d), (code, d, walked)
+        for limit in range(1, n + 2):
+            weight = logical_weight(n, code.rows[:s], code.rows[g:], limit)
+            assert weight == min(walked, limit), (code, limit, walked)
             pairs += 1
-            below += not kept
+            below += weight < limit
     assert len(codes) == 4 + 4320 + 2268 + 216 + 2592 + 80
     assert pairs == 49_606 + 513 and 0 < below < pairs  # 513 pairs from the random codes
 
