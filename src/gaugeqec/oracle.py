@@ -6,20 +6,21 @@ consult the symplectic machinery (no ``multiply``, ``commutes`` or GF(2)
 algebra), so they cross-check the group-theoretic results independently.
 
 They run in the code space's own m x m algebra, m = 2^(n-s).  The projector
-P onto the joint +1 eigenspace of the stabilizer generators is built from
-its defining product, and an orthonormal basis V of its range
-(V V^dagger = P) comes from a pivoted Cholesky factor of P, trace(P)
-columns long, and one QR.  A Pauli is applied to V as the signed row
-permutation its matrix is, at O(2^n) cost per column.  For an operator L
-write L_c = V^dagger L V and D = L V - V L_c, with reduced QR D = Q R.
-Since V^dagger D = 0, the dense norm of an m x m block C splits
-orthogonally into m x m terms,
+P onto the joint +1 eigenspace of the stabilizer is the average of its 2^s
+group elements, each a signed permutation, and an orthonormal basis V of
+its range (V V^dagger = P) comes from a pivoted Cholesky factor of P,
+trace(P) columns long, and one QR.  A Pauli acts on V as the signed row
+permutation its matrix is, and every V^dagger X sums over V's row support,
+the rows where V is nonzero.  For an operator L write L_c = V^dagger L V
+and D = L V - V L_c, with reduced QR D = Q R.  Since V^dagger D = 0, the
+dense norm of an m x m block C splits orthogonally into m x m terms,
 
     ||[V C V^dagger, L V V^dagger]||_F = ||V C L_c - (L V) C||_F
                                         = hypot(||[C, L_c]||_F, ||R C||_F),
 
-which assumes nothing about how L commutes with the stabilizer.  Matrices
-are capped at n = 10; beyond that the functions refuse instead of degrading.
+which assumes nothing about how L commutes with the stabilizer and is 0,
+uncomputed, for a zero block C.  Matrices are capped at n = 10; beyond that
+the functions refuse instead of degrading.
 """
 
 from __future__ import annotations
@@ -58,25 +59,30 @@ def dense(p: PauliOp) -> np.ndarray:
     return (1j ** p.phase_exp) * m
 
 
+@lru_cache(maxsize=None)
 def _index_mask(bits: int, n: int) -> int:
     """Qubit bits as a dense-index mask: qubit 0 is the most significant bit."""
     return int(f"{bits:0{n}b}"[::-1], 2)
 
 
-def _apply(p: PauliOp, m: np.ndarray) -> np.ndarray:
-    """``dense(p) @ m`` computed as the signed row permutation it is.
+def _signed_permutation(p: PauliOp, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, sign): row rows[k] of dense(p) is sign[k] at column src[k], else 0.
 
-    The factor of qubit j is X**x_j Z**z_j, so with X and Z the index masks
-    of ``p.x`` and ``p.z``, dense(p)|b> = i**phase_exp (-1)**popcount(b & Z)
-    |b ^ X>: row r of the product is row r ^ X of m, signed by that source
-    index.
+    With X and Z the index masks of ``p.x`` and ``p.z``, qubit j's factor
+    X**x_j Z**z_j makes dense(p)|b> = i**phase_exp (-1)**popcount(b & Z) |b ^ X>.
     """
-    if m.ndim != 2 or m.shape[0] != 1 << p.n:
-        raise ValueError(f"a {p.n}-qubit operator needs {1 << p.n} matrix rows")
-    src = np.arange(m.shape[0]) ^ _index_mask(p.x, p.n)
+    src = rows ^ _index_mask(p.x, p.n)
     odd = (np.bitwise_count(src & _index_mask(p.z, p.n)) & 1).astype(bool)
     phase = 1j ** p.phase_exp
-    return np.where(odd, -phase, phase)[:, None] * m[src]
+    return src, np.where(odd, -phase, phase)
+
+
+def _apply(p: PauliOp, m: np.ndarray) -> np.ndarray:
+    """``dense(p) @ m`` computed as the signed row permutation it is."""
+    if m.ndim != 2 or m.shape[0] != 1 << p.n:
+        raise ValueError(f"a {p.n}-qubit operator needs {1 << p.n} matrix rows")
+    src, sign = _signed_permutation(p, np.arange(m.shape[0]))
+    return sign[:, None] * m[src]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,24 +90,29 @@ class CodeProjector:
     code: SubsystemCode
     matrix: np.ndarray  # P, 2^n x 2^n
     basis: np.ndarray  # V, 2^n x 2^(n-s) with orthonormal columns and V V^dagger = P
+    support: np.ndarray  # indices of the nonzero rows of V, which every V^dagger X sums over
 
 
 @lru_cache(maxsize=8)
 def code_projector(code: SubsystemCode) -> CodeProjector:
     """Projector onto the joint +1 eigenspace of the stabilizer generators.
 
-    P is the product of the (I + g)/2, accumulated as P <- (P + g P)/2.
-    Every entry stays a dyadic rational, so the result is exact and equal
-    bit for bit to the Kronecker-built product.  Its range is spanned by the
-    trace(P) columns of a pivoted Cholesky factor F (F F^dagger = P), whose
-    QR gives the orthonormal basis V.
+    P = prod (I + g)/2 is the average of the 2^s stabilizer group elements,
+    signed permutations composed from the generators' and scattered once.
+    Each entry is a sum of +-1 or +-i over 2^s, so P is exact and bit for bit
+    the Kronecker-built product.  Its range is spanned by the trace(P)
+    columns of a pivoted Cholesky factor F (F F^dagger = P), whose QR gives V.
     """
     c = validated(code)
     if c.n > MAX_QUBITS:
         raise ValueError(f"dense matrices are limited to {MAX_QUBITS} qubits")
-    proj = np.eye(1 << c.n, dtype=complex)
-    for g in c.stabilizer:
-        proj = (proj + _apply(g, proj)) / 2
+    rows = np.arange(1 << c.n)
+    cols, signs = rows[None, :], np.ones((1, 1 << c.n), dtype=complex)
+    for g in c.stabilizer:  # element e is signs[r] at (r, cols[r]), and so is g e
+        src, sign = _signed_permutation(g, rows)
+        cols, signs = np.vstack([cols, cols[:, src]]), np.vstack([signs, sign * signs[:, src]])
+    proj = np.zeros((1 << c.n, 1 << c.n), dtype=complex)
+    np.add.at(proj, (rows, cols), signs / (1 << c.s))
     rank = round(proj.trace().real)
     factor = np.zeros((proj.shape[0], rank), dtype=complex)
     residual = proj.diagonal().real.copy()  # diagonal of P - F F^dagger
@@ -112,7 +123,8 @@ def code_projector(code: SubsystemCode) -> CodeProjector:
         col = proj[:, i] - factor[:, :k] @ factor[i, :k].conj()
         factor[:, k] = col / np.sqrt(residual[i])
         residual -= np.abs(factor[:, k]) ** 2
-    return CodeProjector(c, proj, np.linalg.qr(factor)[0])
+    basis = np.linalg.qr(factor)[0]
+    return CodeProjector(c, proj, basis, np.flatnonzero(basis.any(axis=1)))
 
 
 @dataclass
@@ -123,10 +135,10 @@ class OracleReport:
     failing_pair: tuple[PauliOp, PauliOp] | None = None
 
 
-def _action(v: np.ndarray, p: PauliOp) -> tuple[np.ndarray, np.ndarray]:
-    """(p V, V^dagger p V): p on the code-space basis, and P p P in that basis."""
-    pv = _apply(p, v)
-    return pv, v.conj().T @ pv
+def _action(v: np.ndarray, p: PauliOp, rows: np.ndarray) -> np.ndarray:
+    """V^dagger p V, P p P in the code-space basis, over V's row support ``rows``."""
+    src, sign = _signed_permutation(p, rows)
+    return v[rows].conj().T @ (sign[:, None] * v[src])
 
 
 def _stacked(v: np.ndarray, errors: list[PauliOp]) -> np.ndarray:
@@ -141,9 +153,10 @@ def _blocks(v: np.ndarray, ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (L_c, R) over ops: L_c = V^dagger L V and (L V - V L_c) = Q R."""
     lcs = np.empty((len(ops), v.shape[1], v.shape[1]), dtype=complex)
     rs = np.empty_like(lcs)
+    rows = np.flatnonzero(v.any(axis=1))
     for i, op in enumerate(ops):
-        lv, lcs[i] = _action(v, op)
-        rs[i] = np.linalg.qr(lv - v @ lcs[i], mode="r")
+        lcs[i] = _action(v, op, rows)
+        rs[i] = np.linalg.qr(_apply(op, v) - v @ lcs[i], mode="r")
     return lcs, rs
 
 
@@ -158,6 +171,14 @@ def _comm_norm(c: np.ndarray, lcs: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return np.hypot(comm, np.linalg.norm(rs @ c, axis=(-2, -1)))
 
 
+def _pair_residuals(grams: np.ndarray, lcs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """``_comm_norm`` of a stack of blocks; [0, L_c] and R 0 are exactly 0, unbuilt."""
+    resid = np.zeros((len(grams), len(lcs)))
+    live = grams.any(axis=(1, 2))
+    resid[live] = _comm_norm(grams[live], lcs, rs)
+    return resid
+
+
 @lru_cache(maxsize=8)
 def _logical_actions(code: SubsystemCode) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (L_c, R) for every logical generator L."""
@@ -170,8 +191,8 @@ def verify_subsystem_structure(code: SubsystemCode) -> OracleReport:
     Every compressed gauge action must commute with every logical action and
     vice versa, and each logical pair must anticommute on the code space.
     """
-    c = validated(code)
-    v = code_projector(c).basis
+    proj = code_projector(validated(code))
+    c, v, rows = proj.code, proj.basis, proj.support
     logical = _logical_actions(c)
     gauge = _blocks(v, c.gauge_ops())
     report = OracleReport(ok=True)
@@ -188,7 +209,7 @@ def verify_subsystem_structure(code: SubsystemCode) -> OracleReport:
             )
     for j, (lx, lz) in enumerate(c.logical_pairs):
         anti = _apply(lx, _apply(lz, v)) + _apply(lz, _apply(lx, v))
-        resid = float(np.linalg.norm(v.conj().T @ anti))
+        resid = float(np.linalg.norm(v[rows].conj().T @ anti[rows]))
         report.max_residual = max(report.max_residual, resid)
         if resid > TOL:
             report.ok = False
@@ -206,48 +227,50 @@ def verify_correctability(code: SubsystemCode, errors: list[PauliOp]) -> OracleR
     """
     if not errors:
         raise ValueError("empty error set")
-    c = validated(code)
-    v = code_projector(c).basis
+    proj = code_projector(validated(code))
+    c, v = proj.code, proj.basis
     lcs, rs = _logical_actions(c)
     m = v.shape[1]
     block = max(1, _BLOCK_BYTES // v.nbytes)  # errors per stack of E V
     report = OracleReport(ok=True)
-    for a in range(len(errors)):
-        home = a - a % block
-        if a == home:
-            here = _stacked(v, errors[home : home + block])
-        ea = here[:, (a - home) * m : (a - home + 1) * m].conj().T
-        # V' Ea' Eb V for every b >= a as stacks of m x m blocks, one block of
-        # errors at a time; the E V of a block after a's own is rebuilt per a
+    for home in range(0, len(errors), block):
+        here = _stacked(v, errors[home : home + block])
+        # rows home + i, i < stop, are scanned on; row stop holds the first
+        # witness yet, and seen[i] is row i's largest residual up to a witness
+        stop, witness = here.shape[1] // m, None
+        seen = np.zeros(stop)
         for start in range(home, len(errors), block):
             wide = here if start == home else _stacked(v, errors[start : start + block])
-            lo = max(a, start)
-            gram = ea @ wide[:, (lo - start) * m :]
-            resid = _comm_norm(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
-            bad = np.flatnonzero(resid > TOL)[:1]
-            # residuals come in scan order (b, then logical op); stop at a witness
-            seen = resid[: bad[0] + 1] if bad.size else resid
-            report.max_residual = max(report.max_residual, float(seen.max(initial=0.0)))
-            if bad.size:
-                pair = (errors[a], errors[lo + int(bad[0]) // len(lcs)])
-                report.ok, report.failing_pair = False, pair
-                report.failures.append(f"pair ({pair[0]}, {pair[1]}) acts on the encoded qubits")
-                return report
+            for i in range(stop):
+                lo = max(home + i, start)
+                # V' Ea' Eb V for every b >= lo, over the rows where Ea V is nonzero
+                rows = proj.support ^ _index_mask(errors[home + i].x, c.n)
+                gram = here[rows, i * m : (i + 1) * m].conj().T @ wide[rows, (lo - start) * m :]
+                resid = _pair_residuals(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
+                # residuals come in scan order (b, then logical op); stop at a witness
+                bad = np.flatnonzero(resid > TOL)[:1]
+                seen[i] = max(seen[i], resid[: bad[0] + 1 if bad.size else None].max(initial=0.0))
+                if bad.size:
+                    stop, witness = i, (errors[home + i], errors[lo + int(bad[0]) // len(lcs)])
+                    break
+        report.max_residual = max(report.max_residual, float(seen[: stop + 1].max()))
+        if witness:
+            report.ok, report.failing_pair = False, witness
+            report.failures.append(f"pair ({witness[0]}, {witness[1]}) acts on the encoded qubits")
+            return report
     return report
 
 
 def acts_as_gauge(code: SubsystemCode, p: PauliOp) -> bool:
     """Dense test: nonzero on the code space and in the logical commutant."""
-    c = validated(code)
-    v = code_projector(c).basis
-    _, compressed = _action(v, p)
+    proj = code_projector(validated(code))
+    compressed = _action(proj.basis, p, proj.support)
     if float(np.linalg.norm(compressed)) <= TOL:
         return False
-    return bool(np.all(_comm_norm(compressed, *_logical_actions(c)) <= TOL))
+    return bool(np.all(_comm_norm(compressed, *_logical_actions(proj.code)) <= TOL))
 
 
 def vanishes_on_code_space(code: SubsystemCode, p: PauliOp) -> bool:
-    c = validated(code)
-    v = code_projector(c).basis
-    _, compressed = _action(v, p)
+    proj = code_projector(validated(code))
+    compressed = _action(proj.basis, p, proj.support)
     return float(np.linalg.norm(compressed)) <= TOL

@@ -7,12 +7,15 @@ import pytest
 from gaugeqec.catalog import CATALOG_NAMES, catalog
 from gaugeqec.code import SubsystemCode, validate, validated
 from gaugeqec.distance import Kind, classify, is_correctable_set
+from gaugeqec import oracle
 from gaugeqec.oracle import (
     _BLOCK_BYTES,
+    _action,
     _apply,
     _blocks,
     _comm_norm,
     _logical_actions,
+    _pair_residuals,
     acts_as_gauge,
     code_projector,
     dense,
@@ -289,3 +292,107 @@ def test_empty_error_set_is_refused_like_the_group_test():
         is_correctable_set(code, [])
     with pytest.raises(ValueError, match="empty error set"):
         verify_correctability(code, [])
+
+
+# code-space support: the rows where V is nonzero, |support| of 2^n
+SUPPORT_SIZES = {"shor9": 8, "bacon-shor-9": 128, "steane7": 16, "five-qubit": 32}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_support_is_the_nonzero_rows_of_the_basis(name):
+    proj = code_projector(catalog(name))
+    nonzero = np.flatnonzero(np.abs(proj.basis).sum(axis=1) > 0)
+    assert np.array_equal(proj.support, nonzero)
+    assert len(proj.support) == SUPPORT_SIZES[name]
+    # ||V[r]||^2 = P[r, r], so the support is also where P's diagonal is nonzero
+    assert np.array_equal(proj.support, np.flatnonzero(proj.matrix.diagonal() != 0))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_support_contracted_action_matches_the_full_contraction(name):
+    code = validated(catalog(name))
+    proj = code_projector(code)
+    v = proj.basis
+    rng = random.Random(41)
+    for _ in range(50):
+        p = random_pauli(rng, code.n)
+        full = v.conj().T @ _apply(p, v)
+        assert np.abs(_action(v, p, proj.support) - full).max() <= 1e-12, p
+
+
+def _verify_pair_blocks(code):
+    """V' Ea' Eb V over every row, for every pair b >= a of verify's errors."""
+    v = code_projector(code).basis
+    errors = [vec_hermitian(code.n, e) for w in (0, 1) for e in weight_sums(letter_vecs(code.n), w)]
+    evs = [_apply(e, v) for e in errors]
+    return np.array([evs[a].conj().T @ evs[b] for a in range(len(evs)) for b in range(a, len(evs))])
+
+
+def test_zero_pair_blocks_skip_the_commutator_and_keep_every_residual():
+    code = validated(catalog("bacon-shor-9"))
+    blocks = _verify_pair_blocks(code)
+    assert len(blocks) == 406  # 28 errors: identity and the 27 weight-1 Paulis
+    assert int((~blocks.any(axis=(1, 2))).sum()) == 360
+    lcs, rs = _logical_actions(code)
+    assert np.array_equal(_pair_residuals(blocks, lcs, rs), _comm_norm(blocks, lcs, rs))
+
+
+def _scan_reference(code, errors):
+    """(witness, max_residual) from the (a, b >= a) scan, one full-row pair at a time."""
+    v = code_projector(code).basis
+    lcs, rs = _logical_actions(code)
+    evs = [_apply(e, v) for e in errors]
+    worst = 0.0
+    for a, ea in enumerate(evs):
+        for b in range(a, len(evs)):
+            for r in _comm_norm(ea.conj().T @ evs[b], lcs, rs):
+                worst = max(worst, float(r))
+                if r > oracle.TOL:
+                    return (errors[a], errors[b]), worst
+    return None, worst
+
+
+@pytest.mark.parametrize("name", ["five-qubit", "steane7", "bacon-shor-9"])
+def test_blocked_scan_keeps_the_witness_and_residual_of_the_pair_order(name, monkeypatch):
+    # blocks of 3 errors over shuffled lists: a later row's witness in an early
+    # block must give way to an earlier row's witness in a later block
+    code = validated(catalog(name))
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3 * code_projector(code).basis.nbytes)
+    letters = letter_vecs(code.n)
+    pool = [vec_hermitian(code.n, v) for w in range(3) for v in weight_sums(letters, w)]
+    rng = random.Random(43)
+    for _ in range(4 if name == "bacon-shor-9" else 12):
+        errors = rng.sample(pool, 11)
+        report = verify_correctability(code, errors)
+        witness, worst = _scan_reference(code, errors)
+        assert report.failing_pair == witness
+        assert report.ok is (witness is None)
+        assert report.max_residual == pytest.approx(worst, rel=1e-9, abs=1e-12)
+
+
+def test_each_later_block_is_stacked_once_per_home_block(monkeypatch):
+    # no witness stops the scan, so every row meets every later block; each
+    # home block stacks itself and each later block once
+    code = validated(catalog("bacon-shor-9"))
+    letters = letter_vecs(code.n)
+    block = oracle._BLOCK_BYTES // code_projector(code).basis.nbytes
+    errors = [vec_hermitian(code.n, v) for w in range(3) for v in weight_sums(letters, w)]
+    errors = errors[: 3 * block + 1]
+    blocks = -(-len(errors) // block)
+    assert blocks == 4
+    monkeypatch.setattr(oracle, "TOL", 1e9)
+    calls = []
+    stacked = oracle._stacked
+
+    def counted(v, errs):
+        calls.append(len(errs))
+        return stacked(v, errs)
+
+    monkeypatch.setattr(oracle, "_stacked", counted)
+    report = verify_correctability(code, errors)
+    assert report.ok and report.failing_pair is None
+    assert len(calls) <= blocks * (blocks + 1) // 2
+    assert sum(calls) == sum(len(errors) - home for home in range(0, len(errors), block))
+    # one block for the whole list scans the same pairs to the same residual
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", len(errors) * code_projector(code).basis.nbytes)
+    assert verify_correctability(code, errors).max_residual == pytest.approx(report.max_residual, rel=1e-12)
