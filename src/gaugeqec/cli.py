@@ -24,6 +24,7 @@ from .oracle import (
     MAX_QUBITS,
     code_projector,
     verify_correctability,
+    verify_projector,
     verify_subsystem_structure,
 )
 from .pauli import PauliFormatError, PauliOp, letter_vecs, pauli_from_string, vec_hermitian, weight_sums
@@ -213,14 +214,7 @@ def _cmd_verify(args) -> int:
     c = validated(code)
     if c.n > MAX_QUBITS:
         raise _CliError(f"verify needs n <= {MAX_QUBITS}")
-    import numpy as np
-
-    proj = code_projector(c).matrix
-    dim_ok = (
-        float(np.linalg.norm(proj @ proj - proj)) < 1e-10
-        and float(np.linalg.norm(proj - proj.conj().T)) < 1e-10
-        and abs(proj.trace().real - 2 ** (c.n - c.s)) < 1e-10
-    )
+    dim_ok = verify_projector(code_projector(c))
     structure = verify_subsystem_structure(c)
     errors = [vec_hermitian(c.n, v) for w in (0, 1) for v in weight_sums(letter_vecs(c.n), w)]
     dense_report = verify_correctability(c, errors)

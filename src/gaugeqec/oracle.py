@@ -5,15 +5,18 @@ Kronecker product of its single-qubit factors (``dense``).  The checks never
 consult the symplectic machinery (no ``multiply``, ``commutes`` or GF(2)
 algebra), so they cross-check the group-theoretic results independently.
 
-They run in the code space's own m x m algebra, m = 2^(n-s).  The projector
-P onto the joint +1 eigenspace of the stabilizer is the average of its 2^s
-group elements, each a signed permutation, and an orthonormal basis V of
-its range (V V^dagger = P) comes from a pivoted Cholesky factor of P,
-trace(P) columns long, and one QR.  A Pauli acts on V as the signed row
-permutation its matrix is, and every V^dagger X sums over V's row support,
-the rows where V is nonzero.  For an operator L write L_c = V^dagger L V
-and D = L V - V L_c, with reduced QR D = Q R.  Since V^dagger D = 0, the
-dense norm of an m x m block C splits orthogonally into m x m terms,
+They run in the code space's own m x m algebra, m = 2^(n-s).  Every Pauli
+matrix is a signed permutation, b -> +-(b ^ X), so the projector P onto the
+joint +1 eigenspace of the stabilizer, the average of its 2^s group
+elements, is nonzero only on orbits of the group's X masks.  P's column at
+an orbit's least index, normalised, is one basis vector, and the m orbits
+give the orthonormal basis V (V V^dagger = P) with one nonzero per row of
+its support.  A Pauli applied to V keeps that form, one (column, value) per
+row, so every V^dagger Q V, and every (Ea V)^dagger (Eb V), is a scatter of
+at most |support| terms into an m x m block, each block zero or monomial.
+For an operator L write L_c = V^dagger L V and D = L V - V L_c, with
+reduced QR D = Q R.  Since V^dagger D = 0, the dense norm of an m x m
+block C splits orthogonally into m x m terms,
 
     ||[V C V^dagger, L V V^dagger]||_F = ||V C L_c - (L V) C||_F
                                         = hypot(||[C, L_c]||_F, ||R C||_F),
@@ -35,7 +38,9 @@ from .pauli import PauliOp
 
 MAX_QUBITS = 10
 TOL = 1e-10
-_BLOCK_BYTES = 1 << 23  # the E V stacks verify_correctability holds at once
+# verify_correctability takes _BLOCK_BYTES // V.nbytes errors per block; one
+# row's pair blocks against a block, block x m x m complex, stay below it
+_BLOCK_BYTES = 1 << 23
 
 _FACTORS = {
     (0, 0): np.eye(2, dtype=complex),
@@ -89,8 +94,10 @@ def _apply(p: PauliOp, m: np.ndarray) -> np.ndarray:
 class CodeProjector:
     code: SubsystemCode
     matrix: np.ndarray  # P, 2^n x 2^n
-    basis: np.ndarray  # V, 2^n x 2^(n-s) with orthonormal columns and V V^dagger = P
+    basis: np.ndarray  # V, 2^n x 2^(n-s): normalised orbit columns of P, V V^dagger = P
     support: np.ndarray  # indices of the nonzero rows of V, which every V^dagger X sums over
+    column: np.ndarray  # per row of V, the column of its one nonzero, or -1 off the support
+    entry: np.ndarray  # per row of V, that nonzero, or 0 off the support
 
 
 @lru_cache(maxsize=8)
@@ -100,8 +107,11 @@ def code_projector(code: SubsystemCode) -> CodeProjector:
     P = prod (I + g)/2 is the average of the 2^s stabilizer group elements,
     signed permutations composed from the generators' and scattered once.
     Each entry is a sum of +-1 or +-i over 2^s, so P is exact and bit for bit
-    the Kronecker-built product.  Its range is spanned by the trace(P)
-    columns of a pivoted Cholesky factor F (F F^dagger = P), whose QR gives V.
+    the Kronecker-built product.  Element e maps row b to column b ^ X_e, so
+    P is nonzero only within the X-orbits of its support, the rows where its
+    diagonal is nonzero.  P's column at an orbit's least index, over the
+    square root of its diagonal entry, is the orbit's basis vector; V takes
+    the m orbits' vectors ordered by that index.
     """
     c = validated(code)
     if c.n > MAX_QUBITS:
@@ -113,18 +123,31 @@ def code_projector(code: SubsystemCode) -> CodeProjector:
         cols, signs = np.vstack([cols, cols[:, src]]), np.vstack([signs, sign * signs[:, src]])
     proj = np.zeros((1 << c.n, 1 << c.n), dtype=complex)
     np.add.at(proj, (rows, cols), signs / (1 << c.s))
-    rank = round(proj.trace().real)
-    factor = np.zeros((proj.shape[0], rank), dtype=complex)
-    residual = proj.diagonal().real.copy()  # diagonal of P - F F^dagger
-    for k in range(rank):
-        i = int(np.argmax(residual))
-        if residual[i] <= TOL:
-            raise ValueError(f"projector has rank {k}, not its trace {rank}")
-        col = proj[:, i] - factor[:, :k] @ factor[i, :k].conj()
-        factor[:, k] = col / np.sqrt(residual[i])
-        residual -= np.abs(factor[:, k]) ** 2
-    basis = np.linalg.qr(factor)[0]
-    return CodeProjector(c, proj, basis, np.flatnonzero(basis.any(axis=1)))
+    support = np.flatnonzero(proj.diagonal())
+    # cols[:, b] is b's X-orbit, so its least entry names b's basis vector
+    least, orbit = np.unique(cols[:, support].min(axis=0), return_inverse=True)
+    basis = proj[:, least] / np.sqrt(proj.diagonal()[least].real)
+    column = np.full(1 << c.n, -1)
+    column[support] = orbit
+    entry = np.zeros(1 << c.n, dtype=complex)
+    entry[support] = basis[support, orbit]
+    return CodeProjector(c, proj, basis, support, column, entry)
+
+
+def verify_projector(proj: CodeProjector) -> bool:
+    """Check V against the code space without forming a 2^n x 2^n product.
+
+    V has m = 2^(n-s) orthonormal columns, V V^dagger = P and g V = V for
+    every stabilizer generator g; together these give P^2 = P = P^dagger,
+    trace(P) = m, and P's range the joint +1 eigenspace at full dimension.
+    """
+    c, v = proj.code, proj.basis
+    return bool(
+        v.shape[1] == 1 << (c.n - c.s)
+        and np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < TOL
+        and np.linalg.norm(v @ v.conj().T - proj.matrix) < TOL
+        and all(np.linalg.norm(_apply(g, v) - v) < TOL for g in c.stabilizer)
+    )
 
 
 @dataclass
@@ -135,27 +158,55 @@ class OracleReport:
     failing_pair: tuple[PauliOp, PauliOp] | None = None
 
 
-def _action(v: np.ndarray, p: PauliOp, rows: np.ndarray) -> np.ndarray:
-    """V^dagger p V, P p P in the code-space basis, over V's row support ``rows``."""
-    src, sign = _signed_permutation(p, rows)
-    return v[rows].conj().T @ (sign[:, None] * v[src])
+def _applied(proj: CodeProjector, ops: list[PauliOp], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of ops[0] ... ops[-1] V as (column, value) of each row's one nonzero.
+
+    A product of Paulis is a signed permutation, so each row of it times V is
+    a row of V times a sign; the column is -1 and the value 0 off the support.
+    """
+    sign = 1
+    for p in ops:
+        rows, step = _signed_permutation(p, rows)
+        sign = sign * step
+    return proj.column[rows], sign * proj.entry[rows]
 
 
-def _stacked(v: np.ndarray, errors: list[PauliOp]) -> np.ndarray:
-    """[E0 V | E1 V | ...]: each error applied to the code-space basis."""
-    wide = np.empty((v.shape[0], len(errors), v.shape[1]), dtype=complex)
-    for a, e in enumerate(errors):
-        wide[:, a] = _apply(e, v)
-    return wide.reshape(v.shape[0], -1)
+def _gram(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
+    """A^dagger B, one m x m block per B, for matrices given by ``_applied`` rows.
+
+    ``a`` is one (column, value) pair of arrays over some rows and ``b`` a
+    stack of them over the same rows.  Entry (i, j) of a block sums
+    conj(A's value) B's value over the rows where A's column is i and B's is
+    j, so the product is a scatter of at most one term per row.
+    """
+    (ca, va), (cb, vb) = a, b
+    hit = (ca >= 0) & (cb >= 0)
+    at = (np.arange(len(cb))[:, None] * m + ca) * m + cb
+    out = np.zeros(len(cb) * m * m, dtype=complex)
+    np.add.at(out, at[hit], (va.conj() * vb)[hit])
+    return out.reshape(len(cb), m, m)
 
 
-def _blocks(v: np.ndarray, ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
+def _action(proj: CodeProjector, p: PauliOp) -> np.ndarray:
+    """V^dagger p V, P p P in the code-space basis, over V's row support."""
+    rows = proj.support
+    return _gram(_applied(proj, [], rows), _applied(proj, [p], rows[None]), proj.basis.shape[1])[0]
+
+
+def _stacked(proj: CodeProjector, errors: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
+    """Each error applied to the code-space basis, E V as ``_applied`` rows, stacked."""
+    rows = np.arange(len(proj.column))
+    cols, vals = zip(*(_applied(proj, [e], rows) for e in errors))
+    return np.array(cols), np.array(vals)
+
+
+def _blocks(proj: CodeProjector, ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (L_c, R) over ops: L_c = V^dagger L V and (L V - V L_c) = Q R."""
+    v = proj.basis
     lcs = np.empty((len(ops), v.shape[1], v.shape[1]), dtype=complex)
     rs = np.empty_like(lcs)
-    rows = np.flatnonzero(v.any(axis=1))
     for i, op in enumerate(ops):
-        lcs[i] = _action(v, op, rows)
+        lcs[i] = _action(proj, op)
         rs[i] = np.linalg.qr(_apply(op, v) - v @ lcs[i], mode="r")
     return lcs, rs
 
@@ -182,21 +233,35 @@ def _pair_residuals(grams: np.ndarray, lcs: np.ndarray, rs: np.ndarray) -> np.nd
 @lru_cache(maxsize=8)
 def _logical_actions(code: SubsystemCode) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (L_c, R) for every logical generator L."""
-    return _blocks(code_projector(code).basis, code.logical_ops())
+    return _blocks(code_projector(code), code.logical_ops())
+
+
+def _is_hermitian(p: PauliOp) -> bool:
+    """dense(p) = dense(p)^dagger: row r holds sign[r] at column src[r], and
+    src is an involution, so the conjugate transpose holds conj(sign[src[r]])."""
+    src, sign = _signed_permutation(p, np.arange(1 << p.n))
+    return bool(np.array_equal(sign, sign[src].conj()))
 
 
 def verify_subsystem_structure(code: SubsystemCode) -> OracleReport:
     """Check that gauge and logical actions factorize over the code space.
 
-    Every compressed gauge action must commute with every logical action and
-    vice versa, and each logical pair must anticommute on the code space.
+    Every gauge and logical generator must be Hermitian, every compressed
+    gauge action must commute with every logical action and vice versa, and
+    each logical pair must anticommute on the code space.
     """
     proj = code_projector(validated(code))
-    c, v, rows = proj.code, proj.basis, proj.support
+    c, rows, m = proj.code, proj.support, proj.basis.shape[1]
+    at_v = _applied(proj, [], rows)
     logical = _logical_actions(c)
-    gauge = _blocks(v, c.gauge_ops())
+    gauge = _blocks(proj, c.gauge_ops())
     report = OracleReport(ok=True)
 
+    for kind, ops in (("gauge", c.gauge_ops()), ("logical", c.logical_ops())):
+        for i, p in enumerate(ops):
+            if not _is_hermitian(p):
+                report.ok = False
+                report.failures.append(f"{kind} op {i} ({p}) is not Hermitian")
     for first, second, resid in (
         ("gauge", "logical", _comm_norm(gauge[0], *logical)),
         ("logical", "gauge", _comm_norm(logical[0], *gauge)),
@@ -208,8 +273,8 @@ def verify_subsystem_structure(code: SubsystemCode) -> OracleReport:
                 f"{first} op {i} does not commute with {second} op {j} on the code space"
             )
     for j, (lx, lz) in enumerate(c.logical_pairs):
-        anti = _apply(lx, _apply(lz, v)) + _apply(lz, _apply(lx, v))
-        resid = float(np.linalg.norm(v[rows].conj().T @ anti[rows]))
+        anti = sum(_gram(at_v, _applied(proj, ops, rows[None]), m)[0] for ops in ([lx, lz], [lz, lx]))
+        resid = float(np.linalg.norm(anti))
         report.max_residual = max(report.max_residual, resid)
         if resid > TOL:
             report.ok = False
@@ -234,19 +299,20 @@ def verify_correctability(code: SubsystemCode, errors: list[PauliOp]) -> OracleR
     block = max(1, _BLOCK_BYTES // v.nbytes)  # errors per stack of E V
     report = OracleReport(ok=True)
     for home in range(0, len(errors), block):
-        here = _stacked(v, errors[home : home + block])
+        here = _stacked(proj, errors[home : home + block])
         # rows home + i, i < stop, are scanned on; row stop holds the first
         # witness yet, and seen[i] is row i's largest residual up to a witness
-        stop, witness = here.shape[1] // m, None
+        stop, witness = len(here[0]), None
         seen = np.zeros(stop)
         for start in range(home, len(errors), block):
-            wide = here if start == home else _stacked(v, errors[start : start + block])
+            wide = here if start == home else _stacked(proj, errors[start : start + block])
             for i in range(stop):
                 lo = max(home + i, start)
                 # V' Ea' Eb V for every b >= lo, over the rows where Ea V is nonzero
                 rows = proj.support ^ _index_mask(errors[home + i].x, c.n)
-                gram = here[rows, i * m : (i + 1) * m].conj().T @ wide[rows, (lo - start) * m :]
-                resid = _pair_residuals(gram.reshape(m, -1, m).transpose(1, 0, 2), lcs, rs).ravel()
+                ea = (here[0][i, rows], here[1][i, rows])
+                eb = (wide[0][lo - start :, rows], wide[1][lo - start :, rows])
+                resid = _pair_residuals(_gram(ea, eb, m), lcs, rs).ravel()
                 # residuals come in scan order (b, then logical op); stop at a witness
                 bad = np.flatnonzero(resid > TOL)[:1]
                 seen[i] = max(seen[i], resid[: bad[0] + 1 if bad.size else None].max(initial=0.0))
@@ -264,7 +330,7 @@ def verify_correctability(code: SubsystemCode, errors: list[PauliOp]) -> OracleR
 def acts_as_gauge(code: SubsystemCode, p: PauliOp) -> bool:
     """Dense test: nonzero on the code space and in the logical commutant."""
     proj = code_projector(validated(code))
-    compressed = _action(proj.basis, p, proj.support)
+    compressed = _action(proj, p)
     if float(np.linalg.norm(compressed)) <= TOL:
         return False
     return bool(np.all(_comm_norm(compressed, *_logical_actions(proj.code)) <= TOL))
@@ -272,5 +338,4 @@ def acts_as_gauge(code: SubsystemCode, p: PauliOp) -> bool:
 
 def vanishes_on_code_space(code: SubsystemCode, p: PauliOp) -> bool:
     proj = code_projector(validated(code))
-    compressed = _action(proj.basis, p, proj.support)
-    return float(np.linalg.norm(compressed)) <= TOL
+    return float(np.linalg.norm(_action(proj, p))) <= TOL
