@@ -159,11 +159,8 @@ class OracleReport:
 
 
 def _applied(proj: CodeProjector, ops: list[PauliOp], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of ops[0] ... ops[-1] V as (column, value) of each row's one nonzero.
-
-    A product of Paulis is a signed permutation, so each row of it times V is
-    a row of V times a sign; the column is -1 and the value 0 off the support.
-    """
+    """Rows ``rows`` of ops[0] ... ops[-1] V, each a signed row of V, as the
+    (column, value) of its one nonzero: -1 and 0 where that row of V is zero."""
     sign = 1
     for p in ops:
         rows, step = _signed_permutation(p, rows)
@@ -172,13 +169,9 @@ def _applied(proj: CodeProjector, ops: list[PauliOp], rows: np.ndarray) -> tuple
 
 
 def _gram(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
-    """A^dagger B, one m x m block per B, for matrices given by ``_applied`` rows.
-
-    ``a`` is one (column, value) pair of arrays over some rows and ``b`` a
-    stack of them over the same rows.  Entry (i, j) of a block sums
-    conj(A's value) B's value over the rows where A's column is i and B's is
-    j, so the product is a scatter of at most one term per row.
-    """
+    """A^dagger B, one m x m block per B, for ``_applied`` rows: ``a`` over some
+    rows and ``b`` a stack over the same rows.  Each row where both are nonzero
+    adds conj(A's value) B's value at (A's column, B's column): a scatter."""
     (ca, va), (cb, vb) = a, b
     hit = (ca >= 0) & (cb >= 0)
     at = (np.arange(len(cb))[:, None] * m + ca) * m + cb
