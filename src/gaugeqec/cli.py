@@ -21,7 +21,6 @@ from .decoder import Outcome, build_table, recover_and_classify, syndrome
 from .distance import BudgetExceededError, DEFAULT_BUDGET, distance, is_correctable_set
 from .montecarlo import SEED_BOUND, NoiseModel, run
 from .oracle import (
-    MAX_QUBITS,
     code_projector,
     verify_correctability,
     verify_projector,
@@ -212,8 +211,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     c = validated(code)
-    if c.n > MAX_QUBITS:
-        raise _CliError(f"verify needs n <= {MAX_QUBITS}")
     dim_ok = verify_projector(code_projector(c))
     structure = verify_subsystem_structure(c)
     errors = [vec_hermitian(c.n, v) for w in (0, 1) for v in weight_sums(letter_vecs(c.n), w)]
@@ -272,10 +269,10 @@ def _build_parser() -> _Parser:
     p = add("distance", _cmd_distance, help="code distance")
     p.add_argument("--code", required=True)
     p.add_argument("--method", choices=("exhaustive", "coset"), default="coset",
-                   help="coset: the least d at which the searches' threshold test fails; "
+                   help="coset: one walk over the (syndrome, label) keys, lightest first; "
                         "exhaustive: a walk over the whole centralizer")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                   help="cap on the Paulis listed at one weight, or on the centralizer walked")
+                   help="cap on the bound of each coset key layer, or on the centralizer walked")
 
     p = add("decode", _cmd_decode, help="decode an error (or dump the table)")
     p.add_argument("--code", required=True)

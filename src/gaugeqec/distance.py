@@ -11,19 +11,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 from . import gf2
 from .code import SubsystemCode, validated
-from .pauli import PauliOp, hermitian, letter_keys, pauli_to_string, swap_halves, weight_sums
+from .pauli import BudgetExceededError, PauliOp, hermitian, key_layers, letter_keys, pauli_to_string, swap_halves
 from .tableau import check_qubits
 
 DEFAULT_BUDGET = 1 << 30
-
-
-class BudgetExceededError(RuntimeError):
-    """The enumeration would visit more elements than the configured cap."""
 
 
 class Kind(enum.Enum):
@@ -107,18 +102,17 @@ def logical_weight(n: int, stab_rows: Sequence[int], logical_rows: Sequence[int]
 
     S and L are the stabilizer and logical rows.  Such a Pauli of weight d
     is a product A·B, weight(A) = ⌈d/2⌉ and weight(B) = ⌊d/2⌋, whose
-    syndromes agree and whose labels differ.  So each weight w is listed
-    once, lightest first: a key that the syndrome → label map of the lighter
-    keys (the identity's among them) contradicts gives d = 2w − 1, and one
-    that contradicts the map as the weight-w keys join it gives 2w.
-    ``budget`` caps the C(n, w)·3^w Paulis of each weight about to be listed.
+    syndromes agree and whose labels differ.  So ``key_layers`` walks each
+    key once, lightest first: a key of layer w that the syndrome → label map
+    of the lighter keys (the identity's among them) contradicts gives
+    d = 2w − 1, and one that contradicts the map as layer w joins it gives
+    2w.  ``budget`` caps each layer's bound; a limit below 4 with no budget
+    reads the letters alone.
     """
     s, seen = len(stab_rows), {0: 0}
     low, letters = (1 << s) - 1, letter_keys(n, [*stab_rows, *logical_rows])
-    for w in range(1, min(n, limit // 2) + 1):  # 2w − 1 < limit
-        if budget is not None and (size := comb(n, w) * 3**w) > budget:
-            raise BudgetExceededError(f"{size} Paulis of weight {w} exceed the budget {budget}")
-        keys = weight_sums(letters, w)
+    layers = [letters] if limit < 4 and budget is None else key_layers(letters, s + len(logical_rows), budget)
+    for w, keys in zip(range(1, min(n, limit // 2) + 1), layers):  # 2w − 1 < limit
         for d, look in ((2 * w - 1, seen.get), (2 * w, seen.setdefault)):
             if d >= limit:
                 break
@@ -132,7 +126,8 @@ def distance(code: SubsystemCode, method: str = "coset", budget: int = DEFAULT_B
     """Minimum weight of a normalizer element outside the gauge group.
 
     ``coset`` is ``logical_weight`` with limit n, which bounds the weight of
-    every logical row; ``budget`` caps each weight list it makes.
+    every logical row; ``budget`` caps the bound on each key layer it walks,
+    min(|layer w − 1|·3n, 2^(s + 2k)), 3n at weight 1.
     ``exhaustive``, the independent reference, walks the whole centralizer
     row space in a Gray-code order, one XOR plus a popcount per step, and
     ``budget`` caps its 2^dim elements.

@@ -14,13 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _SIGN_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
-# The longest list ``weight_sums`` builds: 2^24 ints take about 0.7 GB.
+# The longest list ``weight_sums`` builds, and the largest ``key_layers`` bound: 2^24 ints, ~0.7 GB.
 MAX_WEIGHT_SUMS = 1 << 24
+
+
+class BudgetExceededError(RuntimeError):
+    """The enumeration would visit more elements than the configured cap."""
 
 
 class PauliFormatError(ValueError):
@@ -175,6 +179,24 @@ def weight_sums(letters: list[int], w: int) -> list[int]:
         prefixes = [([s ^ t for s in sums for t in triples[p]], p + 1)
                     for sums, q in prefixes for p in range(q, n - w + 1 + i)]
     return [s ^ t for sums, q in prefixes for trip in triples[q:] for s in sums for t in trip]
+
+
+def key_layers(letters: list[int], width: int, budget: int | None = None) -> Iterator[set[int]]:
+    """Each nonzero key over a 3n letter table once, in layers by the least weight of a Pauli with it.
+
+    Layer w is layer w − 1 XOR every letter, less the keys reached; an empty one ends the walk.
+    Its bound min(|layer w − 1|·3n, 2^width) is checked first: over ``budget`` it raises
+    BudgetExceededError, over ``MAX_WEIGHT_SUMS`` ValueError.
+    """
+    layer, reached, w = {0}, {0}, 0
+    while layer:
+        w, size = w + 1, min(len(layer) * len(letters), 1 << width)
+        if size > MAX_WEIGHT_SUMS:
+            raise ValueError(f"up to {size} keys of weight {w} exceed {MAX_WEIGHT_SUMS}")
+        if budget is not None and size > budget:
+            raise BudgetExceededError(f"up to {size} keys of weight {w} exceed the budget {budget}")
+        reached |= (layer := {k ^ t for k in layer for t in letters} - reached)
+        yield layer
 
 
 def vec_hermitian(n: int, vec: int) -> PauliOp:

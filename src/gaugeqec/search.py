@@ -49,14 +49,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 from . import gf2
 from .code import SubsystemCode, frame_rows, singleton_check, validated
 from .distance import logical_weight
 from .parallel import check_workers, ordered_map
-from .pauli import letter_keys, letter_vecs, swap_halves, weight_sums
+from .pauli import key_layers, letter_keys, letter_vecs, swap_halves, weight_sums
 
 ProgressFn = Callable[["SearchStats"], None]
 
@@ -188,8 +188,8 @@ class _GaugeContext:
     """Immutable picture of the input code, shareable with workers.
 
     Bit ``sig`` of ``bad`` is set when a Pauli of weight 1 to d_min − 1 with
-    syndrome ``sig`` anticommutes with a logical operator; the first with
-    syndrome 0 ends the build, ``bad`` holds only bit 0 and ``r_cap`` is 0.
+    syndrome ``sig`` anticommutes with a logical operator (``key_layers``);
+    the first with syndrome 0 ends the build, ``bad`` holds only bit 0 and ``r_cap`` is 0.
     Else a dual K of dimension r that avoids ``bad`` holds 2^r − 1 nonzero
     syndromes outside it, so r is at most ``r_cap``, log2 of one more than
     their count.
@@ -201,7 +201,7 @@ class _GaugeContext:
         self.halves = [((1 << (1 << s)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
                        for j in range(s)]
         # a key holds the syndrome in its low s bits and the logical label above them
-        for key in (k for w in range(1, min(d_min, code.n + 1)) for k in weight_sums(letters, w)):
+        for key in (k for layer in islice(key_layers(letters, len(code.rows)), d_min - 1) for k in layer):
             if key >> s:
                 self.bad |= 1 << (key & ((1 << s) - 1))
                 if self.bad & 1:
@@ -310,8 +310,8 @@ def _guarded_code(n: int, stab, pairs, d_min: int, logical=(), logical_signs=())
     ``frame_rows`` checks and completes the rows, deriving a gauge x row
     given as None, and reads the code off them; invalid rows raise the
     ValueError of ``validated``.  Both searches build only codes that keep
-    d >= d_min, so ``logical_weight`` with limit d_min, exact and listing
-    weights up to d_min / 2 only, is a guard: a code below d_min raises
+    d >= d_min, so ``logical_weight`` with limit d_min, exact and walking
+    key layers up to d_min / 2 only, is a guard: a code below d_min raises
     RuntimeError.  Only the supplied logical rows carry sign exponents,
     ``logical_signs``; a sweep supplies none.
     """

@@ -51,8 +51,8 @@ def _repetition_code_file(path, n):
 
 
 def test_distance_command_reaches_bacon_shor_5x5_and_a_200_qubit_code(tmp_path):
-    # the gauge group of Bacon-Shor 5x5 has 2^40 elements; distance lists
-    # Paulis of weight at most 3 instead
+    # the gauge group of Bacon-Shor 5x5 has 2^40 elements; distance walks
+    # its 2^10 (syndrome, label) keys, up to weight 3, instead
     code, out, _ = run_cli("distance", "--code", str(DATA / "bacon_shor_5x5.code"))
     assert (code, out) == (0, "d: 5\n")
     code, out, _ = run_cli("distance", "--code", _repetition_code_file(tmp_path / "rep.code", 200))
@@ -319,6 +319,12 @@ def test_verify_five_qubit():
     assert "projector: pass" in out
     assert "structure: pass" in out
     assert "agreement: pass" in out
+
+
+def test_verify_refuses_a_code_over_the_dense_limit_before_building_it(tmp_path):
+    code, out, err = run_cli("verify", "--code", _repetition_code_file(tmp_path / "rep.code", 11))
+    assert (code, out) == (1, "")
+    assert err == "error: dense matrices are limited to 10 qubits\n"
 
 
 def test_verify_refuses_a_logical_operator_that_is_not_hermitian(tmp_path):

@@ -26,7 +26,6 @@ from gaugeqec.pauli import (
     pauli_to_string,
     single,
     vec_hermitian,
-    weight_sums,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -119,20 +118,27 @@ def _bacon_shor(m):
 
 
 def test_distance_of_bacon_shor_squares():
-    # 2^18 and 2^32 gauge elements times 3 logical classes; the threshold
-    # test lists Paulis of weight at most 3
+    # 2^18 and 2^32 gauge elements times 3 logical classes; the key walk
+    # reads 2^8 and 2^10 (syndrome, label) keys, by weight, up to weight 3
     assert distance(_bacon_shor(4)) == 4
     code = parse_code_file((DATA / "bacon_shor_5x5.code").read_text())
     assert code == _bacon_shor(5) and (code.n, code.k, code.r) == (25, 1, 16)
     assert distance(code) == 5
 
 
+@pytest.mark.parametrize("m", range(3, 8))
+def test_distance_of_bacon_shor_is_the_side_length(m):
+    # [[49, 1, 36, 7]] has 17,161,956 Paulis of weight 4 but 2^14 keys
+    assert distance(_bacon_shor(m)) == m
+
+
 def test_distance_budget_caps_the_largest_weight_list():
-    # d = 5 is settled when weight 3 fails the test at 6: C(25, 3)·27 = 62,100 Paulis
+    # d = 5 is settled when layer 3 fails the test at 5; layers 2 and 3 may
+    # each hold min(35·75, 2^10) = 1,024 keys, the largest bound
     code = _bacon_shor(5)
-    assert distance(code, budget=62_100) == 5
-    with pytest.raises(BudgetExceededError, match="62100 Paulis of weight 3 exceed the budget 62099"):
-        distance(code, budget=62_099)
+    assert distance(code, budget=1024) == 5
+    with pytest.raises(BudgetExceededError, match="^up to 1024 keys of weight 2 exceed the budget 1023$"):
+        distance(code, budget=1023)
 
 
 @pytest.mark.parametrize(
@@ -140,14 +146,15 @@ def test_distance_budget_caps_the_largest_weight_list():
     [(catalog("five-qubit"), [1, 2]), (_bacon_shor(5), [1, 2, 3]), (_bacon_shor(6), [1, 2, 3])],
 )
 def test_distance_lists_each_weight_once(monkeypatch, code, weights):
-    # one walk, lightest weight first: d = 2w − 1 or 2w is read off weight w
-    listed = []
+    # one walk, lightest layer first: d = 2w − 1 or 2w is read off layer w
+    listed, walk = [], distance_module.key_layers
 
-    def counting(letters, w):
-        listed.append(w)
-        return weight_sums(letters, w)
+    def counting(letters, width, budget=None):
+        for w, layer in enumerate(walk(letters, width, budget), 1):
+            listed.append(w)
+            yield layer
 
-    monkeypatch.setattr(distance_module, "weight_sums", counting)
+    monkeypatch.setattr(distance_module, "key_layers", counting)
     assert distance(code) == {25: 5, 36: 6}.get(code.n, 3)
     assert listed == weights
 

@@ -6,12 +6,16 @@ from naive_ops import all_paulis_up_to_weight, anticommute as naive_anticommute,
 from naive_ops import to_bits, weight as naive_weight
 
 from gaugeqec import pauli
+from gaugeqec.catalog import CATALOG_NAMES, catalog
+from gaugeqec.code import validated
 from gaugeqec.pauli import (
+    BudgetExceededError,
     PauliFormatError,
     PauliOp,
     commutes,
     hermitian,
     identity,
+    key_layers,
     letter_keys,
     letter_vecs,
     multiply,
@@ -229,3 +233,57 @@ def test_weight_sums_of_letter_keys_are_the_naive_anticommutation_patterns(n):
         naive = [sum(naive_anticommute(p, g) << i for i, g in enumerate(strings))
                  for p in _naive_weight_w(n, w)]
         assert weight_sums(letters, w) == naive, w
+
+
+def _assert_layers_are_the_new_keys_of_each_weight(n, rows):
+    # layer w is the set of weight-w keys that no lighter list holds; the
+    # walk ends at its first empty layer, at weight n + 1 at the latest
+    letters, reached = letter_keys(n, rows), {0}
+    layers = list(key_layers(letters, len(rows)))
+    assert not layers[-1] and all(layers[:-1]) and len(layers) <= n + 1
+    for w, layer in enumerate(layers, 1):
+        new = set(weight_sums(letters, w)) - reached
+        assert layer == new, (n, rows, w)
+        reached |= new
+    assert all(reached >= set(weight_sums(letters, w)) for w in range(len(layers), n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_key_layers_are_the_keys_first_reached_at_each_weight(n):
+    rng = random.Random(9000 + n)
+    for _ in range(5):
+        rows = [rng.randrange(1 << 2 * n) for _ in range(rng.randint(1, 2 * n + 2))]
+        _assert_layers_are_the_new_keys_of_each_weight(n, rows)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_key_layers_of_the_catalog_codes(name):
+    code = validated(catalog(name))
+    _assert_layers_are_the_new_keys_of_each_weight(code.n, code.rows)
+
+
+def test_key_layers_refuse_a_layer_over_the_cap_before_building_it(monkeypatch):
+    # shor9's layer 2 may hold min(21·27, 2^10) = 567 keys; each layer built
+    # iterates the letters once per key of the layer below
+    code, built = validated(catalog("shor9")), []
+
+    class Letters(list):
+        def __iter__(self):
+            built.append(1)
+            return super().__iter__()
+
+    letters = Letters(letter_keys(code.n, code.rows))
+    monkeypatch.setattr(pauli, "MAX_WEIGHT_SUMS", 566)
+    walk = key_layers(letters, len(code.rows))
+    assert len(next(walk)) == 21 and len(built) == 1
+    with pytest.raises(ValueError, match="^up to 567 keys of weight 2 exceed 566$"):
+        next(walk)
+    assert len(built) == 1
+    monkeypatch.setattr(pauli, "MAX_WEIGHT_SUMS", 567)
+    walk = key_layers(letters, len(code.rows), budget=566)
+    next(walk)
+    with pytest.raises(BudgetExceededError, match="^up to 567 keys of weight 2 exceed the budget 566$"):
+        next(walk)
+    walk = key_layers(letters, len(code.rows), budget=567)
+    next(walk)
+    assert len(next(walk)) == 165

@@ -1119,18 +1119,18 @@ def test_bad_syndromes_match_string_arithmetic():
 
 def test_the_bad_syndrome_build_stops_at_a_logical_operator_below_d_min(monkeypatch):
     # shor9 has d = 3: a weight-3 logical operator sets bit 0 and ends the
-    # build long before the 4^9 − 1 Paulis of weight 1 to 24 are keyed
-    keyed = []
-    weight_sums = search.weight_sums
+    # build long before the walk reaches all 2^10 − 1 nonzero keys
+    keyed, walk = [], search.key_layers
 
-    def counting(letters, w):
-        for key in weight_sums(letters, w):
-            keyed.append(w)
-            yield key
+    def counting(letters, width, budget=None):
+        for w, layer in enumerate(walk(letters, width, budget), 1):
+            keyed.extend((w, key) for key in layer)
+            yield layer
 
-    monkeypatch.setattr(search, "weight_sums", counting)
+    monkeypatch.setattr(search, "key_layers", counting)
     assert search._GaugeContext(validated(catalog("shor9")), 25).bad == 1
-    assert max(keyed) == 3 and len(keyed) <= 27 + 324 + 2268
+    weights, keys = zip(*keyed)
+    assert max(weights) == 3 and len(set(keys)) == len(keys) < (1 << 10) - 1
     res = find_gauge_symmetries(catalog("shor9"), 25)
     assert (res.r_found, res.exhausted, res.stats.subspaces, res.stats.candidates) == (
         0, True, 417197, 0)
